@@ -7,10 +7,11 @@ amortize the setup cost over the capacity (``p_t + s_t / cap_t``), which is
 what makes the relaxation valid. Restricting the cost vector gives dedicated
 lower bounds for the production-cost and holding-cost variables.
 
-When every setup decision is fixed, the remaining problem is an exact
-min-cost flow with integer costs; ``complete_when_setups_fixed`` solves it
-including production/inventory lower bounds via the usual bound-stripping
-circulation transform.
+One integer greedy, ``path_greedy``, solves every instance of this network:
+the whole-horizon relaxations (``min_cost_flow``, rates scaled to integers),
+the flow bounds of all windows (u, v) with one pass per start u
+(``window_flow_bounds``), and the exact completion once every setup is fixed
+(``propagator.complete_when_setups_fixed``, unit costs p and h).
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .domains import DomainStore
-from .instance import Instance, StrippedInstance
-from .solution import Solution
+from .instance import StrippedInstance
 
 
 class FlowMode(enum.Enum):
@@ -35,87 +35,6 @@ class FlowMode(enum.Enum):
 
 INFEASIBLE = "INFEASIBLE"
 OPTIMAL = "OPTIMAL"
-
-
-class MinCostFlowGraph:
-    """Successive shortest paths with node potentials on a tiny graph.
-
-    Costs must be non-negative (ints or Fractions); reverse arcs carry the
-    negated cost and are handled through the potentials.
-    """
-
-    def __init__(self, n: int):
-        self.n = n
-        self.adj: list[list[int]] = [[] for _ in range(n)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
-        self.cost: list = []
-
-    def add_edge(self, u: int, v: int, cap: int, cost) -> int:
-        if cost < 0:
-            raise ValueError("arc costs must be non-negative")
-        idx = len(self.to)
-        self.to.append(v)
-        self.cap.append(cap)
-        self.cost.append(cost)
-        self.adj[u].append(idx)
-        self.to.append(u)
-        self.cap.append(0)
-        self.cost.append(-cost)
-        self.adj[v].append(idx + 1)
-        return idx
-
-    def flow_on(self, arc: int) -> int:
-        return self.cap[arc ^ 1]
-
-    def solve(self, s: int, t: int, target: int):
-        """Push min-cost flow from s to t up to ``target`` units.
-
-        Returns (flow_shipped, total_cost); stops early when t becomes
-        unreachable, so a short shipment signals infeasibility to the caller.
-        """
-        n, to, cap, cost, adj = self.n, self.to, self.cap, self.cost, self.adj
-        pi = [0] * n
-        flow = 0
-        total = 0
-        while flow < target:
-            dist = [math.inf] * n
-            parent_arc = [-1] * n
-            dist[s] = 0
-            heap = [(0, s)]
-            while heap:
-                d, u = heapq.heappop(heap)
-                if d > dist[u]:
-                    continue
-                for e in adj[u]:
-                    if cap[e] <= 0:
-                        continue
-                    v = to[e]
-                    nd = d + cost[e] + pi[u] - pi[v]
-                    if nd < dist[v]:
-                        dist[v] = nd
-                        parent_arc[v] = e
-                        heapq.heappush(heap, (nd, v))
-            if dist[t] == math.inf:
-                break
-            for v in range(n):
-                if dist[v] != math.inf:
-                    pi[v] = pi[v] + dist[v]
-            push = target - flow
-            v = t
-            while v != s:
-                e = parent_arc[v]
-                push = min(push, cap[e])
-                v = to[e ^ 1]
-            v = t
-            while v != s:
-                e = parent_arc[v]
-                cap[e] -= push
-                cap[e ^ 1] += push
-                total = total + push * cost[e]
-                v = to[e ^ 1]
-            flow += push
-        return flow, total
 
 
 @dataclass
@@ -197,17 +116,25 @@ def build_network(
     )
 
 
-def min_cost_flow(net: FlowNetwork) -> FlowResult:
-    """Solve the relaxation network exactly.
 
-    Successive shortest paths specialize on a path network to serving each
+
+def path_greedy(cap, rate, hold, inv_cap, demand) -> tuple[list[int], list[int]]:
+    """Min-cost flow on the path network, one period at a time.
+
+    Arc data are integers: production arc t carries ``cap[t]`` units at
+    ``rate[t]`` each, inventory arc t -> t+1 carries ``inv_cap[t]`` at
+    ``hold[t]``. Successive shortest paths specialize here to serving each
     demand from the cheapest available source, with holding prefix sums as
     node potentials; crossing an inventory arc evicts all but its capacity's
     worth of cheapest stock, since surplus units can never pass. Only the
-    multiset of used source units determines the cost, so the greedy is the
-    exact optimum. Rational arithmetic throughout.
+    multiset of used source units determines the cost, so the greedy is
+    exact, and each period is settled from earlier periods only.
+
+    Returns ``(spent, prod_flow)``. ``spent[t]`` is the optimum of the
+    network cut after period t; the list stops short at the first period
+    whose demand cannot be met.
     """
-    n = net.n
+    n = len(cap)
     # heap entries reference units[k]; lazily discarded when emptied
     cheap: list = []
     rich: list = []
@@ -215,20 +142,21 @@ def min_cost_flow(net: FlowNetwork) -> FlowResult:
     srcs: list[int] = []
     avail = 0
     h_prefix = 0
-    total = Fraction(net.const)
+    cost = 0
+    spent: list[int] = []
     prod_flow = [0] * n
     for t in range(n):
-        if net.prod_cap[t] > 0:
+        if cap[t] > 0:
             k = len(units)
-            key = net.prod_cost[t] - h_prefix
-            units.append(net.prod_cap[t])
+            key = rate[t] - h_prefix
+            units.append(cap[t])
             srcs.append(t)
             heapq.heappush(cheap, (key, k))
             heapq.heappush(rich, (-key, k))
-            avail += net.prod_cap[t]
-        need = net.demand[t]
+            avail += cap[t]
+        need = demand[t]
         if need > avail:
-            return FlowResult(INFEASIBLE, (), (), Fraction(0), 0)
+            break
         while need > 0:
             key, k = cheap[0]
             if units[k] == 0:
@@ -239,24 +167,41 @@ def min_cost_flow(net: FlowNetwork) -> FlowResult:
             need -= take
             avail -= take
             prod_flow[srcs[k]] += take
-            total += take * (key + h_prefix)
+            cost += take * (key + h_prefix)
+        spent.append(cost)
         if t < n - 1:
-            cap = net.inv_cap[t]
-            while avail > cap:
+            icap = inv_cap[t]
+            while avail > icap:
                 _, k = rich[0]
                 if units[k] == 0:
                     heapq.heappop(rich)
                     continue
-                drop = min(units[k], avail - cap)
+                drop = min(units[k], avail - icap)
                 units[k] -= drop
                 avail -= drop
-            h_prefix += net.inv_cost[t]
+            h_prefix += hold[t]
+    return spent, prod_flow
+
+
+def _scaled_rates(prod_cost) -> tuple[int, list[int]]:
+    """Integer rates: the costs times the lcm of their denominators."""
+    scale = math.lcm(*(c.denominator for c in prod_cost))
+    return scale, [c.numerator * (scale // c.denominator) for c in prod_cost]
+
+
+def min_cost_flow(net: FlowNetwork) -> FlowResult:
+    """Solve the relaxation network exactly (scaled to integers)."""
+    scale, rate = _scaled_rates(net.prod_cost)
+    hold = [h * scale for h in net.inv_cost]
+    spent, prod_flow = path_greedy(net.prod_cap, rate, hold, net.inv_cap, net.demand)
+    if len(spent) < net.n:
+        return FlowResult(INFEASIBLE, (), (), Fraction(0), 0)
     inv_flow = []
     carried = 0
-    for t in range(n - 1):
+    for t in range(net.n - 1):
         carried += prod_flow[t] - net.demand[t]
         inv_flow.append(carried)
-    total = Fraction(total)
+    total = Fraction(spent[-1] if spent else 0, scale) + net.const
     return FlowResult(
         status=OPTIMAL,
         prod_flow=tuple(prod_flow),
@@ -266,75 +211,32 @@ def min_cost_flow(net: FlowNetwork) -> FlowResult:
     )
 
 
-def complete_when_setups_fixed(inst: Instance, store: DomainStore) -> Solution | None:
-    """Cheapest plan consistent with fully fixed setup decisions, or None.
+def window_flow_bounds(stripped: StrippedInstance, store: DomainStore, cs_mode: bool):
+    """Flow bounds of the windows (u, v), one greedy pass per start u.
 
-    Solves the exact min-cost flow on the original instance with production
-    arcs only where Y_t = 1; production/inventory lower bounds (from the
-    instance and the current domains) go through the standard bound-stripping
-    circulation reduction. Costs are integers, so the optimum is integral.
+    The pass for start u runs on the network of window (u, T-1): demands
+    before u are zero and setups before u are not amortized. The greedy
+    settles each period from earlier ones only, so its running cost after
+    period v is the optimum of window (u, v). Returns ``bounds(u)``, whose
+    entry v >= u is that cost rounded up plus the setups sunk in u..v (inf
+    once a demand cannot be met); entries before u are unused.
     """
-    n = inst.T
-    ss, tt = n + 2, n + 3
-    source, sink = 0, n + 1
-    g = MinCostFlowGraph(n + 4)
-    excess = [0] * (n + 4)
-    const = 0
+    T = stripped.T
+    net = build_network(stripped, store, FlowMode.CS_ONLY if cs_mode else FlowMode.FULL)
+    scale, rate_in = _scaled_rates(net.prod_cost)
+    rate_out = [0 if cs_mode else p * scale for p in stripped.p]
+    hold = [h * scale for h in net.inv_cost]
+    sunk = [stripped.s[t] if store.min(("Y", t)) == 1 else 0 for t in range(T)]
 
-    def add_bounded(a: int, b: int, lo: int, hi: int, cost) -> int:
-        nonlocal const
-        if lo > hi:
-            return -2
-        excess[b] += lo
-        excess[a] -= lo
-        const += lo * cost
-        if hi - lo > 0:
-            return g.add_edge(a, b, hi - lo, cost)
-        return -1
+    def bounds(u: int) -> list[float]:
+        rate = rate_out[:u] + rate_in[u:]
+        demand = [0] * u + net.demand[u:]
+        spent, _ = path_greedy(net.prod_cap, rate, hold, net.inv_cap, demand)
+        out = [math.inf] * T
+        paid = 0
+        for v in range(u, len(spent)):
+            paid += sunk[v]
+            out[v] = float(-(-spent[v] // scale) + paid)
+        return out
 
-    prod_arcs, prod_lo = [], []
-    inv_arcs, inv_lo = [], []
-    feasible = True
-    for t in range(n):
-        y = store.value(("Y", t))
-        if y == 1:
-            lo = max(inst.alpha_lo[t], store.min(("X", t)))
-            hi = min(inst.alpha_hi[t], store.max(("X", t)))
-        else:
-            lo = hi = 0
-            if store.min(("X", t)) > 0:
-                feasible = False
-        arc = add_bounded(source, 1 + t, lo, hi, inst.p[t])
-        if arc == -2:
-            feasible = False
-            arc = -1
-        prod_arcs.append(arc)
-        prod_lo.append(lo)
-        if inst.d[t] > 0:
-            add_bounded(1 + t, sink, inst.d[t], inst.d[t], 0)
-        if t < n - 1:
-            lo_i = max(inst.beta_lo[t], store.min(("I", t)))
-            hi_i = min(inst.beta_hi[t], store.max(("I", t)))
-            arc = add_bounded(1 + t, 2 + t, lo_i, hi_i, inst.h[t])
-            if arc == -2:
-                feasible = False
-                arc = -1
-            inv_arcs.append(arc)
-            inv_lo.append(lo_i)
-    if not feasible:
-        return None
-    # Close the circulation and rebalance the present lower-bound flow.
-    g.add_edge(sink, source, sum(inst.alpha_hi) + sum(inst.d) + 1, 0)
-    need = 0
-    for node in range(n + 2):
-        if excess[node] > 0:
-            g.add_edge(ss, node, excess[node], 0)
-            need += excess[node]
-        elif excess[node] < 0:
-            g.add_edge(node, tt, -excess[node], 0)
-    shipped, _cost = g.solve(ss, tt, need)
-    if shipped < need:
-        return None
-    x = [prod_lo[t] + (g.flow_on(prod_arcs[t]) if prod_arcs[t] >= 0 else 0) for t in range(n)]
-    y = [store.value(("Y", t)) for t in range(n)]
-    return Solution.from_plan(inst, x, y)
+    return bounds

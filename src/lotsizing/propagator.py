@@ -7,8 +7,8 @@ sweep: the constraint network is Berge-acyclic, so two wakes per constraint
 suffice on hole-free domains (holes force extra sweeps).
 
 ``LotSizingConstraint.propagate`` runs the full filtering pipeline to a
-fixpoint: when every setup variable is fixed the plan is completed by an
-exact min-cost flow (or by the DP when production domains carry holes);
+fixpoint: when every setup variable is fixed the plan is completed by the
+exact path-network flow (or by the DP when production domains carry holes);
 otherwise lower bounds are pulled from cost-restricted flow relaxations and
 the whole-horizon DP, with the interval-decomposition bound and windowed
 filtering taking over when the DP state space exceeds its budget.
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from . import wisp as wisp_mod
 from .domains import DomainStore, Status, merge
 from .dp import filter_with_dp, make_cost_view, state_budget, window_tables
-from .flow import FlowMode, INFEASIBLE, build_network, complete_when_setups_fixed, min_cost_flow
+from .flow import FlowMode, INFEASIBLE, build_network, min_cost_flow, path_greedy
 from .instance import Instance, StrippedInstance, strip_lower_bounds
 from .solution import Solution
 
@@ -116,6 +116,44 @@ def bc_feasibility(store: DomainStore, inst: Instance) -> tuple[Status, dict]:
     return status, wakes
 
 
+def _strip(inst: Instance, store: DomainStore) -> StrippedInstance:
+    """The instance with the current domain bounds stripped (needs BC)."""
+    T = inst.T
+    return strip_lower_bounds(
+        inst,
+        x_min=[store.min(("X", t)) for t in range(T)],
+        i_min=[store.min(("I", t)) for t in range(T)],
+        x_max=[store.max(("X", t)) for t in range(T)],
+        i_max=[store.max(("I", t)) for t in range(T)],
+    )
+
+
+def complete_when_setups_fixed(inst: Instance, store: DomainStore) -> Solution | None:
+    """Cheapest plan consistent with fully fixed setup decisions, or None.
+
+    With every setup fixed, the rest is the path network with unit costs p
+    and h and the sunk setups as a constant. Bound consistency, on a level
+    popped again before returning, makes the current lower bounds
+    strippable; the greedy then ships the stripped demands exactly. The
+    costs are integers, so the optimum is integral. Production holes are
+    ignored.
+    """
+    store.push_level()
+    try:
+        if bc_feasibility(store, inst)[0] is Status.FAILED:
+            return None
+        stripped = _strip(inst, store)
+        net = build_network(stripped, store, FlowMode.FULL)
+        spent, prod_flow = path_greedy(net.prod_cap, net.prod_cost, net.inv_cost, net.inv_cap, net.demand)
+        if len(spent) < inst.T:
+            return None
+        x = [stripped.x_off[t] + prod_flow[t] for t in range(inst.T)]
+        y = [store.value(("Y", t)) for t in range(inst.T)]
+    finally:
+        store.pop_level()
+    return Solution.from_plan(inst, x, y)
+
+
 @dataclass
 class LotSizingConfig:
     dp_budget: int = 20_000_000
@@ -137,16 +175,6 @@ class LotSizingConstraint:
         self._trivial_caps = self.instance.max_cost_bounds()
 
     # -- helpers ------------------------------------------------------------
-
-    def _strip(self) -> StrippedInstance:
-        T = self.instance.T
-        return strip_lower_bounds(
-            self.instance,
-            x_min=[self.store.min(("X", t)) for t in range(T)],
-            i_min=[self.store.min(("I", t)) for t in range(T)],
-            x_max=[self.store.max(("X", t)) for t in range(T)],
-            i_max=[self.store.max(("I", t)) for t in range(T)],
-        )
 
     def _domain_state(self, t: int):
         return (
@@ -230,7 +258,7 @@ class LotSizingConstraint:
                 if res is not None:
                     return res
 
-            stripped = self._strip()
+            stripped = _strip(self.instance, self.store)
 
             if self._flow_bounds(stripped) is Status.FAILED:
                 return PropagateResult.FAILED, None
@@ -282,7 +310,7 @@ class LotSizingConstraint:
                 if self._assign_solution(sol) is Status.FAILED:
                     return PropagateResult.FAILED, None
                 return PropagateResult.COMPLETED, sol
-        stripped = self._strip()
+        stripped = _strip(self.instance, self.store)
         view = make_cost_view(stripped, store, None, cs_mode=False)
         if state_budget(view) > self.config.dp_budget:
             return None

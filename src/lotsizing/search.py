@@ -19,9 +19,14 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .domains import DomainStore, Status, iv_intersect, iv_normalize, iv_values
-from .flow import complete_when_setups_fixed
 from .instance import Instance, validate_and_normalize
-from .propagator import LotSizingConfig, LotSizingConstraint, PropagateResult, bc_feasibility
+from .propagator import (
+    LotSizingConfig,
+    LotSizingConstraint,
+    PropagateResult,
+    bc_feasibility,
+    complete_when_setups_fixed,
+)
 from .side_constraints import SideSpecs, apply_disjunctions, post_qr, qr_satisfied
 from .solution import Solution
 
@@ -36,7 +41,6 @@ class SearchConfig:
     filter_mode: str = "auto"  # auto | dp | wisp
     hole_punch: bool = False
     seed_incumbent: bool = True
-    stop_at_given_ub: bool = True
 
 
 @dataclass
@@ -178,7 +182,7 @@ def solve(
         if res is PropagateResult.COMPLETED:
             if best[0] is None or sol.c < best[0].c:
                 best[0] = sol
-            if config.ub is not None and config.stop_at_given_ub:
+            if config.ub is not None:
                 raise _Stop("OPT")
             return
         t = next((v for v in order if not store.is_fixed(("Y", v))), None)

@@ -9,10 +9,12 @@ windows, which arrive pre-sorted (by end period, then start period), so the
 DP is linear in n.
 
 Per-window bounds come from the windowed DP when the state space fits the
-budget and from the flow relaxation otherwise. Prefix/suffix variants of the
-scheduling DP give lower bounds on the cost spent strictly before or after a
-window; these offsets let the windowed DP tables filter domains against the
-global cost bound.
+budget and from the flow relaxation otherwise. The flow bounds of all
+windows that start at period u come from one greedy pass over the path
+network (``flow.window_flow_bounds``), run the first time a window of that
+start needs one. Prefix/suffix variants of the scheduling DP give lower
+bounds on the cost spent strictly before or after a window; these offsets
+let the windowed DP tables filter domains against the global cost bound.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from dataclasses import dataclass
 
 from .domains import DomainStore, Status, merge
 from .dp import _build_forward, filter_with_dp, make_cost_view, state_budget, window_tables
+from .flow import window_flow_bounds
 from .instance import StrippedInstance
 
 DP_EXACT = "DP_EXACT"
@@ -73,101 +76,6 @@ def enumerate_subproblems(T: int) -> list[SubProblem]:
 INF_BOUND = math.inf
 
 
-class _WindowFlowContext:
-    """Precomputed per-period arc data for many window relaxations.
-
-    Costs are scaled to integers by the lcm of the capacities that amortize
-    a setup, so the per-window greedy (cheapest source first, inventory-cap
-    eviction; the path-network form of successive shortest paths) runs on
-    plain ints. Each period carries two cost keys: inside a window the setup
-    is amortized into the rate, outside it is dropped.
-    """
-
-    def __init__(self, stripped: StrippedInstance, store: DomainStore, cs_mode: bool):
-        import heapq as _h
-        from math import lcm
-
-        self.heapq = _h
-        T = stripped.T
-        xcap, sunk, free_setup = [], [], []
-        for t in range(T):
-            cap = min(stripped.x_cap[t], store.max(("X", t)) - stripped.x_off[t])
-            y_lo, y_hi = store.min(("Y", t)), store.max(("Y", t))
-            if y_hi == 0:
-                cap = 0
-            cap = max(cap, 0)
-            xcap.append(cap)
-            sunk.append(stripped.s[t] if y_lo == 1 else 0)
-            free_setup.append(stripped.s[t] if (y_lo == 0 and y_hi == 1) else 0)
-        scale = 1
-        for t in range(T):
-            if free_setup[t] > 0 and xcap[t] > 0:
-                scale = lcm(scale, xcap[t])
-        self.scale = scale
-        self.xcap = xcap
-        self.sunk = sunk
-        p = [0] * T if cs_mode else list(stripped.p)
-        h = [0] * T if cs_mode else list(stripped.h)
-        self.key_out = [p[t] * scale for t in range(T)]
-        self.key_in = [
-            p[t] * scale + (free_setup[t] * scale // xcap[t] if (free_setup[t] and xcap[t]) else 0)
-            for t in range(T)
-        ]
-        self.h_scaled = [h[t] * scale for t in range(T)]
-        self.icap = [
-            max(min(stripped.i_cap[t], store.max(("I", t)) - stripped.i_off[t]), 0) for t in range(T)
-        ]
-        self.d = stripped.d
-
-    def bound(self, u: int, v: int) -> float:
-        """Integer lower bound of the window's flow relaxation (inf if the
-        demands cannot be met at all)."""
-        heappush, heappop = self.heapq.heappush, self.heapq.heappop
-        cheap: list = []
-        rich: list = []
-        units: list[int] = []
-        srcs_cost = 0
-        avail = 0
-        h_pref = 0
-        const = 0
-        for t in range(v + 1):
-            cap = self.xcap[t]
-            if cap > 0:
-                key = (self.key_in[t] if t >= u else self.key_out[t]) - h_pref
-                k = len(units)
-                units.append(cap)
-                heappush(cheap, (key, k))
-                heappush(rich, (-key, k))
-                avail += cap
-            if u <= t <= v:
-                const += self.sunk[t]
-                need = self.d[t]
-                if need > avail:
-                    return INF_BOUND
-                while need > 0:
-                    key, k = cheap[0]
-                    if units[k] == 0:
-                        heappop(cheap)
-                        continue
-                    take = min(units[k], need)
-                    units[k] -= take
-                    need -= take
-                    avail -= take
-                    srcs_cost += take * (key + h_pref)
-            if t < v:
-                cap_i = self.icap[t]
-                while avail > cap_i:
-                    _, k = rich[0]
-                    if units[k] == 0:
-                        heappop(rich)
-                        continue
-                    drop = min(units[k], avail - cap_i)
-                    units[k] -= drop
-                    avail -= drop
-                h_pref += self.h_scaled[t]
-        return float(-(-srcs_cost // self.scale) + const)
-
-
 def _window_state_budget(u: int, v: int, icap: list[int], dprefix: list[int]) -> int:
     top = 0
     total = dprefix[v + 1]
@@ -178,6 +86,36 @@ def _window_state_budget(u: int, v: int, icap: list[int], dprefix: list[int]) ->
     return (v - u + 1) * (top + 1) * (top + 1)
 
 
+def _window_bounder(stripped: StrippedInstance, store: DomainStore, mode: str, dp_budget: int | None):
+    """``bound(u, v) -> (w, kind)`` for the windows under current domains.
+
+    Exact windowed DP (pre-stock seeded, zero end inventory) when the
+    window's state budget fits, else the flow relaxation, read from the
+    greedy pass of start u, which runs once on the first flow window of that
+    start. Includes setups already sunk inside the window. The bound is inf
+    when even the relaxation is infeasible, which means the whole problem is.
+    """
+    cs = mode == COST_CS
+    T = stripped.T
+    icap = [max(min(stripped.i_cap[t], store.max(("I", t)) - stripped.i_off[t]), 0) for t in range(T)]
+    dprefix = [0] * (T + 1)
+    for t in range(T):
+        dprefix[t + 1] = dprefix[t] + stripped.d[t]
+    flow_pass = window_flow_bounds(stripped, store, cs)
+    passes: dict[int, list[float]] = {}
+
+    def bound(u: int, v: int) -> tuple[float, str]:
+        if dp_budget is None or _window_state_budget(u, v, icap, dprefix) <= dp_budget:
+            view = make_cost_view(stripped, store, (u, v), cs_mode=cs)
+            opt = _build_forward(view, stripped, store, None, None).optimum()
+            return (INF_BOUND if math.isinf(opt) else opt + view.sunk), DP_EXACT
+        if u not in passes:
+            passes[u] = flow_pass(u)
+        return passes[u][v], FLOW_RELAX
+
+    return bound
+
+
 def bound_subproblem(
     stripped: StrippedInstance,
     store: DomainStore,
@@ -185,23 +123,8 @@ def bound_subproblem(
     mode: str = COST_C,
     dp_budget: int | None = None,
 ) -> tuple[float, str]:
-    """Lower bound on the window's cost contribution under current domains.
-
-    Exact windowed DP (pre-stock seeded, zero end inventory) when it fits the
-    budget, flow relaxation otherwise. Includes setups already sunk inside
-    the window. Returns inf when even the relaxation is infeasible, which
-    means the whole problem is.
-    """
-    cs = mode == COST_CS
-    if dp_budget is None or state_budget(make_cost_view(stripped, store, (sub.u, sub.v), cs_mode=cs)) <= dp_budget:
-        view = make_cost_view(stripped, store, (sub.u, sub.v), cs_mode=cs)
-        table = _build_forward(view, stripped, store, None, None)
-        opt = table.optimum()
-        if math.isinf(opt):
-            return INF_BOUND, DP_EXACT
-        return opt + view.sunk, DP_EXACT
-    ctx = _WindowFlowContext(stripped, store, cs)
-    return ctx.bound(sub.u, sub.v), FLOW_RELAX
+    """Lower bound on the window's cost contribution under current domains."""
+    return _window_bounder(stripped, store, mode, dp_budget)(sub.u, sub.v)
 
 
 @dataclass
@@ -280,11 +203,7 @@ def compute_decomposition(
     """Bound every sub-problem (optionally memoized) and run the DPs."""
     T = stripped.T
     subs = enumerate_subproblems(T)
-    cs = mode == COST_CS
-    ctx = _WindowFlowContext(stripped, store, cs)
-    dprefix = [0] * (T + 1)
-    for t in range(T):
-        dprefix[t + 1] = dprefix[t] + stripped.d[t]
+    bound = _window_bounder(stripped, store, mode, dp_budget)
     for sub in subs:
         key = None
         if bound_cache is not None and cache_key_fn is not None:
@@ -293,14 +212,7 @@ def compute_decomposition(
             if hit is not None:
                 sub.w, sub.bound_kind = hit
                 continue
-        if dp_budget is None or _window_state_budget(sub.u, sub.v, ctx.icap, dprefix) <= dp_budget:
-            view = make_cost_view(stripped, store, (sub.u, sub.v), cs_mode=cs)
-            opt = _build_forward(view, stripped, store, None, None).optimum()
-            sub.w = INF_BOUND if math.isinf(opt) else opt + view.sunk
-            sub.bound_kind = DP_EXACT
-        else:
-            sub.w = ctx.bound(sub.u, sub.v)
-            sub.bound_kind = FLOW_RELAX
+        sub.w, sub.bound_kind = bound(sub.u, sub.v)
         if key is not None:
             bound_cache[key] = (sub.w, sub.bound_kind)
     return dpwisp(subs, T)

@@ -1,5 +1,7 @@
 """Flow relaxations and the exact completion under fixed setups."""
 
+import heapq
+import math
 import random
 from fractions import Fraction
 
@@ -8,6 +10,7 @@ from lotsizing import (
     FlowMode,
     build_network,
     complete_when_setups_fixed,
+    dpls_forward,
     make_instance,
     min_cost_flow,
     strip_lower_bounds,
@@ -15,6 +18,7 @@ from lotsizing import (
     verify,
 )
 from conftest import plan_costs, rand_normalized, store_plans
+from test_dp import setup_problem as dp_setup_problem
 
 
 def two_period():
@@ -140,10 +144,89 @@ class TestAgainstGenericSolver:
                 assert inv == 0 or sum(net.demand) == 0
 
 
+class MinCostFlowGraph:
+    """Successive shortest paths with node potentials on a tiny graph.
+
+    Costs must be non-negative (ints or Fractions); reverse arcs carry the
+    negated cost and are handled through the potentials.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.adj: list[list[int]] = [[] for _ in range(n)]
+        self.to: list[int] = []
+        self.cap: list[int] = []
+        self.cost: list = []
+
+    def add_edge(self, u: int, v: int, cap: int, cost) -> int:
+        if cost < 0:
+            raise ValueError("arc costs must be non-negative")
+        idx = len(self.to)
+        self.to.append(v)
+        self.cap.append(cap)
+        self.cost.append(cost)
+        self.adj[u].append(idx)
+        self.to.append(u)
+        self.cap.append(0)
+        self.cost.append(-cost)
+        self.adj[v].append(idx + 1)
+        return idx
+
+    def flow_on(self, arc: int) -> int:
+        return self.cap[arc ^ 1]
+
+    def solve(self, s: int, t: int, target: int):
+        """Push min-cost flow from s to t up to ``target`` units.
+
+        Returns (flow_shipped, total_cost); stops early when t becomes
+        unreachable, so a short shipment signals infeasibility to the caller.
+        """
+        n, to, cap, cost, adj = self.n, self.to, self.cap, self.cost, self.adj
+        pi = [0] * n
+        flow = 0
+        total = 0
+        while flow < target:
+            dist = [math.inf] * n
+            parent_arc = [-1] * n
+            dist[s] = 0
+            heap = [(0, s)]
+            while heap:
+                d, u = heapq.heappop(heap)
+                if d > dist[u]:
+                    continue
+                for e in adj[u]:
+                    if cap[e] <= 0:
+                        continue
+                    v = to[e]
+                    nd = d + cost[e] + pi[u] - pi[v]
+                    if nd < dist[v]:
+                        dist[v] = nd
+                        parent_arc[v] = e
+                        heapq.heappush(heap, (nd, v))
+            if dist[t] == math.inf:
+                break
+            for v in range(n):
+                if dist[v] != math.inf:
+                    pi[v] = pi[v] + dist[v]
+            push = target - flow
+            v = t
+            while v != s:
+                e = parent_arc[v]
+                push = min(push, cap[e])
+                v = to[e ^ 1]
+            v = t
+            while v != s:
+                e = parent_arc[v]
+                cap[e] -= push
+                cap[e ^ 1] += push
+                total = total + push * cost[e]
+                v = to[e ^ 1]
+            flow += push
+        return flow, total
+
+
 def _reference_solve(net):
     from fractions import Fraction as F
-
-    from lotsizing.flow import MinCostFlowGraph
 
     dens = [c.denominator for c in net.prod_cost if isinstance(c, F)]
     scale = 1
@@ -228,3 +311,40 @@ class TestCompletion:
             assert all(sol.x[t] >= inst.alpha_lo[t] for t in range(inst.T))
             assert all(sol.i[t] >= inst.beta_lo[t] for t in range(inst.T))
             assert verify(inst, None, sol)[0]
+
+
+class TestCompletionAgainstDp:
+    def test_matches_whole_horizon_dp(self):
+        """Beyond brute-force sizes: with random fixed setups the completion
+        is None exactly when the whole-horizon DP (after bound consistency
+        and stripping) is infeasible, and otherwise costs its optimum."""
+        rng = random.Random(23)
+        feasible = infeasible = 0
+        for _ in range(1500):
+            inst = rand_normalized(rng, max_T=12, max_d=5, max_cap=12)
+            store = DomainStore.for_instance(inst)
+            for t in range(inst.T):
+                store.assign(("Y", t), 1 if rng.random() < 0.8 else 0)
+            if store.failed:
+                continue
+            sol = complete_when_setups_fixed(inst, store)
+            _, stripped = dp_setup_problem(inst, store)
+            if stripped is None:
+                assert sol is None
+                infeasible += 1
+                continue
+            fwd = dpls_forward(stripped, store)
+            if math.isinf(fwd.optimum()):
+                assert sol is None
+                infeasible += 1
+                continue
+            assert sol is not None
+            assert sol.c == fwd.optimum() + fwd.sunk + stripped.c_min
+            assert verify(inst, None, sol)[0]
+            assert all(
+                store.contains(("X", t), sol.x[t]) and store.contains(("I", t), sol.i[t])
+                and sol.y[t] == store.value(("Y", t))
+                for t in range(inst.T)
+            )
+            feasible += 1
+        assert feasible >= 300 and infeasible >= 300

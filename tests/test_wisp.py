@@ -18,6 +18,7 @@ from lotsizing.domains import iv_values
 from lotsizing.wisp import COST_C, COST_CS
 from test_dp import setup_problem, two_period
 from conftest import plan_costs, rand_normalized, store_plans
+from test_flow import _reference_solve
 
 
 class TestEnumeration:
@@ -119,12 +120,10 @@ class TestBounds:
 
 class TestWindowFlowBound:
     def test_matches_windowed_network_solve(self):
-        """The shared flow context must agree with solving the windowed
-        relaxation network arc by arc."""
-        import math as m
-
-        from lotsizing.flow import FlowMode, build_network, min_cost_flow
-        from lotsizing.wisp import _WindowFlowContext
+        """The greedy pass of start u must reach, after each period v, the
+        bound of window (u, v) that successive shortest paths give on the
+        windowed relaxation network."""
+        from lotsizing.flow import FlowMode, build_network, window_flow_bounds
 
         rng = random.Random(79)
         for _ in range(60):
@@ -136,18 +135,19 @@ class TestWindowFlowBound:
                 if rng.random() < 0.25:
                     store.tighten(("Y", t), "assign", rng.randint(0, 1))
             for cs in (False, True):
-                ctx = _WindowFlowContext(stripped, store, cs)
+                flow_pass = window_flow_bounds(stripped, store, cs)
+                passes = [flow_pass(u) for u in range(inst.T)]
                 for sub in enumerate_subproblems(inst.T):
-                    got = ctx.bound(sub.u, sub.v)
+                    got = passes[sub.u][sub.v]
                     net = build_network(
                         stripped, store, FlowMode.CS_ONLY if cs else FlowMode.FULL,
                         window=(sub.u, sub.v),
                     )
-                    res = min_cost_flow(net)
-                    if res.status == "INFEASIBLE":
-                        assert m.isinf(got)
+                    status, cost = _reference_solve(net)
+                    if status == "INFEASIBLE":
+                        assert math.isinf(got)
                     else:
-                        assert got == res.integer_lower_bound
+                        assert got == math.ceil(cost)
 
 
 class TestDpWisp:
