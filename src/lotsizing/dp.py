@@ -14,7 +14,14 @@ completion exceeds the bound.
 Windowed tables (for the interval-decomposition bound) deliberately relax
 production holes and treat end-of-window stock as zero; the complementary
 guard is that values at or above the remaining in-window demand are never
-filtered, since such stock may serve demands outside the window.
+filtered, since such stock may serve demands outside the window. On that
+relaxed view the rows of window (u, v) are the low states of the rows of
+any longer window (u, v'), so one forward table per start period bounds all
+windows of that start.
+
+A step takes the minimum over a range of production values for every
+state, a sliding-window minimum over the previous row; ``_window_min``
+computes it with numpy in time linear in the row, whatever the range.
 """
 
 from __future__ import annotations
@@ -203,29 +210,42 @@ class DpTable:
         return float(np.min(first))
 
 
-def _window_min(vals: list[float], m: int, lo0: int, hi0: int) -> list[float]:
+def _window_min(vals: np.ndarray, m: int, lo0: int, hi0: int) -> np.ndarray:
     """out[i] = min(vals[lo0+i .. hi0+i]), clipped to range; inf if empty.
 
-    Monotone-deque sliding minimum, O(len(vals) + m).
+    Windows cut by the left end of the row are prefix minima, windows cut by
+    the right end suffix minima, and the interior windows (width w) come from
+    van Herk / Gil-Werman blocks of w: each is the suffix minimum of its start
+    within a block joined with the prefix minimum of its end within the next.
+    Every buffer is sized by the row, not by w, so a window far wider than
+    the row costs one prefix and one suffix scan. O(len(vals) + m).
     """
     n = len(vals)
-    out = [INF] * m
-    dq: list[int] = []
-    head = 0
-    nxt = max(lo0, 0)
-    for i in range(m):
-        lo = lo0 + i
-        hi = min(hi0 + i, n - 1)
-        while nxt <= hi:
-            val = vals[nxt]
-            while len(dq) > head and vals[dq[-1]] >= val:
-                dq.pop()
-            dq.append(nxt)
-            nxt += 1
-        while len(dq) > head and dq[head] < lo:
-            head += 1
-        if len(dq) > head:
-            out[i] = vals[dq[head]]
+    out = np.full(m, INF)
+    w = hi0 - lo0 + 1
+    if w <= 0 or n == 0:
+        return out
+    # Output ranges: [0, z) empty, [z, a) cut on the left (or on both
+    # ends), [a, b) interior, [b, c) cut on the right only, [c, m) empty.
+    z = max(-hi0, 0)  # first i whose window reaches index 0
+    a = min(max(1 - lo0, z), m)
+    b = min(max(n - hi0 - 1, a), m)
+    c = min(max(n - lo0, b), m)
+    if z < a:
+        pre = np.minimum.accumulate(vals[: min(hi0 + a - 1, n - 1) + 1])
+        out[z:a] = pre[np.minimum(np.arange(hi0 + z, hi0 + a), n - 1)]
+    if b < c:
+        suf = np.minimum.accumulate(vals[lo0 + b :][::-1])[::-1]
+        out[b:c] = suf[: c - b]
+    if a < b:
+        seg = vals[lo0 + a : hi0 + b]
+        nb = -(-len(seg) // w)
+        blocks = np.full(nb * w, INF)
+        blocks[: len(seg)] = seg
+        blocks = blocks.reshape(nb, w)
+        head = np.minimum.accumulate(blocks, axis=1).ravel()
+        tail = np.minimum.accumulate(blocks[:, ::-1], axis=1)[:, ::-1].ravel()
+        np.minimum(tail[: b - a], head[w - 1 : w - 1 + b - a], out=out[a:b])
     return out
 
 
@@ -238,14 +258,13 @@ def _forward_step(view: CostView, t: int, prev: np.ndarray) -> np.ndarray:
     row = np.full(m, INF)
     x0_ok, runs = view.x_runs(t)
     if x0_ok:
-        js = iarr + d
-        ok = js <= m_prev - 1
-        if ok.any():
-            row[ok] = prev[js[ok]] + h * iarr[ok]
+        k0 = min(m, m_prev - d)  # states i with i + d inside the previous row
+        if k0 > 0:
+            row[:k0] = prev[d : d + k0] + h * iarr[:k0]
     if runs:
-        g = (prev - p * np.arange(m_prev)).tolist()
+        g = prev - p * np.arange(m_prev)
         for xa, xb in runs:
-            wm = np.array(_window_min(g, m, d - xb, d - xa))
+            wm = _window_min(g, m, d - xb, d - xa)
             cand = wm + p * (iarr + d) + h * iarr + sc
             np.minimum(row, cand, out=row)
     mask = view.i_mask_at(t + 1)
@@ -263,15 +282,13 @@ def _backward_step(view: CostView, t: int, nxt: np.ndarray) -> np.ndarray:
     row = np.full(m, INF)
     x0_ok, runs = view.x_runs(t)
     if x0_ok:
-        js = iarr - d
-        ok = js >= 0
-        ok &= js <= m_next - 1
-        if ok.any():
-            row[ok] = nxt[js[ok]] + h * js[ok]
+        k0 = min(m, d + m_next)  # states i with i - d inside the next row
+        if k0 > d:
+            row[d:k0] = nxt[: k0 - d] + h * np.arange(k0 - d)
     if runs:
-        g = (nxt + (p + h) * np.arange(m_next)).tolist()
+        g = nxt + (p + h) * np.arange(m_next)
         for xa, xb in runs:
-            wm = np.array(_window_min(g, m, xa - d, xb - d))
+            wm = _window_min(g, m, xa - d, xb - d)
             cand = wm + p * (d - iarr) + sc
             np.minimum(row, cand, out=row)
     mask = view.i_mask_at(t)
@@ -311,33 +328,34 @@ def greedy_prestock(
         for k in range(u - 1)
     ]
     sources = []
-    for tau in range(u):
+    held = 0  # holding from tau through u-2, as a suffix sum
+    for tau in range(u - 1, -1, -1):
+        if not zero_costs and tau < u - 1:
+            held += stripped.h[tau]
         cap = min(stripped.x_cap[tau], store.max(("X", tau)) - stripped.x_off[tau])
         if store.max(("Y", tau)) == 0:
             cap = 0
-        if cap <= 0:
-            continue
-        cost = 0 if zero_costs else stripped.p[tau] + sum(stripped.h[k] for k in range(tau, u - 1))
-        sources.append([cost, tau, cap])
+        if cap > 0:
+            sources.append((0 if zero_costs else stripped.p[tau] + held, tau, cap))
     sources.sort()
-    marginals: list[float] = []
+    costs, amts = [], []
+    got = 0
     for cost, tau, cap in sources:
-        if len(marginals) >= q_max:
+        if got >= q_max:
             break
-        room = min(carry[k] for k in range(tau, u - 1)) if tau < u - 1 else q_max
-        amt = min(cap, room, q_max - len(marginals))
+        amt = min(cap, q_max - got, *carry[tau:])  # carry[tau:] covers I_tau..I_{u-2}
         if amt <= 0:
             continue
-        for k in range(tau, u - 1):
-            carry[k] -= amt
-        marginals.extend([cost] * amt)
+        carry[tau:] = [c - amt for c in carry[tau:]]
+        costs.append(cost)
+        amts.append(amt)
+        got += amt
     h_end = 0 if zero_costs else stripped.h[u - 1]
     init = np.full(q_max + 1, INF)
     init[0] = 0.0
-    acc = 0.0
-    for q, mc in enumerate(marginals, start=1):
-        acc += mc
-        init[q] = acc + h_end * q
+    # integer sums below 2**53, so the float row is exact
+    acc = np.cumsum(np.repeat(np.array(costs, dtype=np.int64), amts))
+    init[1 : got + 1] = acc + h_end * np.arange(1, got + 1)
     return init
 
 

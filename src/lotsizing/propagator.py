@@ -169,19 +169,11 @@ class LotSizingConstraint:
     config: LotSizingConfig = field(default_factory=LotSizingConfig)
 
     def __post_init__(self):
-        self._bound_cache: dict = {}
         self._dp_sig: int | None = None
         self._wisp_ran = False
         self._trivial_caps = self.instance.max_cost_bounds()
 
     # -- helpers ------------------------------------------------------------
-
-    def _domain_state(self, t: int):
-        return (
-            self.store.intervals(("X", t)),
-            self.store.intervals(("I", t)),
-            self.store.intervals(("Y", t)),
-        )
 
     def _all_y_fixed(self) -> bool:
         return all(self.store.is_fixed(("Y", t)) for t in range(self.instance.T))
@@ -389,11 +381,6 @@ class LotSizingConstraint:
     def _wisp_stage(self, stripped: StrippedInstance) -> Status:
         store = self.store
         status = Status.UNCHANGED
-        states = [self._domain_state(t) for t in range(self.instance.T)]
-
-        def cache_key(v: int):
-            return tuple(states[: v + 1])
-
         for mode, var, base, trivial in (
             (wisp_mod.COST_C, "C", stripped.c_min, self._trivial_caps[3]),
             (wisp_mod.COST_CS, "Cs", stripped.cs_min, self._trivial_caps[2]),
@@ -403,8 +390,6 @@ class LotSizingConstraint:
                 store,
                 mode=mode,
                 dp_budget=self.config.dp_budget,
-                bound_cache=self._bound_cache,
-                cache_key_fn=cache_key,
             )
             if any(math.isinf(s.w) for s in decomp.subproblems):
                 return Status.FAILED

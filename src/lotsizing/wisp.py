@@ -9,18 +9,23 @@ windows, which arrive pre-sorted (by end period, then start period), so the
 DP is linear in n.
 
 Per-window bounds come from the windowed DP when the state space fits the
-budget and from the flow relaxation otherwise. The flow bounds of all
-windows that start at period u come from one greedy pass over the path
-network (``flow.window_flow_bounds``), run the first time a window of that
-start needs one. Prefix/suffix variants of the scheduling DP give lower
-bounds on the cost spent strictly before or after a window; these offsets
-let the windowed DP tables filter domains against the global cost bound.
+budget and from the flow relaxation otherwise. Both take one pass per start
+period u: one forward table gives the exact bounds of all windows (u, v) that
+fit (``_window_bounder``), and one greedy pass over the path network
+(``flow.window_flow_bounds``) gives the flow bounds of the rest. Bounds are
+recomputed on every call; nothing is memoized across calls. Prefix/suffix
+variants of the scheduling DP give lower bounds on the cost spent strictly
+before or after a window; these offsets let the windowed DP tables filter
+domains against the global cost bound.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .domains import DomainStore, Status, merge
 from .dp import _build_forward, filter_with_dp, make_cost_view, state_budget, window_tables
@@ -58,62 +63,110 @@ def subproblem_index(u1: int, v1: int) -> int:
     return (v1 - 1) * (v1 - 2) // 2 + u1
 
 
+@functools.lru_cache(maxsize=8)
+def _layout(T: int) -> tuple[tuple[tuple[int, int, int, int, int], ...], tuple[tuple[int, int], ...]]:
+    """The windows of horizon T in canonical order as (index, u, v, prec,
+    succ) rows, and the mirror order of the reverse scheduling DP as
+    (index, pred) pairs. Immutable, so one copy serves every call."""
+    n = T * (T - 1) // 2
+    rows = tuple(
+        (
+            subproblem_index(u1, v1),
+            u1 - 1,
+            v1 - 1,
+            (u1 - 1) * (u1 - 2) // 2,
+            subproblem_index(v1 + 1, v1 + 2) if v1 + 2 <= T else n + 1,
+        )
+        for v1 in range(2, T + 1)
+        for u1 in range(1, v1)
+    )
+    mirror = tuple(
+        (subproblem_index(u + 1, v + 1), (T - v - 2) * (T - v - 1) // 2)
+        for u in range(T - 2, -1, -1)
+        for v in range(T - 1, u, -1)
+    )
+    return rows, mirror
+
+
 def enumerate_subproblems(T: int) -> list[SubProblem]:
+    """Fresh, unbounded sub-problems of horizon T in canonical order."""
     if T < 2:
         return []
-    n = T * (T - 1) // 2
-    subs = []
-    for v1 in range(2, T + 1):
-        for u1 in range(1, v1):
-            prec = (u1 - 1) * (u1 - 2) // 2
-            succ = subproblem_index(v1 + 1, v1 + 2) if v1 + 2 <= T else n + 1
-            subs.append(
-                SubProblem(index=subproblem_index(u1, v1), u=u1 - 1, v=v1 - 1, prec=prec, succ=succ)
-            )
-    return subs
+    return [SubProblem(*row) for row in _layout(T)[0]]
 
 
 INF_BOUND = math.inf
 
 
-def _window_state_budget(u: int, v: int, icap: list[int], dprefix: list[int]) -> int:
-    top = 0
-    total = dprefix[v + 1]
-    for b in range(max(u, 1), v + 2):
-        cap = min(icap[b - 1], total - dprefix[b])
-        if cap > top:
-            top = cap
-    return (v - u + 1) * (top + 1) * (top + 1)
+def _last_exact_ends(stripped: StrippedInstance, store: DomainStore, dp_budget: int | None) -> list[int]:
+    """Per start u, the last end v whose window (u, v) gets the exact DP.
+
+    The state proxy of a window is (v - u + 1) * (top + 1)^2, with top the
+    largest state cap min(I cap, in-window demand after the boundary) over
+    its boundaries max(u, 1)..v+1. It grows with v, so the exact windows of
+    a start are u..v*(u); v*(u) = u - 1 when there is none.
+    """
+    T = stripped.T
+    if dp_budget is None:
+        return [T - 1] * T
+    dprefix = np.concatenate(([0], np.cumsum(stripped.d, dtype=np.int64)))
+    total = int(dprefix[-1])
+    icap = np.array(
+        [min(max(min(stripped.i_cap[t], store.max(("I", t)) - stripped.i_off[t]), 0), total) for t in range(T)],
+        dtype=np.int64,
+    )
+    # caps[v, b - 1]: cap of boundary b = 1..T in windows ending at v. Caps of
+    # boundaries past v + 1 are <= 0 and never raise the maximum.
+    caps = np.minimum(icap[None, :], dprefix[1:, None] - dprefix[None, 1:])
+    top = np.maximum(np.maximum.accumulate(caps[:, ::-1], axis=1)[:, ::-1], 0)
+    starts = np.arange(T)
+    top_uv = top[:, np.maximum(starts, 1) - 1].T  # [u, v]: boundaries max(u, 1)..
+    span = starts[None, :] - starts[:, None] + 1  # [u, v]: v - u + 1
+    fits = (span >= 1) & (span * (top_uv + 1.0) ** 2 <= dp_budget)  # float: no overflow
+    return (starts - 1 + fits.sum(axis=1)).tolist()
 
 
 def _window_bounder(stripped: StrippedInstance, store: DomainStore, mode: str, dp_budget: int | None):
-    """``bound(u, v) -> (w, kind)`` for the windows under current domains.
+    """``bounds(u, v_last) -> [(w, kind) for v = u..v_last]`` under current domains.
 
-    Exact windowed DP (pre-stock seeded, zero end inventory) when the
-    window's state budget fits, else the flow relaxation, read from the
-    greedy pass of start u, which runs once on the first flow window of that
-    start. Includes setups already sunk inside the window. The bound is inf
-    when even the relaxation is infeasible, which means the whole problem is.
+    Windows whose state proxy fits the budget get the exact windowed DP
+    (pre-stock seeded, zero end inventory): one forward table per start u on
+    the relaxed view of (u, min(v*, T-2)) gives them all, since the rows of a
+    shorter window are the low states of a longer one's, so f(v+1, 0) is the
+    optimum of window (u, v). The suffix window (u, T-1) honors domain holes
+    and gets its own table. The other windows take the flow relaxation, read
+    from the greedy pass of start u. Each bound includes the setups already
+    sunk inside its window; it is inf when even the relaxation is
+    infeasible, which means the whole problem is.
     """
     cs = mode == COST_CS
     T = stripped.T
-    icap = [max(min(stripped.i_cap[t], store.max(("I", t)) - stripped.i_off[t]), 0) for t in range(T)]
-    dprefix = [0] * (T + 1)
-    for t in range(T):
-        dprefix[t + 1] = dprefix[t] + stripped.d[t]
+    last_exact = _last_exact_ends(stripped, store, dp_budget)
+    sunk = [stripped.s[t] if store.min(("Y", t)) == 1 else 0 for t in range(T)]
     flow_pass = window_flow_bounds(stripped, store, cs)
-    passes: dict[int, list[float]] = {}
 
-    def bound(u: int, v: int) -> tuple[float, str]:
-        if dp_budget is None or _window_state_budget(u, v, icap, dprefix) <= dp_budget:
-            view = make_cost_view(stripped, store, (u, v), cs_mode=cs)
+    def bounds(u: int, v_last: int) -> list[tuple[float, str]]:
+        out = []
+        end = min(last_exact[u], v_last)
+        sweep_end = min(end, T - 2)
+        if sweep_end >= u:
+            view = make_cost_view(stripped, store, (u, sweep_end), cs_mode=cs)
+            rows = _build_forward(view, stripped, store, None, None).rows
+            paid = 0
+            for v in range(u, sweep_end + 1):
+                paid += sunk[v]
+                opt = float(rows[v + 1 - u][0])
+                out.append((INF_BOUND if math.isinf(opt) else opt + paid, DP_EXACT))
+        if end == T - 1:
+            view = make_cost_view(stripped, store, (u, T - 1), cs_mode=cs)
             opt = _build_forward(view, stripped, store, None, None).optimum()
-            return (INF_BOUND if math.isinf(opt) else opt + view.sunk), DP_EXACT
-        if u not in passes:
-            passes[u] = flow_pass(u)
-        return passes[u][v], FLOW_RELAX
+            out.append((INF_BOUND if math.isinf(opt) else opt + view.sunk, DP_EXACT))
+        if v_last > end:
+            flow = flow_pass(u)
+            out.extend((flow[v], FLOW_RELAX) for v in range(end + 1, v_last + 1))
+        return out
 
-    return bound
+    return bounds
 
 
 def bound_subproblem(
@@ -124,7 +177,7 @@ def bound_subproblem(
     dp_budget: int | None = None,
 ) -> tuple[float, str]:
     """Lower bound on the window's cost contribution under current domains."""
-    return _window_bounder(stripped, store, mode, dp_budget)(sub.u, sub.v)
+    return _window_bounder(stripped, store, mode, dp_budget)(sub.u, sub.v)[-1]
 
 
 @dataclass
@@ -182,12 +235,9 @@ def dpwisp(subproblems: list[SubProblem], T: int) -> WispDecomposition:
             i -= 1
     support.reverse()
 
-    rev = sorted(subproblems, key=lambda s: (-s.u, -s.v))
     wisp_r = [0.0] * (n + 1)
-    for m in range(1, n + 1):
-        sub = rev[m - 1]
-        pred = (T - sub.v - 2) * (T - sub.v - 1) // 2
-        wisp_r[m] = max(wisp_r[m - 1], w[sub.index] + wisp_r[pred])
+    for m, (index, pred) in enumerate(_layout(T)[1], start=1):
+        wisp_r[m] = max(wisp_r[m - 1], w[index] + wisp_r[pred])
 
     return WispDecomposition(T=T, subproblems=subproblems, wisp=wisp, wisp_r=wisp_r, support=support)
 
@@ -197,24 +247,15 @@ def compute_decomposition(
     store: DomainStore,
     mode: str = COST_C,
     dp_budget: int | None = None,
-    bound_cache: dict | None = None,
-    cache_key_fn=None,
 ) -> WispDecomposition:
-    """Bound every sub-problem (optionally memoized) and run the DPs."""
+    """Bound every sub-problem, one start period at a time, and run the DPs."""
     T = stripped.T
     subs = enumerate_subproblems(T)
-    bound = _window_bounder(stripped, store, mode, dp_budget)
-    for sub in subs:
-        key = None
-        if bound_cache is not None and cache_key_fn is not None:
-            key = (sub.u, sub.v, mode, cache_key_fn(sub.v))
-            hit = bound_cache.get(key)
-            if hit is not None:
-                sub.w, sub.bound_kind = hit
-                continue
-        sub.w, sub.bound_kind = bound(sub.u, sub.v)
-        if key is not None:
-            bound_cache[key] = (sub.w, sub.bound_kind)
+    bounds = _window_bounder(stripped, store, mode, dp_budget)
+    for u in range(T - 1):
+        for v, (w, kind) in enumerate(bounds(u, T - 1)[1:], start=u + 1):
+            sub = subs[subproblem_index(u + 1, v + 1) - 1]
+            sub.w, sub.bound_kind = w, kind
     return dpwisp(subs, T)
 
 

@@ -19,7 +19,7 @@ from lotsizing import (
     window_tables,
 )
 from lotsizing.domains import iv_values
-from lotsizing.dp import DpBudgetExceeded
+from lotsizing.dp import DpBudgetExceeded, _window_min
 from conftest import plan_costs, rand_normalized, store_plans
 
 INF = math.inf
@@ -227,6 +227,82 @@ class TestPrestock:
                         cost += stripped.h[t] * inv  # no demand before u in the window problem
                     best = min(best, cost)
                 assert init[q] == best
+
+
+class TestPrestockReference:
+    """The greedy pre-stock row against a DP over (period, stock level),
+    one unit of stock per state, under random caps and inventory limits."""
+
+    @staticmethod
+    def _reference(stripped, store, u, q_max, zero_costs):
+        best = {0: 0}
+        for t in range(u):
+            cap = min(stripped.x_cap[t], store.max(("X", t)) - stripped.x_off[t])
+            if store.max(("Y", t)) == 0:
+                cap = 0
+            limit = q_max
+            if t < u - 1:
+                limit = min(limit, stripped.i_cap[t], store.max(("I", t)) - stripped.i_off[t])
+            p = 0 if zero_costs else stripped.p[t]
+            h = 0 if zero_costs else stripped.h[t]
+            nxt = {}
+            for stock, cost in best.items():
+                for x in range(max(cap, 0) + 1):
+                    level = stock + x
+                    if level > limit:
+                        break
+                    val = cost + p * x + h * level
+                    if val < nxt.get(level, INF):
+                        nxt[level] = val
+            best = nxt
+        return [best.get(q, INF) for q in range(q_max + 1)]
+
+    def test_matches_stock_level_dp(self):
+        rng = random.Random(43)
+        checked = 0
+        for _ in range(400):
+            T = rng.randint(2, 7)
+            inst = make_instance(
+                d=[rng.randint(0, 5) for _ in range(T)],
+                p=[rng.randint(0, 6) for _ in range(T)],
+                h=[rng.randint(0, 3) for _ in range(T)],
+                s=[rng.randint(0, 9) for _ in range(T)],
+                alpha_hi=[rng.randint(0, 6) for _ in range(T)],
+                beta_hi=[rng.randint(0, 8) for _ in range(T)],
+            )
+            store, stripped = setup_problem(inst, bc=False)
+            for t in range(T):
+                roll = rng.random()
+                if roll < 0.15:
+                    store.set_max(("Y", t), 0)
+                elif roll < 0.35:
+                    store.set_max(("X", t), rng.randint(0, inst.alpha_hi[t]))
+                if rng.random() < 0.3:
+                    store.set_max(("I", t), rng.randint(0, inst.beta_hi[t]))
+            u = rng.randint(1, min(T - 1, 6))
+            q_max = rng.randint(0, 14)
+            for zero_costs in (False, True):
+                got = list(greedy_prestock(stripped, store, u, q_max, zero_costs=zero_costs))
+                assert got == self._reference(stripped, store, u, q_max, zero_costs)
+                checked += 1
+        assert checked == 800
+
+
+class TestWindowMin:
+    def test_matches_clipped_slice_minimum(self):
+        """Every regime of the sliding minimum: windows cut at either end or
+        both, interior windows, empty and negative-offset windows, windows
+        wider than the row, more outputs than inputs, inf entries."""
+        rng = random.Random(47)
+        for _ in range(20_000):
+            n = rng.randint(0, 14)
+            m = rng.randint(1, 18)
+            lo0 = rng.randint(-20, 16)
+            hi0 = lo0 + rng.randint(-2, 24)
+            vals = np.array([INF if rng.random() < 0.2 else float(rng.randint(0, 9)) for _ in range(n)])
+            got = _window_min(vals, m, lo0, hi0)
+            want = [min(vals[max(lo0 + i, 0) : max(hi0 + i + 1, 0)], default=INF) for i in range(m)]
+            assert list(got) == want, (list(vals), m, lo0, hi0)
 
 
 def _prefix_plans(stripped, u, q):

@@ -4,6 +4,7 @@ import math
 import random
 
 from lotsizing import (
+    DomainStore,
     Status,
     bound_subproblem,
     compute_decomposition,
@@ -116,6 +117,52 @@ class TestBounds:
                 assert total <= opt
             checked += 1
         assert checked >= 20
+
+
+class TestSweepEquivalence:
+    def test_matches_per_window_tables(self):
+        """One forward table per start gives, for every window, the bound and
+        kind of a table built for that window alone: the exact DP when the
+        window's state proxy fits the budget, else the flow pass."""
+        from lotsizing.dp import _build_forward, make_cost_view, state_budget
+        from lotsizing.flow import window_flow_bounds
+
+        rng = random.Random(83)
+        checked = {"DP_EXACT": 0, "FLOW_RELAX": 0, "split": 0}
+        for _ in range(400):
+            inst = rand_normalized(rng, max_T=8, max_d=5, max_cap=9)
+            if inst.T < 2:
+                continue
+            store = DomainStore.for_instance(inst)
+            for t in range(inst.T):
+                if rng.random() < 0.25:
+                    store.assign(("Y", t), rng.randint(0, 1))
+                if t < inst.T - 1 and rng.random() < 0.3:
+                    lo, hi = store.min(("I", t)), store.max(("I", t))
+                    if hi > lo:
+                        store.remove_value(("I", t), rng.randint(lo + 1, hi))
+            store, stripped = setup_problem(inst, store)
+            if stripped is None:
+                continue
+            for mode in (COST_C, COST_CS):
+                cs = mode == COST_CS
+                flow_pass = window_flow_bounds(stripped, store, cs)
+                for budget in (None, 0, rng.choice([20, 60, 200, 800])):
+                    decomp = compute_decomposition(stripped, store, mode, dp_budget=budget)
+                    kinds = {(s.u, s.bound_kind) for s in decomp.subproblems}
+                    # starts whose windows go partly exact, partly flow
+                    checked["split"] += sum((u, "FLOW_RELAX") in kinds for u, k in kinds if k == "DP_EXACT")
+                    for sub in decomp.subproblems:
+                        view = make_cost_view(stripped, store, (sub.u, sub.v), cs_mode=cs)
+                        if budget is None or state_budget(view) <= budget:
+                            opt = _build_forward(view, stripped, store, None, None).optimum()
+                            want = (math.inf if math.isinf(opt) else opt + view.sunk, "DP_EXACT")
+                        else:
+                            want = (flow_pass(sub.u)[sub.v], "FLOW_RELAX")
+                        assert (sub.w, sub.bound_kind) == want, (sub.u, sub.v, mode, budget)
+                        checked[want[1]] += 1
+        assert checked["DP_EXACT"] >= 2500 and checked["FLOW_RELAX"] >= 1500
+        assert checked["split"] >= 50
 
 
 class TestWindowFlowBound:
