@@ -7,21 +7,42 @@ Kept out of the test suite (``testpaths = ["tests"]``). Run them with
 Inputs are built from the class registry, so every run times the same work.
 """
 
+import copy
 import dataclasses
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lotsizing import INSTANCE_CLASSES, DomainStore, bc_feasibility, generate, validate_and_normalize
+from lotsizing import (
+    INSTANCE_CLASSES,
+    DisjunctiveSpec,
+    DomainStore,
+    Status,
+    apply_disjunctions,
+    bc_feasibility,
+    filter_with_dp,
+    generate,
+    validate_and_normalize,
+    window_tables,
+)
 from lotsizing.dp import _build_forward, _forward_step, _window_min, greedy_prestock, make_cost_view
 from lotsizing.flow import window_flow_bounds
 from lotsizing.propagator import _strip
 
+REFERENCES = Path(__file__).resolve().parents[1] / "perfbench" / "references.json"
+
 
 def _root(cls: str, seed: int = 1):
-    params = dataclasses.replace(INSTANCE_CLASSES[cls].params, seed=seed)
+    """Root of a class instance after bound consistency, with the class's
+    production disjunctions posted."""
+    template = INSTANCE_CLASSES[cls]
+    params = dataclasses.replace(template.params, seed=seed)
     inst = validate_and_normalize(generate(params))
     store = DomainStore.for_instance(inst)
+    if template.disjunction:
+        apply_disjunctions(store, DisjunctiveSpec.uniform(params.T, template.disjunction))
     bc_feasibility(store, inst)
     return inst, store, _strip(inst, store)
 
@@ -75,3 +96,22 @@ def test_path_greedy(benchmark, cls):
     bounds = window_flow_bounds(stripped, store, cs_mode=False)
     out = benchmark(bounds, 1)
     assert len(out) == stripped.T
+
+
+@pytest.mark.parametrize("bound", ["given", "loose"])
+@pytest.mark.parametrize("cls", ["C1Disj", "C3QR"])
+def test_filter_with_dp(benchmark, cls, bound):
+    """Whole-horizon filtering at the root, against the stored HiGHS optimum
+    (the paper's given bound) or against the trivial cost cap (no bound)."""
+    _, store, stripped = _root(cls)
+    fwd, bwd = window_tables(stripped, store, None, cs_mode=False)
+    if bound == "given":
+        ub = json.loads(REFERENCES.read_text())["optima"][cls]["1"] - stripped.c_min
+    else:
+        ub = store.max(("C", 0)) - stripped.c_min
+    st = benchmark.pedantic(
+        filter_with_dp,
+        setup=lambda: ((fwd, bwd, copy.deepcopy(store), stripped, ub), {}),
+        rounds=20,
+    )
+    assert st is not Status.FAILED

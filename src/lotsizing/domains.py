@@ -138,15 +138,9 @@ def iv_mask(ivs: Ivs, lo: int, hi: int) -> np.ndarray:
 
 
 def iv_from_mask(mask: np.ndarray, offset: int = 0) -> Ivs:
-    out = []
-    run_start = None
-    for idx, ok in enumerate(mask.tolist() + [False]):
-        if ok and run_start is None:
-            run_start = idx
-        elif not ok and run_start is not None:
-            out.append((run_start + offset, idx - 1 + offset))
-            run_start = None
-    return tuple(out)
+    """Maximal runs of True in ``mask`` as intervals, index 0 at ``offset``."""
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], np.asarray(mask, dtype=np.int8), [0]))))
+    return tuple(zip((edges[::2] + offset).tolist(), (edges[1::2] - 1 + offset).tolist()))
 
 
 # ---------------------------------------------------------------------------

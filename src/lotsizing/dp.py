@@ -9,7 +9,14 @@ knapsack-style variant that lower-bounds the setup cost alone.
 Tables drive three filtering rules against a cost upper bound: inventory
 values whose through-path exceeds the bound, production values with no
 surviving (I_{t-1}, I_t) support pair, and setup values whose cheapest
-completion exceeds the bound.
+completion exceeds the bound. The inventory rule costs O(S) per boundary,
+S the number of states. A support pair joins two states that survive the
+inventory rule, so the production rule (``_support``) reads pairs of
+surviving states only, cheapest first, by rows or along the diagonal of
+each undecided value, and stops once the domain is decided: its cost
+follows the pairs it must read, at most |J| x |I| for J and I the
+surviving states, and its temporaries are capped at a fixed size. The
+setup rule reuses the production verdicts plus one O(S) diagonal.
 
 Windowed tables (for the interval-decomposition bound) deliberately relax
 production holes and treat end-of-window stock as zero; the complementary
@@ -442,24 +449,92 @@ def window_tables(
     return fwd, bwd
 
 
-def _pair_matrix(view: CostView, t: int, frow: np.ndarray, brow: np.ndarray):
-    """total[j, i] = f(t, j) + transition cost + f_r(t+1, i); invalid -> inf."""
-    k = t - view.u
-    d, p, h, sc = view.d[k], view.p[k], view.h[k], view.s_charge[k]
-    m_prev, m = len(frow), len(brow)
-    jj = np.arange(m_prev)[:, None]
-    ii = np.arange(m)[None, :]
-    x = ii - jj + d
-    allow = view.x_allow_mask(t)
-    xcap = view.x_cap[k]
-    valid = (x >= 0) & (x <= xcap)
-    if xcap >= 0:
-        xcl = np.clip(x, 0, xcap)
-        valid &= allow[xcl]
-    cost = p * x + h * ii + np.where(x > 0, sc, 0)
-    total = frow[:, None] + brow[None, :] + cost
-    total = np.where(valid, total, INF)
-    return total, x
+_BLOCK = 1 << 18  # entries in any temporary array of the support kernel
+
+
+def _mark_rows(A, C, d, sc, rows, cols, ub, sup) -> None:
+    """sup[x] = True for every pair of ``rows`` x ``cols`` under the bound,
+    in pieces of at most ``_BLOCK`` pairs."""
+    n = len(sup)
+    for c0 in range(0, len(cols), _BLOCK):
+        cc = cols[c0 : c0 + _BLOCK]
+        step = max(_BLOCK // len(cc), 1)
+        for r0 in range(0, len(rows), step):
+            rr = rows[r0 : r0 + step, None]
+            x = cc - rr + d
+            x = x[A[rr] + C[cc] + sc * (x > 0) <= ub]
+            sup[x[(x >= 0) & (x < n)]] = True
+
+
+def _mark_diagonals(A, C, d, sc, xs, starts, lens, width, ub, sup) -> None:
+    """sup[x] = True for each x of ``xs`` with a pair under the bound among
+    j = starts..starts + lens - 1, i = j + x - d, where lens <= width. The
+    pieces are laid end to end and read at most ``_BLOCK`` pairs at a time."""
+    step = max(_BLOCK // width, 1)
+    for a in range(0, len(xs), step):
+        n = lens[a : a + step]
+        x = np.repeat(xs[a : a + step], n)
+        j = np.repeat(starts[a : a + step] - np.cumsum(n) + n, n) + np.arange(len(x))
+        sup[x[A[j] + C[j + x - d] + sc * (x > 0) <= ub]] = True
+
+
+def _support(A, C, d, sc, cand, ub) -> tuple[np.ndarray, str]:
+    """Candidate production values that some state pair supports.
+
+    Returns (sup, end): sup[x] is True for each candidate x (``cand[x]``)
+    with states j, i, i - j + d = x, such that A[j] + C[i], plus ``sc`` when
+    x > 0, is at most ``ub``. A and C are INF off the surviving states.
+
+    Only rows j and columns i that the cheapest partner can complete are
+    read; all of their pairs at once when they are no more than the
+    candidates. Otherwise two scans share the work, each step going to the
+    one whose next step reads fewer pairs. The row scan reads rows cheapest
+    A first, in blocks of 1, 2, 4, ... rows, each against the columns that
+    a row of that cost can still use. The diagonal scan reads the next 1,
+    2, 4, ... pairs of the diagonal of every undecided candidate. ``end``
+    says what decided the last candidates: "covered" (all supported),
+    "exhausted" (every row read), "bound" (every row read that the cheapest
+    column can complete, and some could not) or "diagonals" (every diagonal
+    read to its end). No step reads more than the |J| x |I| matrix holds,
+    and no temporary holds more than ``_BLOCK`` pairs.
+    """
+    sup = np.zeros(len(cand), dtype=bool)
+    J = np.flatnonzero(A < INF)
+    I = np.flatnonzero(C < INF)
+    if len(J) == 0 or len(I) == 0:
+        return sup, "bound"
+    n_all = len(J)
+    J, I = J[A[J] + C[I].min() <= ub], I[C[I] + A[J].min() <= ub]
+    if len(J) == 0:
+        return sup, "bound"
+    rows_end = "exhausted" if len(J) == n_all else "bound"
+    lo = max(I[0] - J[-1] + d, 0)
+    left = np.flatnonzero(cand[lo : max(I[-1] - J[0] + d + 1, 0)]) + lo
+    if len(J) * len(I) <= len(left):
+        _mark_rows(A, C, d, sc, J, I, ub, sup)
+        return sup & cand, rows_end
+    rows, cols = J[np.argsort(A[J])], I[np.argsort(C[I])]
+    a_sorted, c_sorted = A[rows], C[cols]
+    r, block = 0, 1
+    off, width = 0, 1
+    while len(left):
+        if r == len(rows):
+            return sup & cand, rows_end
+        starts = np.maximum(J[0], I[0] - left + d) + off
+        lens = np.minimum(np.minimum(J[-1], I[-1] - left + d) - starts + 1, width)
+        keep = lens > 0
+        if not keep.any():
+            return sup & cand, "diagonals"
+        n_cols = int(np.searchsorted(c_sorted, ub - a_sorted[r], side="right"))
+        step = min(block, len(rows) - r)
+        if lens[keep].sum() <= step * n_cols:
+            _mark_diagonals(A, C, d, sc, left[keep], starts[keep], lens[keep], width, ub, sup)
+            off, width = off + width, min(2 * width, _BLOCK)
+        else:
+            _mark_rows(A, C, d, sc, rows[r : r + step], cols[:n_cols], ub, sup)
+            r, block = r + step, 2 * block
+        left = left[~sup[left]]
+    return sup & cand, "covered"
 
 
 def filter_with_dp(
@@ -476,10 +551,22 @@ def filter_with_dp(
 
     ``cost_ub`` is the cap on the stripped cost (variable upper bound minus
     the mandatory baseline); window offsets ``before``/``after`` and the
-    window's sunk setups are deducted once here. A production value survives
-    if any state pair generating it stays within the bound (support
-    semantics); in windowed mode values at or above the remaining in-window
-    demand are never touched.
+    window's sunk setups are deducted once here. ``fwd`` and ``bwd`` share
+    one cost view (``window_tables``). In windowed mode values at or above
+    the remaining in-window demand are never touched.
+
+    An inventory value survives if its through-path f + f_r stays within the
+    bound, O(S) per boundary. A production value x of period t survives if
+    a state pair (j, i), i - j + d = x, generates it within the bound
+    (support semantics). Such a pair joins two surviving states (J at
+    boundary t, I at t + 1), because each table step minimizes over the
+    same transitions, so ``_support`` decides the domain's values from pairs
+    of J x I, scanning rows cheapest first or the diagonals of the undecided
+    values, whichever reads fewer pairs, and stops once every value is
+    decided. Its cost follows the pairs it reads, at most |J| x |I| per
+    step; its memory is fixed. The setup value Y_t = 1 survives if some
+    x > 0 survives or the x = 0 diagonal plus the setup charge stays within
+    the bound.
     """
     view = fwd.view
     ub_eff = cost_ub - before - after - view.sunk
@@ -487,6 +574,7 @@ def filter_with_dp(
         return Status.UNCHANGED
     windowed = view.windowed
     status = Status.UNCHANGED
+    alive = [fwd.row(b) + bwd.row(b) <= ub_eff for b in range(view.u, view.v + 2)]
 
     for b in range(view.u + 1, view.v + 2):
         t = b - 1
@@ -494,8 +582,7 @@ def filter_with_dp(
         dom = store.intervals(("I", t))
         dom_max = dom[-1][1] - i_off
         cap = view.cap(b)
-        vals = fwd.row(b) + bwd.row(b)
-        ok = vals <= ub_eff
+        ok = alive[b - view.u]
         width = max(dom_max, cap) + 1
         mask = np.zeros(width, dtype=bool)
         mask[: cap + 1] = ok[: width if width < len(ok) else len(ok)]
@@ -518,21 +605,22 @@ def filter_with_dp(
 
     for t in range(view.u, view.v + 1):
         k = t - view.u
+        d, p, h, sc = view.d[k], view.p[k], view.h[k], view.s_charge[k]
         x_off = stripped.x_off[t]
         dom = store.intervals(("X", t))
         dom_max = dom[-1][1] - x_off
         xcap = view.x_cap[k]
-        total, x = _pair_matrix(view, t, fwd.row(t), bwd.row(t + 1))
-        ok2 = total <= ub_eff
         width = max(dom_max, xcap) + 1
+        thr = view.tail[k + 1] if windowed else width
+        cand = view.x_allow_mask(t) & iv_mask(iv_shift(dom, -x_off), 0, xcap)
+        cand[thr:] = False
+        A = np.where(alive[k], fwd.row(t) - p * np.arange(len(alive[k])), INF)
+        i = np.arange(len(alive[k + 1]))
+        C = np.where(alive[k + 1], bwd.row(t + 1) + (p + h) * i + p * d, INF)
+        sup, _ = _support(A, C, d, sc, cand, ub_eff)
         supported = np.zeros(width, dtype=bool)
-        if ok2.any():
-            xs = x[ok2]
-            supported[xs] = True
-        if windowed:
-            thr = view.tail[k + 1]
-            if thr < width:
-                supported[thr:] = True
+        supported[: xcap + 1] = sup
+        supported[thr:] = True
         if not supported.any():
             return Status.FAILED
         allowed = iv_shift(iv_from_mask(supported, 0), x_off)
@@ -545,14 +633,12 @@ def filter_with_dp(
         # Y_t = 1 (producing, or paying the setup idle) busts the bound,
         # Y_t must be 0. Only stated on suffix windows, where the table
         # is exact for the in-window plan.
-        if not windowed and store.min(("Y", t)) == 0 and store.max(("Y", t)) == 1:
-            sc = view.s_charge[k]
-            if sc > 0:
-                pos_min = total[x > 0].min() if (x > 0).any() else INF
-                zero_min = total[x == 0].min() if (x == 0).any() else INF
-                if min(pos_min, zero_min + sc) > ub_eff:
-                    st = store.set_max(("Y", t), 0)
-                    if st is Status.FAILED:
-                        return Status.FAILED
-                    status = merge(status, st)
+        if not windowed and sc > 0 and store.min(("Y", t)) == 0 and store.max(("Y", t)) == 1:
+            n = min(len(C), len(A) - d)
+            idle = view.x_runs(t)[0] and n > 0 and bool((A[d : d + n] + C[:n] + sc <= ub_eff).any())
+            if not sup[1:].any() and not idle:
+                st = store.set_max(("Y", t), 0)
+                if st is Status.FAILED:
+                    return Status.FAILED
+                status = merge(status, st)
     return status

@@ -20,6 +20,8 @@ import enum
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import wisp as wisp_mod
 from .domains import DomainStore, Status, merge
 from .dp import filter_with_dp, make_cost_view, state_budget, window_tables
@@ -216,19 +218,15 @@ class LotSizingConstraint:
             k = t - view.u
             d, p, h, sc = view.d[k], view.p[k], view.h[k], view.s_charge[k]
             allow = view.x_allow_mask(t)
-            found = False
-            for j in range(len(row_prev)):
-                xv = i_state - j + d
-                if xv < 0 or xv >= len(allow) or not allow[xv]:
-                    continue
-                cost = p * xv + h * i_state + (sc if xv > 0 else 0)
-                if row_prev[j] + cost == target:
-                    x[t] = xv + stripped.x_off[t]
-                    i_state = j
-                    found = True
-                    break
-            if not found:
+            xv = i_state + d - np.arange(len(row_prev))
+            ok = (xv >= 0) & (xv < len(allow))
+            ok[ok] = allow[xv[ok]]
+            cost = p * xv + h * i_state + np.where(xv > 0, sc, 0)
+            hits = np.flatnonzero(ok & (row_prev + cost == target))
+            if len(hits) == 0:
                 raise AssertionError("DP path extraction lost the optimal trace")
+            i_state = int(hits[0])  # the lowest predecessor, as a scan from j = 0 finds
+            x[t] = int(xv[i_state]) + stripped.x_off[t]
         y = [self.store.value(("Y", t)) for t in range(T)]
         return Solution.from_plan(self.instance, x, y)
 

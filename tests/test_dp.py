@@ -1,11 +1,15 @@
 """DP tables: values against brute force, pre-stock seeding, filtering rules."""
 
+import copy
+import dataclasses
 import math
 import random
+import tracemalloc
 
 import numpy as np
 
 from lotsizing import (
+    INSTANCE_CLASSES,
     DomainStore,
     Status,
     bc_feasibility,
@@ -13,12 +17,15 @@ from lotsizing import (
     dpls_backward,
     dpls_forward,
     filter_with_dp,
+    generate,
     greedy_prestock,
     make_instance,
     strip_lower_bounds,
+    validate_and_normalize,
     window_tables,
 )
-from lotsizing.domains import iv_values
+from lotsizing import dp as dp_mod
+from lotsizing.domains import iv_from_mask, iv_intersect, iv_shift, iv_values, merge
 from lotsizing.dp import DpBudgetExceeded, _window_min
 from conftest import plan_costs, rand_normalized, store_plans
 
@@ -381,3 +388,226 @@ class TestFilter:
                 assert i_vals == {i[t] for _, i in fine}
             tested += 1
         assert tested >= 100
+
+
+# The S x S pair-matrix filter that ``filter_with_dp`` replaced, kept as the
+# reference its output must equal.
+
+
+def _pair_matrix(view, t: int, frow: np.ndarray, brow: np.ndarray):
+    """total[j, i] = f(t, j) + transition cost + f_r(t+1, i); invalid -> inf."""
+    k = t - view.u
+    d, p, h, sc = view.d[k], view.p[k], view.h[k], view.s_charge[k]
+    m_prev, m = len(frow), len(brow)
+    jj = np.arange(m_prev)[:, None]
+    ii = np.arange(m)[None, :]
+    x = ii - jj + d
+    allow = view.x_allow_mask(t)
+    xcap = view.x_cap[k]
+    valid = (x >= 0) & (x <= xcap)
+    if xcap >= 0:
+        xcl = np.clip(x, 0, xcap)
+        valid &= allow[xcl]
+    cost = p * x + h * ii + np.where(x > 0, sc, 0)
+    total = frow[:, None] + brow[None, :] + cost
+    total = np.where(valid, total, INF)
+    return total, x
+
+
+def _reference_filter(
+    fwd,
+    bwd,
+    store: DomainStore,
+    stripped,
+    cost_ub: int,
+    before: int = 0,
+    after: int = 0,
+    hole_punch: bool = False,
+) -> Status:
+    """Reference for ``filter_with_dp``: every production value is read off
+    the full S x S pair matrix of its period.
+
+    Remove inventory/production/setup values not supported under the bound.
+
+    ``cost_ub`` is the cap on the stripped cost (variable upper bound minus
+    the mandatory baseline); window offsets ``before``/``after`` and the
+    window's sunk setups are deducted once here. A production value survives
+    if any state pair generating it stays within the bound (support
+    semantics); in windowed mode values at or above the remaining in-window
+    demand are never touched.
+    """
+    view = fwd.view
+    ub_eff = cost_ub - before - after - view.sunk
+    if math.isinf(ub_eff) and ub_eff > 0:
+        return Status.UNCHANGED
+    windowed = view.windowed
+    status = Status.UNCHANGED
+
+    for b in range(view.u + 1, view.v + 2):
+        t = b - 1
+        i_off = stripped.i_off[t]
+        dom = store.intervals(("I", t))
+        dom_max = dom[-1][1] - i_off
+        cap = view.cap(b)
+        vals = fwd.row(b) + bwd.row(b)
+        ok = vals <= ub_eff
+        width = max(dom_max, cap) + 1
+        mask = np.zeros(width, dtype=bool)
+        mask[: cap + 1] = ok[: width if width < len(ok) else len(ok)]
+        if windowed:
+            thr = view.tail[b - view.u]
+            if thr < width:
+                mask[thr:] = True
+        if not mask.any():
+            return Status.FAILED
+        if hole_punch:
+            allowed = iv_shift(iv_from_mask(mask, 0), i_off)
+            st = store.set_intervals(("I", t), iv_intersect(dom, allowed))
+        else:
+            idx = np.nonzero(mask)[0]
+            st = store.set_min(("I", t), int(idx[0]) + i_off)
+            st = merge(st, store.set_max(("I", t), int(idx[-1]) + i_off))
+        if st is Status.FAILED:
+            return Status.FAILED
+        status = merge(status, st)
+
+    for t in range(view.u, view.v + 1):
+        k = t - view.u
+        x_off = stripped.x_off[t]
+        dom = store.intervals(("X", t))
+        dom_max = dom[-1][1] - x_off
+        xcap = view.x_cap[k]
+        total, x = _pair_matrix(view, t, fwd.row(t), bwd.row(t + 1))
+        ok2 = total <= ub_eff
+        width = max(dom_max, xcap) + 1
+        supported = np.zeros(width, dtype=bool)
+        if ok2.any():
+            xs = x[ok2]
+            supported[xs] = True
+        if windowed:
+            thr = view.tail[k + 1]
+            if thr < width:
+                supported[thr:] = True
+        if not supported.any():
+            return Status.FAILED
+        allowed = iv_shift(iv_from_mask(supported, 0), x_off)
+        st = store.set_intervals(("X", t), iv_intersect(dom, allowed))
+        if st is Status.FAILED:
+            return Status.FAILED
+        status = merge(status, st)
+
+        # Setup-value rule: if even the cheapest completion that keeps
+        # Y_t = 1 (producing, or paying the setup idle) busts the bound,
+        # Y_t must be 0. Only stated on suffix windows, where the table
+        # is exact for the in-window plan.
+        if not windowed and store.min(("Y", t)) == 0 and store.max(("Y", t)) == 1:
+            sc = view.s_charge[k]
+            if sc > 0:
+                pos_min = total[x > 0].min() if (x > 0).any() else INF
+                zero_min = total[x == 0].min() if (x == 0).any() else INF
+                if min(pos_min, zero_min + sc) > ub_eff:
+                    st = store.set_max(("Y", t), 0)
+                    if st is Status.FAILED:
+                        return Status.FAILED
+                    status = merge(status, st)
+    return status
+
+
+def _holed_root(rng):
+    """A random root with X/I holes and some fixed setups, rows up to about
+    80 states; None when bound consistency fails."""
+    T = rng.randint(2, 10)
+    d = [rng.randint(0, 14) for _ in range(T)]
+    inst = make_instance(
+        d=d,
+        p=[rng.randint(0, 5) for _ in range(T)],
+        h=[rng.randint(0, 3) for _ in range(T)],
+        s=[rng.randint(0, 40) for _ in range(T)],
+        alpha_hi=[rng.randint(0, 35) for _ in range(T)],
+        beta_hi=[rng.randint(0, 80) for _ in range(T)],
+    )
+    store = DomainStore.for_instance(inst)
+    if bc_feasibility(store, inst)[0] is Status.FAILED:
+        return None
+    for t in range(T):
+        for var in ("X", "I"):
+            if rng.random() < 0.3:
+                lo, hi = store.min((var, t)), store.max((var, t))
+                for _ in range(rng.randint(1, 4)):
+                    store.remove_value((var, t), rng.randint(lo, hi))
+        if rng.random() < 0.15:
+            store.assign(("Y", t), rng.randint(0, 1))
+    if store.failed or bc_feasibility(store, inst)[0] is Status.FAILED:
+        return None
+    return inst, store, setup_problem(inst, store, bc=False)[1]
+
+
+class TestSupportEquivalence:
+    """``filter_with_dp`` gives the pair-matrix reference's status and
+    domains on suffix and windowed views, in both cost modes."""
+
+    def test_matches_pair_matrix_reference(self, monkeypatch):
+        ends = []
+        kernel = dp_mod._support
+
+        def recorded(*args):
+            sup, end = kernel(*args)
+            ends.append(end)
+            return sup, end
+
+        monkeypatch.setattr(dp_mod, "_support", recorded)
+        rng = random.Random(2027)
+        cases = failed = y_removals = 0
+        for _ in range(3000):
+            root = _holed_root(rng)
+            if root is None:
+                continue
+            inst, store, stripped = root
+            T = inst.T
+            u = rng.randint(0, T - 1)
+            window = rng.choice([None, (u, T - 1), (u, rng.randint(u, T - 1))])
+            cs_mode = rng.random() < 0.3
+            fwd, bwd = window_tables(stripped, store, window, cs_mode=cs_mode)
+            opt = fwd.optimum()
+            if math.isinf(opt):
+                continue
+            before, after = (rng.randint(0, 20), rng.randint(0, 20)) if fwd.view.windowed else (0, 0)
+            slack = rng.choice([-1, 0, 0, 1, 5, 20, 100, 10**6])
+            ub = int(opt) + fwd.sunk + before + after + slack
+            hole_punch = rng.random() < 0.5
+            ref = copy.deepcopy(store)
+            open_y = [t for t in range(T) if store.intervals(("Y", t)) == ((0, 1),)]
+            want = _reference_filter(fwd, bwd, ref, stripped, ub, before, after, hole_punch)
+            got = filter_with_dp(fwd, bwd, store, stripped, ub, before, after, hole_punch)
+            assert got is want, (window, cs_mode, slack)
+            assert store.snapshot() == ref.snapshot(), (window, cs_mode, slack)
+            if slack < 0 and not fwd.view.windowed:
+                assert got is Status.FAILED
+            failed += got is Status.FAILED
+            y_removals += sum(store.max(("Y", t)) == 0 for t in open_y)
+            cases += 1
+        assert cases >= 900 and failed >= 50 and y_removals >= 300
+        # Each way a period's scan can end: all values supported early, rows
+        # cut by the bound, every row read, every diagonal read.
+        for end, least in (("covered", 450), ("bound", 15), ("exhausted", 1000), ("diagonals", 120)):
+            assert ends.count(end) >= least, (end, ends.count(end))
+
+
+class TestSupportMemory:
+    def test_loose_bound_on_paper_scale_root_stays_small(self):
+        """A loose bound supports nearly every pair; the C1LS root has about
+        3,000 states per row, so one S x S matrix alone would take 72 MB."""
+        params = dataclasses.replace(INSTANCE_CLASSES["C1LS"].params, seed=1)
+        inst = validate_and_normalize(generate(params))
+        store, stripped = setup_problem(inst)
+        fwd, bwd = window_tables(stripped, store, None, cs_mode=False)
+        assert max(len(row) for row in fwd.rows) > 3000
+        ub = store.max(("C", 0)) - stripped.c_min
+        tracemalloc.start()
+        try:
+            st = filter_with_dp(fwd, bwd, store, stripped, ub)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert st is not Status.FAILED
+        assert peak < 16 * 2**20

@@ -14,7 +14,9 @@ from lotsizing import (
     strip_lower_bounds,
 )
 from lotsizing.domains import iv_values
+from lotsizing.dp import window_tables
 from lotsizing.flow import FlowMode, build_network, min_cost_flow
+from lotsizing.propagator import _strip
 from conftest import plan_costs, rand_normalized, store_plans
 from test_dp import two_period
 
@@ -242,3 +244,53 @@ class TestPropagate:
                 assert set(iv_values(store.intervals(("I", t)))) == {p[1][t] for p in optimal}
             fixpoints += 1
         assert fixpoints >= 3 and completed >= 50
+
+
+def _scan_complete(stripped, store):
+    """Production plan read off the forward table by a scan over j from 0:
+    the predecessor search ``LotSizingConstraint._dp_complete`` vectorizes."""
+    fwd, _ = window_tables(stripped, store, None, cs_mode=False, dp_budget=None)
+    if math.isinf(fwd.optimum()):
+        return None
+    view = fwd.view
+    x = [0] * stripped.T
+    i_state = 0
+    for t in range(stripped.T - 1, -1, -1):
+        row_prev = fwd.row(t)
+        target = fwd.row(t + 1)[i_state]
+        k = t - view.u
+        d, p, h, sc = view.d[k], view.p[k], view.h[k], view.s_charge[k]
+        allow = view.x_allow_mask(t)
+        for j in range(len(row_prev)):
+            xv = i_state - j + d
+            if xv < 0 or xv >= len(allow) or not allow[xv]:
+                continue
+            if row_prev[j] + p * xv + h * i_state + (sc if xv > 0 else 0) == target:
+                x[t] = xv + stripped.x_off[t]
+                i_state = j
+                break
+        else:
+            raise AssertionError("lost the optimal trace")
+    return tuple(x)
+
+
+class TestDpComplete:
+    def test_plan_equals_scan_from_lowest_state(self):
+        rng = random.Random(107)
+        compared = 0
+        for _ in range(1200):
+            inst = rand_normalized(rng, max_T=8, max_d=6, max_cap=12)
+            store = DomainStore.for_instance(inst)
+            for t in range(inst.T):
+                store.assign(("Y", t), rng.randint(0, 1))
+                if rng.random() < 0.3:
+                    store.remove_value(("X", t), rng.randint(0, inst.alpha_hi[t]))
+            if store.failed or bc_feasibility(store, inst)[0] is Status.FAILED:
+                continue
+            stripped = _strip(inst, store)
+            ls = LotSizingConstraint(inst, store, LotSizingConfig())
+            sol = ls._dp_complete(stripped)
+            want = _scan_complete(stripped, store)
+            assert (sol and sol.x) == want
+            compared += want is not None
+        assert compared >= 120
