@@ -19,6 +19,7 @@ from lotsizing import (
     INSTANCE_CLASSES,
     DisjunctiveSpec,
     DomainStore,
+    LotSizingConstraint,
     Status,
     apply_disjunctions,
     bc_feasibility,
@@ -115,3 +116,14 @@ def test_filter_with_dp(benchmark, cls, bound):
         rounds=20,
     )
     assert st is not Status.FAILED
+
+
+@pytest.mark.parametrize("cls", ["C1LS", "C3QR"])
+def test_trace_plan(benchmark, cls):
+    """Argmin-plan extraction from the root's whole-horizon cost table, the
+    plan the search is offered as its incumbent."""
+    inst, store, stripped = _root(cls)
+    fwd, _ = window_tables(stripped, store, None, cs_mode=False)
+    ls = LotSizingConstraint(inst, store)
+    plan = benchmark(ls._trace_plan, fwd, stripped)
+    assert plan.c == int(fwd.optimum()) + fwd.sunk + stripped.c_min

@@ -313,6 +313,12 @@ def cmd_export_lp(args) -> int:
     return 0
 
 
+DP_BUDGET_HELP = (
+    "transition budget of the window decomposition (--filter wisp, or auto when a "
+    "whole-horizon DP table would exceed 2**20 states): windows under it get exact DP bounds"
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="lotsizing", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -339,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--branching", choices=("lex", "peak"), default="lex")
     s.add_argument("--time-limit", type=float)
     s.add_argument("--node-limit", type=int)
-    s.add_argument("--dp-budget", type=int, default=20_000_000)
+    s.add_argument("--dp-budget", type=int, default=20_000_000, help=DP_BUDGET_HELP)
     s.add_argument("--stats", choices=("text", "machine"), default="text")
     s.add_argument("--out-solution")
     s.set_defaults(func=cmd_solve)
@@ -356,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--given-ub", action="store_true", help="measure runs given the optimal upper bound")
     b.add_argument("--time-limit", type=float, default=200.0)
     b.add_argument("--filter", choices=("auto", "dp", "wisp"), default="auto")
-    b.add_argument("--dp-budget", type=int, default=20_000_000)
+    b.add_argument("--dp-budget", type=int, default=20_000_000, help=DP_BUDGET_HELP)
     b.set_defaults(func=cmd_bench)
 
     e = sub.add_parser("export-lp", help="write the aggregated MILP as an .lp file")

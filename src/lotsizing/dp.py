@@ -180,10 +180,17 @@ def make_cost_view(
 
 
 def state_budget(view: CostView) -> int:
-    """Transition-count proxy (periods x (max states + 1)^2) tested against
-    the configured DP budget."""
+    """Transition-count proxy (periods x (max states + 1)^2) that the WISP
+    window bounds test against the configured DP budget. The whole-horizon
+    DP is chosen by ``table_fits`` instead."""
     top = max(view.row_cap)
     return (view.v - view.u + 1) * (top + 1) * (top + 1)
+
+
+def table_fits(view: CostView) -> bool:
+    """Whether one table of ``view`` holds at most ``_TABLE_CAP`` states; a
+    table holds the sum of its row sizes."""
+    return sum(view.row_cap) + len(view.row_cap) <= _TABLE_CAP
 
 
 @dataclass
@@ -450,6 +457,7 @@ def window_tables(
 
 
 _BLOCK = 1 << 18  # entries in any temporary array of the support kernel
+_TABLE_CAP = 1 << 20  # states of one table (8 MiB of float64) up to which `auto` runs the DP
 
 
 def _mark_rows(A, C, d, sc, rows, cols, ub, sup) -> None:

@@ -10,8 +10,16 @@ suffice on hole-free domains (holes force extra sweeps).
 fixpoint: when every setup variable is fixed the plan is completed by the
 exact path-network flow (or by the DP when production domains carry holes);
 otherwise lower bounds are pulled from cost-restricted flow relaxations and
-the whole-horizon DP, with the interval-decomposition bound and windowed
-filtering taking over when the DP state space exceeds its budget.
+the whole-horizon DP. Under ``filter_mode="auto"`` the DP runs when one of
+its tables holds at most 2**20 states (``dp.table_fits``); above that, the
+interval-decomposition bound and windowed filtering take over, and
+``dp_budget`` decides which of their windows are exact. The same test
+gates the DP completion of plans whose production domains carry holes.
+
+The argmin plan of the DP's cost table is offered to the search, which
+gates it (the DP does not know Q/R) and keeps it as its incumbent. When an
+accepted plan costs the node's lower bound, nothing in the subtree is
+cheaper: propagation stops there and reports the node ``CLOSED``.
 """
 
 from __future__ import annotations
@@ -19,12 +27,13 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from . import wisp as wisp_mod
 from .domains import DomainStore, Status, merge
-from .dp import filter_with_dp, make_cost_view, state_budget, window_tables
+from .dp import DpTable, filter_with_dp, make_cost_view, table_fits, window_tables
 from .flow import FlowMode, INFEASIBLE, build_network, min_cost_flow, path_greedy
 from .instance import Instance, StrippedInstance, strip_lower_bounds
 from .solution import Solution
@@ -34,6 +43,7 @@ class PropagateResult(enum.Enum):
     FIXPOINT = "fixpoint"
     FAILED = "failed"
     COMPLETED = "completed"
+    CLOSED = "closed"  # an accepted DP plan costs the node's lower bound
 
 
 def _wake_balance(store: DomainStore, inst: Instance, t: int) -> Status:
@@ -169,10 +179,14 @@ class LotSizingConstraint:
     instance: Instance
     store: DomainStore
     config: LotSizingConfig = field(default_factory=LotSizingConfig)
+    # The search's gate for DP plans: True when the plan is valid, which also
+    # makes it the incumbent if cheaper. None offers no plans.
+    offer: Callable[[Solution], bool] | None = None
 
     def __post_init__(self):
         self._dp_sig: int | None = None
         self._wisp_ran = False
+        self._closed: Solution | None = None
         self._trivial_caps = self.instance.max_cost_bounds()
 
     # -- helpers ------------------------------------------------------------
@@ -202,12 +216,10 @@ class LotSizingConstraint:
                 return st
         return st
 
-    def _dp_complete(self, stripped: StrippedInstance) -> Solution | None:
-        """Extract a cheapest plan from the exact whole-horizon DP; honors
-        production holes, so it backs completion when the flow cannot."""
-        fwd, _ = window_tables(stripped, self.store, None, cs_mode=False, dp_budget=None)
-        if math.isinf(fwd.optimum()):
-            return None
+    def _trace_plan(self, fwd: DpTable, stripped: StrippedInstance) -> Solution:
+        """The cheapest plan of a feasible whole-horizon cost table, taking
+        the lowest predecessor at every step, with a setup wherever it
+        produces or Y is fixed to 1. Honors production holes."""
         view = fwd.view
         T = self.instance.T
         x = [0] * T
@@ -225,10 +237,18 @@ class LotSizingConstraint:
             hits = np.flatnonzero(ok & (row_prev + cost == target))
             if len(hits) == 0:
                 raise AssertionError("DP path extraction lost the optimal trace")
-            i_state = int(hits[0])  # the lowest predecessor, as a scan from j = 0 finds
+            i_state = int(hits[0])
             x[t] = int(xv[i_state]) + stripped.x_off[t]
-        y = [self.store.value(("Y", t)) for t in range(T)]
+        y = [1 if x[t] > 0 or self.store.min(("Y", t)) == 1 else 0 for t in range(T)]
         return Solution.from_plan(self.instance, x, y)
+
+    def _dp_complete(self, stripped: StrippedInstance) -> Solution | None:
+        """A cheapest plan of the exact whole-horizon DP, or None when it is
+        infeasible; backs completion when the flow cannot."""
+        fwd, _ = window_tables(stripped, self.store, None, cs_mode=False)
+        if math.isinf(fwd.optimum()):
+            return None
+        return self._trace_plan(fwd, stripped)
 
     # -- main entry -----------------------------------------------------------
 
@@ -237,6 +257,7 @@ class LotSizingConstraint:
         if store.failed:
             return PropagateResult.FAILED, None
         self._wisp_ran = False
+        self._closed = None
         while True:
             before = store.mod_count
             st, _ = bc_feasibility(store, self.instance)
@@ -255,6 +276,8 @@ class LotSizingConstraint:
 
             if self._cost_filter_stage(stripped) is Status.FAILED:
                 return PropagateResult.FAILED, None
+            if self._closed is not None:
+                return PropagateResult.CLOSED, self._closed
 
             if self._cost_identity() is Status.FAILED:
                 return PropagateResult.FAILED, None
@@ -301,8 +324,7 @@ class LotSizingConstraint:
                     return PropagateResult.FAILED, None
                 return PropagateResult.COMPLETED, sol
         stripped = _strip(self.instance, self.store)
-        view = make_cost_view(stripped, store, None, cs_mode=False)
-        if state_budget(view) > self.config.dp_budget:
+        if not table_fits(make_cost_view(stripped, store, None)):
             return None
         sol = self._dp_complete(stripped)
         if sol is None:
@@ -336,12 +358,8 @@ class LotSizingConstraint:
         store = self.store
         if self._dp_sig is not None and self._dp_sig == store.mod_count:
             return Status.UNCHANGED
-        view = make_cost_view(stripped, store, None, cs_mode=False)
-        fits = state_budget(view) <= self.config.dp_budget
         mode = self.config.filter_mode
-        use_dp = mode == "dp" or (mode == "auto" and fits)
-        if mode == "wisp":
-            use_dp = False
+        use_dp = mode == "dp" or (mode == "auto" and table_fits(make_cost_view(stripped, store, None)))
         if use_dp:
             status = self._dp_stage(stripped)
         elif self._wisp_ran:
@@ -367,6 +385,8 @@ class LotSizingConstraint:
             status = merge(status, store.set_min((var, 0), int(opt) + fwd.sunk + base))
             if status is Status.FAILED:
                 return status
+            if not cs_mode and self._offer_plan(fwd, stripped):
+                return status
             ub = store.max((var, 0)) - base
             status = merge(
                 status,
@@ -375,6 +395,19 @@ class LotSizingConstraint:
             if status is Status.FAILED:
                 return status
         return status
+
+    def _offer_plan(self, fwd: DpTable, stripped: StrippedInstance) -> bool:
+        """Offer the cost table's argmin plan within the cost caps to the
+        search; True when it is accepted and closes the node."""
+        if self.offer is None:
+            return False
+        plan = self._trace_plan(fwd, stripped)
+        if not (self._check_cost_caps(plan) and self.offer(plan)):
+            return False
+        if plan.c > self.store.min(("C", 0)):
+            return False
+        self._closed = plan
+        return True
 
     def _wisp_stage(self, stripped: StrippedInstance) -> Status:
         store = self.store

@@ -4,8 +4,11 @@ Each node runs the global-constraint propagator (and the Q/R sequence
 propagator when posted) to a joint fixpoint; once every setup variable is
 fixed the propagator completes the plan exactly, so branching is normally
 restricted to the Y's. Value order tries "no setup" first; variable order is
-lexicographic or peak-demand-first. With a user-supplied cost upper bound
-known to be optimal, the first completed solution is returned.
+lexicographic or peak-demand-first. Incumbents come from completions and
+from the argmin plans of the whole-horizon DP, which the search accepts only
+when ``verify`` does; a node whose lower bound an accepted plan meets is
+closed. With a user-supplied cost upper bound known to be optimal, the first
+completed or closing solution is returned.
 
 The module also houses an independent exhaustive oracle (plain enumeration
 over production vectors, inventories by flow balance) and a from-scratch
@@ -20,12 +23,14 @@ from typing import Iterator
 
 from .domains import DomainStore, Status, iv_intersect, iv_normalize, iv_values
 from .instance import Instance, validate_and_normalize
+# bc_feasibility and complete_when_setups_fixed stay names of this module:
+# perfbench/layertrace.py wraps them here by name.
 from .propagator import (
     LotSizingConfig,
     LotSizingConstraint,
     PropagateResult,
-    bc_feasibility,
-    complete_when_setups_fixed,
+    bc_feasibility,  # noqa: F401
+    complete_when_setups_fixed,  # noqa: F401
 )
 from .side_constraints import SideSpecs, apply_disjunctions, post_qr, qr_satisfied
 from .solution import Solution
@@ -40,7 +45,6 @@ class SearchConfig:
     dp_budget: int = 20_000_000
     filter_mode: str = "auto"  # auto | dp | wisp
     hole_punch: bool = False
-    seed_incumbent: bool = True
 
 
 @dataclass
@@ -101,32 +105,14 @@ def _propagate_all(store, ls, seq, side) -> tuple[PropagateResult, Solution | No
         res, sol = ls.propagate()
         if res is PropagateResult.FAILED:
             return res, None
+        if res is PropagateResult.CLOSED:
+            return res, sol
         if res is PropagateResult.COMPLETED:
             if side is not None and side.qr is not None and not qr_satisfied(sol.y, side.qr.Q, side.qr.R):
                 return PropagateResult.FAILED, None
             return res, sol
         if store.mod_count == before:
             return PropagateResult.FIXPOINT, None
-
-
-def _seed_incumbent(inst, store, side) -> Solution | None:
-    """All-setups completion as an initial upper bound, when it is valid."""
-    store.push_level()
-    sol = None
-    ok = True
-    for t in range(inst.T):
-        if store.assign(("Y", t), 1) is Status.FAILED:
-            ok = False
-            break
-    if ok:
-        st, _ = bc_feasibility(store, inst)
-        ok = st is not Status.FAILED
-    if ok:
-        sol = complete_when_setups_fixed(inst, store)
-    store.pop_level()
-    if sol is not None and verify(inst, side, sol)[0]:
-        return sol
-    return None
 
 
 def solve(
@@ -152,8 +138,16 @@ def solve(
             return None, stats
 
     best: list[Solution | None] = [None]
-    if config.ub is None and config.seed_incumbent and (side is None or side.disjunction is None):
-        best[0] = _seed_incumbent(inst, store, side)
+
+    def offer(plan: Solution) -> bool:
+        """Gate a DP plan (the DP knows no Q/R); keep a valid one if cheaper."""
+        if not verify(inst, side, plan)[0]:
+            return False
+        if best[0] is None or plan.c < best[0].c:
+            best[0] = plan
+        return True
+
+    ls.offer = offer
 
     order = list(range(inst.T))
     if config.branching == "peak":
@@ -179,6 +173,12 @@ def solve(
         if res is PropagateResult.FAILED:
             stats.backtracks += 1
             return
+        if res is PropagateResult.CLOSED:
+            # The offer already made the plan the incumbent; nothing in this
+            # subtree is cheaper.
+            if config.ub is not None:
+                raise _Stop("OPT")
+            return
         if res is PropagateResult.COMPLETED:
             if best[0] is None or sol.c < best[0].c:
                 best[0] = sol
@@ -196,8 +196,8 @@ def solve(
                     stats.backtracks += 1
                 store.pop_level()
             return
-        # All setups fixed but no completion applied (production holes with an
-        # over-budget DP): fall back to splitting a production domain.
+        # All setups fixed but no completion applied (production holes with a
+        # DP table over the state cap): fall back to splitting a production domain.
         tx = next((v for v in range(inst.T) if not store.is_fixed(("X", v))), None)
         if tx is None:
             return

@@ -264,6 +264,30 @@ class TestCriterion7:
             assert stats.root_lb >= flow_lb
         print(PASS.format(n=7, name="WISP fallback on peak analogs"))
 
+    def test_forced_wisp_completes_and_dominates_flow(self):
+        # The sibling above now runs the whole-horizon DP (its tables hold
+        # about 3e5 states); this one keeps WISP covered at that scale.
+        peaks = tuple(t - 1 for t in PEAK_PERIODS_1BASED)
+        for seed in range(3):
+            params = GeneratorParams(d_avg=100, delta=50, theta_lo=0.8, theta_hi=1.0,
+                                     lam=4, T=40, seed=seed,
+                                     peak_value=5000, peak_periods=peaks)
+            inst = validate_and_normalize(generate(params))
+            store, stripped = bc_strip(inst)
+            assert state_budget(make_cost_view(stripped, store, None)) > 20_000_000
+            opt = dp_optimum(inst)
+            flow_lb = (
+                min_cost_flow(build_network(stripped, store, FlowMode.FULL)).integer_lower_bound
+                + stripped.c_min
+            )
+            t0 = time.perf_counter()
+            sol, stats = solve(inst, None, SearchConfig(ub=opt, time_limit=60.0, filter_mode="wisp"))
+            elapsed = time.perf_counter() - t0
+            assert stats.status == "OPT" and sol.c == opt, f"seed {seed}"
+            assert elapsed < 60.0, f"seed {seed}: {elapsed:.1f}s"
+            assert stats.root_lb >= flow_lb
+        print(PASS.format(n=7, name="forced WISP on peak analogs"))
+
     def test_windowed_filtering_sound_on_small_peaks(self):
         rng = random.Random(20260812)
         tested = 0

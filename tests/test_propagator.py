@@ -1,19 +1,32 @@
 """Feasibility propagation and the full filtering pipeline."""
 
+import dataclasses
 import math
 import random
 
+import pytest
+
 from lotsizing import (
+    INSTANCE_CLASSES,
+    DisjunctiveSpec,
     DomainStore,
+    GeneratorParams,
     LotSizingConfig,
     LotSizingConstraint,
     PropagateResult,
     Status,
+    SearchConfig,
+    SideSpecs,
     bc_feasibility,
+    generate,
     make_instance,
+    solve,
     strip_lower_bounds,
+    validate_and_normalize,
 )
 from lotsizing.domains import iv_values
+from lotsizing.instance import PEAK_PERIODS_1BASED
+from lotsizing.search import build_model
 from lotsizing.dp import window_tables
 from lotsizing.flow import FlowMode, build_network, min_cost_flow
 from lotsizing.propagator import _strip
@@ -294,3 +307,50 @@ class TestDpComplete:
             assert (sol and sol.x) == want
             compared += want is not None
         assert compared >= 120
+
+
+def registry_instance(name: str):
+    """Seed 1 of a registry class with its disjunctions, or seed k of the
+    Criterion 7 peak analogs for ``"C7/k"``."""
+    if name.startswith("C7/"):
+        params = GeneratorParams(d_avg=100, delta=50, theta_lo=0.8, theta_hi=1.0, lam=4, T=40,
+                                 seed=int(name[3:]), peak_value=5000,
+                                 peak_periods=tuple(t - 1 for t in PEAK_PERIODS_1BASED))
+        return validate_and_normalize(generate(params)), None
+    template = INSTANCE_CLASSES[name]
+    params = dataclasses.replace(template.params, seed=1)
+    side = None
+    if template.disjunction:
+        side = SideSpecs(disjunction=DisjunctiveSpec.uniform(params.T, template.disjunction))
+    return validate_and_normalize(generate(params)), side
+
+
+class TestAutoRouting:
+    @pytest.mark.parametrize(
+        "name, route",
+        [("C1LS", "dp"), ("C3LS", "dp"), ("C1Disj", "dp"), ("C6Disj", "dp"), ("C7/0", "dp"),
+         ("C1Peaks", "wisp")],
+    )
+    def test_root_route_follows_table_size(self, monkeypatch, name, route):
+        """`auto` filters a root with the whole-horizon DP when one table
+        holds at most 2**20 states (LS, Disj and the Criterion 7 analogs hold
+        1.8e4-2.4e5), and with WISP above (C1Peaks holds 2.9e6)."""
+        taken = []
+        monkeypatch.setattr(LotSizingConstraint, "_dp_stage",
+                            lambda self, stripped: taken.append("dp") or Status.UNCHANGED)
+        monkeypatch.setattr(LotSizingConstraint, "_wisp_stage",
+                            lambda self, stripped: taken.append("wisp") or Status.UNCHANGED)
+        inst, side = registry_instance(name)
+        _, ls, _, root_ok = build_model(inst, side, SearchConfig())
+        assert root_ok
+        ls.propagate()
+        assert taken and set(taken) == {route}
+
+    @pytest.mark.parametrize("name", ["C1LS", "C7/0"])
+    def test_dp_plan_closes_root_without_a_bound(self, name):
+        """The root's argmin plan meets the DP bound, so discover mode proves
+        it optimal in one node."""
+        inst, side = registry_instance(name)
+        sol, stats = solve(inst, side, SearchConfig())
+        assert stats.status == "OPT" and stats.nodes == 1
+        assert sol.c == stats.root_lb

@@ -4,16 +4,20 @@ import random
 
 from lotsizing import (
     DisjunctiveSpec,
+    PropagateResult,
     QRSpec,
     SearchConfig,
     SideSpecs,
     Solution,
+    Status,
     brute_force_oracle,
+    enumerate_plans,
     make_instance,
     solve,
     validate_and_normalize,
     verify,
 )
+from lotsizing.search import _propagate_all, build_model
 from conftest import rand_instance
 from test_dp import two_period
 
@@ -78,11 +82,15 @@ class TestSolve:
             assert stats.status == "OPT"
 
     def test_node_limit_reports_timeout(self):
+        # Holding is dearer than a setup, so the DP plan sets up in every
+        # period; Q = 1 forbids setups in consecutive periods, so that plan
+        # fails verify() and the root cannot close.
         inst = validate_and_normalize(
-            make_instance(d=[3] * 6, p=[1] * 6, h=[1] * 6, s=[4] * 6,
-                          alpha_hi=[6] * 6, beta_hi=[6] * 6)
+            make_instance(d=[3] * 6, p=[1] * 6, h=[5] * 6, s=[4] * 6,
+                          alpha_hi=[8] * 6, beta_hi=[8] * 6)
         )
-        _, stats = solve(inst, None, SearchConfig(node_limit=1, seed_incumbent=False))
+        side = SideSpecs(qr=QRSpec(1, 3))
+        _, stats = solve(inst, side, SearchConfig(node_limit=1))
         assert stats.status == "TIMEOUT"
 
     def test_peak_branching_orders_by_demand(self):
@@ -106,6 +114,103 @@ class TestSolve:
         assert brute_force_oracle(inst, side) is None
         sol, stats = solve(inst, side)
         assert sol is None and stats.status == "INFEASIBLE"
+
+
+def fuzz_instance(rng):
+    """T = 3..6 with capacities that leave room for Q/R spacing."""
+    T = rng.randint(3, 6)
+    return validate_and_normalize(make_instance(
+        d=[rng.randint(0, 4) for _ in range(T)],
+        p=[rng.randint(0, 3) for _ in range(T)],
+        h=[rng.randint(0, 4) for _ in range(T)],
+        s=[rng.randint(0, 8) for _ in range(T)],
+        alpha_lo=[1 if rng.random() < 0.1 else 0 for _ in range(T)],
+        alpha_hi=[rng.randint(3, 6) for _ in range(T)],
+        beta_lo=[1 if rng.random() < 0.1 else 0 for _ in range(T)],
+        beta_hi=[rng.randint(2, 6) for _ in range(T)],
+    ))
+
+
+def fuzz_side(rng, inst) -> SideSpecs | None:
+    """No side constraint, disjunction holes, Q/R, or both."""
+    cap = max(inst.alpha_hi)
+    a = rng.randint(0, 1)
+    b = rng.randint(a, max(a, min(2, cap)))
+    disj = DisjunctiveSpec.uniform(inst.T, ((a, b), (b + 2, b + 4)))
+    q = rng.randint(1, 2)
+    qr = QRSpec(q, rng.randint(q, q + 3))
+    roll = rng.random()
+    if roll < 0.2:
+        return None
+    if roll < 0.45:
+        return SideSpecs(disjunction=disj)
+    if roll < 0.8:
+        return SideSpecs(qr=qr)
+    return SideSpecs(disjunction=disj, qr=qr)
+
+
+class TestDpIncumbentFuzz:
+    """The DP's argmin plan becomes the incumbent only through verify(), and
+    a node closes only on a plan that meets its bound. Q/R is not in the
+    DP, so instances whose plan without Q/R is cheaper must not close on
+    the DP plan."""
+
+    def test_solve_matches_oracle_in_both_protocols(self):
+        rng = random.Random(20261019)
+        qr_binding = 0
+        for _ in range(300):
+            inst = fuzz_instance(rng)
+            side = fuzz_side(rng, inst)
+            want = brute_force_oracle(inst, side)
+            if want is not None and side is not None and side.qr is not None:
+                relaxed = brute_force_oracle(inst, SideSpecs(disjunction=side.disjunction))
+                qr_binding += relaxed.c < want.c
+            runs = [(None, solve(inst, side))]
+            if want is not None:
+                runs += [(ub, solve(inst, side, SearchConfig(ub=ub))) for ub in (want.c, want.c - 1)]
+            for ub, (got, stats) in runs:
+                if want is None or (ub is not None and ub < want.c):
+                    assert got is None and stats.status == "INFEASIBLE", (inst, side, ub)
+                    continue
+                assert got is not None and verify(inst, side, got) == (True, None), (inst, side, ub)
+                assert got.c == want.c and stats.status == "OPT", (inst, side, ub, got.c, want.c)
+        assert qr_binding >= 20, qr_binding
+
+    def test_node_closes_only_at_the_node_optimum(self):
+        """Random setups fixed at the root, with and without the node's
+        optimal cost as the bound: a closed node returns a valid plan that
+        costs the node optimum, and a failed one has no plan within the bound."""
+        rng = random.Random(20261020)
+        closed = 0
+        for _ in range(300):
+            inst = fuzz_instance(rng)
+            side = fuzz_side(rng, inst)
+            fixed = {t: rng.randint(0, 1) for t in range(inst.T) if rng.random() < 0.4}
+            node_plans = [
+                sol for sol in enumerate_plans(inst, side, include_idle_setups=True)
+                if all(sol.y[t] == v for t, v in fixed.items())
+            ]
+            node_opt = min((sol.c for sol in node_plans), default=None)
+            for given in (False, True):
+                store, ls, seq, root_ok = build_model(inst, side, SearchConfig())
+                if not root_ok:
+                    assert node_opt is None
+                    continue
+                ls.offer = lambda plan: verify(inst, side, plan)[0]
+                if any(store.assign(("Y", t), v) is Status.FAILED for t, v in fixed.items()):
+                    assert node_opt is None
+                    continue
+                if given and node_opt is not None:
+                    store.set_max(("C", 0), node_opt)
+                res, sol = _propagate_all(store, ls, seq, side)
+                if res is PropagateResult.FAILED:
+                    assert node_opt is None, (inst, side, fixed, given)
+                elif res in (PropagateResult.CLOSED, PropagateResult.COMPLETED):
+                    assert verify(inst, side, sol) == (True, None), (inst, side, fixed, given)
+                    assert all(sol.y[t] == v for t, v in fixed.items())
+                    assert sol.c == node_opt, (inst, side, fixed, given, sol.c, node_opt)
+                    closed += res is PropagateResult.CLOSED
+        assert closed >= 100, closed
 
 
 class TestOracle:
