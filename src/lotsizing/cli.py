@@ -142,6 +142,7 @@ def _print_run(sol: Solution | None, stats: SearchStats, machine: bool) -> None:
                     "root_lb": stats.root_lb,
                     "best_cost": stats.best_cost,
                     "status": stats.status,
+                    "stop_reason": stats.stop_reason,
                 }
             )
         )
@@ -314,8 +315,8 @@ def cmd_export_lp(args) -> int:
 
 
 DP_BUDGET_HELP = (
-    "transition budget of the window decomposition (--filter wisp, or auto when a "
-    "whole-horizon DP table would exceed 2**20 states): windows under it get exact DP bounds"
+    "transition budget of the window decomposition, which runs only under --filter wisp: "
+    "windows under it get exact DP bounds"
 )
 
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -198,6 +199,14 @@ class DpTable:
     forward: bool
     view: CostView
     rows: list[np.ndarray] = field(default_factory=list)
+    # When set, ``rows`` is empty until the first ``row``/``optimum`` call
+    # builds it: a node that the forward table closes never reads its mirror.
+    build: Callable[[], list[np.ndarray]] | None = None
+
+    def _rows(self) -> list[np.ndarray]:
+        if self.build is not None:
+            self.rows, self.build = self.build(), None
+        return self.rows
 
     @property
     def u(self) -> int:
@@ -212,13 +221,14 @@ class DpTable:
         return self.view.sunk
 
     def row(self, b: int) -> np.ndarray:
-        return self.rows[b - self.view.u]
+        return self._rows()[b - self.view.u]
 
     def optimum(self) -> float:
         """Cheapest window completion excluding sunk setups; inf = infeasible."""
+        rows = self._rows()
         if self.forward:
-            return float(self.rows[-1][0])
-        first = self.rows[0]
+            return float(rows[-1][0])
+        first = rows[0]
         if self.view.u == 0:
             return float(first[0])
         return float(np.min(first))
@@ -391,13 +401,17 @@ def _build_forward(view: CostView, stripped, store, init_row, dp_budget) -> DpTa
     return DpTable(forward=True, view=view, rows=rows)
 
 
-def _build_backward(view: CostView, dp_budget) -> DpTable:
-    _check_budget(view, dp_budget)
+def _backward_rows(view: CostView) -> list[np.ndarray]:
     rows = [np.array([0.0])]
     for t in range(view.v, view.u - 1, -1):
         rows.append(_backward_step(view, t, rows[-1]))
     rows.reverse()
-    return DpTable(forward=False, view=view, rows=rows)
+    return rows
+
+
+def _build_backward(view: CostView, dp_budget) -> DpTable:
+    _check_budget(view, dp_budget)
+    return DpTable(forward=False, view=view, rows=_backward_rows(view))
 
 
 def dpls_forward(
@@ -449,10 +463,12 @@ def window_tables(
     cs_mode: bool,
     dp_budget: int | None = None,
 ) -> tuple[DpTable, DpTable]:
-    """Matched forward/backward tables sharing one cost view."""
+    """Matched forward/backward tables sharing one cost view. The backward
+    table is built on its first read, so callers that stop at the forward
+    table never pay for it."""
     view = make_cost_view(stripped, store, window, cs_mode=cs_mode)
     fwd = _build_forward(view, stripped, store, None, dp_budget)
-    bwd = _build_backward(view, dp_budget)
+    bwd = DpTable(forward=False, view=view, build=lambda: _backward_rows(view))
     return fwd, bwd
 
 

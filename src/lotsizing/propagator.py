@@ -9,12 +9,14 @@ suffice on hole-free domains (holes force extra sweeps).
 ``LotSizingConstraint.propagate`` runs the full filtering pipeline to a
 fixpoint: when every setup variable is fixed the plan is completed by the
 exact path-network flow (or by the DP when production domains carry holes);
-otherwise lower bounds are pulled from cost-restricted flow relaxations and
-the whole-horizon DP. Under ``filter_mode="auto"`` the DP runs when one of
-its tables holds at most 2**20 states (``dp.table_fits``); above that, the
-interval-decomposition bound and windowed filtering take over, and
-``dp_budget`` decides which of their windows are exact. The same test
-gates the DP completion of plans whose production domains carry holes.
+otherwise lower bounds are pulled from the four cost-restricted flow
+relaxations and the whole-horizon DP. Under ``filter_mode="auto"`` the DP
+runs when one of its tables holds at most 2**20 states (``dp.table_fits``);
+above that, the node keeps the flow bounds alone. The same test gates the
+DP completion of plans whose production domains carry holes. The paper's
+interval-decomposition bound and windowed filtering run only under
+``filter_mode="wisp"``, where ``dp_budget`` decides which of their windows
+are exact.
 
 The argmin plan of the DP's cost table is offered to the search, which
 gates it (the DP does not know Q/R) and keeps it as its incumbent. When an
@@ -338,12 +340,13 @@ class LotSizingConstraint:
         return PropagateResult.COMPLETED, sol
 
     def _flow_bounds(self, stripped: StrippedInstance) -> Status:
-        """Raise the cost minima from the three flow relaxations."""
+        """Raise the cost minima from the four flow relaxations."""
         store = self.store
         status = Status.UNCHANGED
         for mode, var, base in (
             (FlowMode.CP_ONLY, "Cp", stripped.cp_min),
             (FlowMode.CH_ONLY, "Ch", stripped.ch_min),
+            (FlowMode.CS_ONLY, "Cs", stripped.cs_min),
             (FlowMode.FULL, "C", stripped.c_min),
         ):
             res = min_cost_flow(build_network(stripped, store, mode))
@@ -359,8 +362,11 @@ class LotSizingConstraint:
         if self._dp_sig is not None and self._dp_sig == store.mod_count:
             return Status.UNCHANGED
         mode = self.config.filter_mode
-        use_dp = mode == "dp" or (mode == "auto" and table_fits(make_cost_view(stripped, store, None)))
-        if use_dp:
+        if mode == "auto" and not table_fits(make_cost_view(stripped, store, None)):
+            # Above the table cap the node keeps its flow bounds: on the
+            # registry's over-cap classes the decomposition bound equals them.
+            return Status.UNCHANGED
+        if mode != "wisp":
             status = self._dp_stage(stripped)
         elif self._wisp_ran:
             # The decomposition pass runs once per propagation call (the

@@ -56,6 +56,9 @@ class SearchStats:
     root_lb: int | None = None
     best_cost: int | None = None
     status: str = "INFEASIBLE"
+    # Why the search stopped: node_limit | time_limit | bound_met (a plan
+    # within the given bound) | exhausted (the whole tree was searched).
+    stop_reason: str = "exhausted"
 
     def root_gap(self) -> float | None:
         """(optimum - root bound) / optimum, the root-node gap."""
@@ -65,8 +68,9 @@ class SearchStats:
 
 
 class _Stop(Exception):
-    def __init__(self, status: str):
+    def __init__(self, status: str, reason: str):
         self.status = status
+        self.reason = reason
 
 
 def build_model(
@@ -158,9 +162,9 @@ def solve(
     def node() -> None:
         stats.nodes += 1
         if config.time_limit is not None and time.perf_counter() - start > config.time_limit:
-            raise _Stop("TIMEOUT")
+            raise _Stop("TIMEOUT", "time_limit")
         if config.node_limit is not None and stats.nodes > config.node_limit:
-            raise _Stop("TIMEOUT")
+            raise _Stop("TIMEOUT", "node_limit")
         if best[0] is not None and config.ub is None:
             if store.set_max(("C", 0), best[0].c - 1) is Status.FAILED:
                 stats.prunes += 1
@@ -177,13 +181,13 @@ def solve(
             # The offer already made the plan the incumbent; nothing in this
             # subtree is cheaper.
             if config.ub is not None:
-                raise _Stop("OPT")
+                raise _Stop("OPT", "bound_met")
             return
         if res is PropagateResult.COMPLETED:
             if best[0] is None or sol.c < best[0].c:
                 best[0] = sol
             if config.ub is not None:
-                raise _Stop("OPT")
+                raise _Stop("OPT", "bound_met")
             return
         t = next((v for v in order if not store.is_fixed(("Y", v))), None)
         if t is not None:
@@ -216,6 +220,7 @@ def solve(
         node()
     except _Stop as stop:
         status = stop.status
+        stats.stop_reason = stop.reason
 
     stats.cpu_s = time.perf_counter() - start
     stats.best_cost = best[0].c if best[0] is not None else None

@@ -66,6 +66,7 @@ class TestSolve:
         record = json.loads(capsys.readouterr().out.strip())
         assert code == 0
         assert record["status"] == "OPT" and record["best_cost"] == 13
+        assert record["stop_reason"] == "bound_met"
 
     def test_bound_below_optimum(self, tmp_path, capsys):
         inst = write_two_period(tmp_path)

@@ -1,8 +1,10 @@
 """Feasibility propagation and the full filtering pipeline."""
 
 import dataclasses
+import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +20,7 @@ from lotsizing import (
     SearchConfig,
     SideSpecs,
     bc_feasibility,
+    enumerate_plans,
     generate,
     make_instance,
     solve,
@@ -26,11 +29,13 @@ from lotsizing import (
 )
 from lotsizing.domains import iv_values
 from lotsizing.instance import PEAK_PERIODS_1BASED
-from lotsizing.search import build_model
+from lotsizing.search import _propagate_all, build_model
+import lotsizing.dp as dp_mod
 from lotsizing.dp import window_tables
 from lotsizing.flow import FlowMode, build_network, min_cost_flow
 from lotsizing.propagator import _strip
 from conftest import plan_costs, rand_normalized, store_plans
+from test_acceptance import suite_instance_small
 from test_dp import two_period
 
 
@@ -329,12 +334,13 @@ class TestAutoRouting:
     @pytest.mark.parametrize(
         "name, route",
         [("C1LS", "dp"), ("C3LS", "dp"), ("C1Disj", "dp"), ("C6Disj", "dp"), ("C7/0", "dp"),
-         ("C1Peaks", "wisp")],
+         ("C1Peaks", "flow")],
     )
     def test_root_route_follows_table_size(self, monkeypatch, name, route):
         """`auto` filters a root with the whole-horizon DP when one table
         holds at most 2**20 states (LS, Disj and the Criterion 7 analogs hold
-        1.8e4-2.4e5), and with WISP above (C1Peaks holds 2.9e6)."""
+        1.8e4-2.4e5), and with the flow relaxations alone above (C1Peaks
+        holds 2.9e6); WISP runs only when forced."""
         taken = []
         monkeypatch.setattr(LotSizingConstraint, "_dp_stage",
                             lambda self, stripped: taken.append("dp") or Status.UNCHANGED)
@@ -344,7 +350,10 @@ class TestAutoRouting:
         _, ls, _, root_ok = build_model(inst, side, SearchConfig())
         assert root_ok
         ls.propagate()
-        assert taken and set(taken) == {route}
+        if route == "flow":
+            assert taken == []
+        else:
+            assert taken and set(taken) == {route}
 
     @pytest.mark.parametrize("name", ["C1LS", "C7/0"])
     def test_dp_plan_closes_root_without_a_bound(self, name):
@@ -354,3 +363,75 @@ class TestAutoRouting:
         sol, stats = solve(inst, side, SearchConfig())
         assert stats.status == "OPT" and stats.nodes == 1
         assert sol.c == stats.root_lb
+
+    @pytest.mark.parametrize("name", ["C1Peaks", "C3Peaks"])
+    def test_over_cap_flow_route_matches_forced_wisp(self, name):
+        """Above the table cap, the flow relaxations alone leave the same
+        root domains and cost bounds as the forced decomposition, and the
+        capped searches of both protocols take the same course."""
+        inst, side = registry_instance(name)
+        opt = _reference_optimum(name, 1)
+
+        def root(mode):
+            store, ls, _, _ = build_model(inst, side, SearchConfig(filter_mode=mode))
+            store.set_max(("C", 0), opt)
+            assert ls.propagate()[0] is PropagateResult.FIXPOINT
+            return [store.intervals((kind, t)) for kind in "XIY" for t in range(inst.T)] + [
+                store.intervals((var, 0)) for var in ("Cp", "Ch", "Cs", "C")
+            ]
+
+        assert root("auto") == root("wisp")
+        for ub in (opt, None):
+            runs = []
+            for mode in ("auto", "wisp"):
+                _, stats = solve(inst, side, SearchConfig(ub=ub, branching="peak", node_limit=10,
+                                                          filter_mode=mode))
+                runs.append((stats.status, stats.nodes, stats.backtracks, stats.prunes,
+                             stats.root_lb, stats.best_cost))
+            assert runs[0] == runs[1]
+
+
+def _reference_optimum(cls: str, seed: int) -> int:
+    """The stored HiGHS optimum of a registry instance (perfbench/references.json)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "references.json"
+    return json.loads(path.read_text(encoding="ascii"))["optima"][cls][str(seed)]
+
+
+class TestCostBoundSoundness:
+    @pytest.mark.parametrize("over_cap", [False, True])
+    def test_plans_within_bound_keep_every_cost_bound(self, monkeypatch, over_cap):
+        """After root propagation, every plan within the bound lies inside
+        the X/I/Y domains and inside [min, max] of Cp, Ch, Cs and C, on the
+        DP route and on the flow-only route above the table cap."""
+        if over_cap:
+            monkeypatch.setattr(dp_mod, "_TABLE_CAP", 0)
+        rng = random.Random(4207 + over_cap)
+        pairs = checked = narrowed = 0
+        while pairs < 2_000:
+            inst, side = suite_instance_small(rng)
+            plans = list(enumerate_plans(inst, side, include_idle_setups=True))
+            costs = sorted(sol.c for sol in plans) or [rng.randint(0, 30)]
+            opt = costs[0]
+            for ub in (opt - 1, opt, opt + rng.randint(1, 6), costs[len(costs) // 2], None):
+                pairs += 1
+                store, ls, seq, root_ok = build_model(inst, side, SearchConfig(hole_punch=rng.random() < 0.5))
+                within = [sol for sol in plans if ub is None or sol.c <= ub]
+                if not root_ok or (ub is not None and store.set_max(("C", 0), ub) is Status.FAILED):
+                    assert not within
+                    continue
+                res, sol = _propagate_all(store, ls, seq, side)
+                if res is PropagateResult.FAILED:
+                    assert not within, (inst, side, ub)
+                    continue
+                if res is PropagateResult.COMPLETED:
+                    assert within and sol.c == min(plan.c for plan in within), (inst, side, ub)
+                    continue
+                for plan in within:
+                    for t in range(inst.T):
+                        for kind, val in (("X", plan.x[t]), ("I", plan.i[t]), ("Y", plan.y[t])):
+                            assert store.contains((kind, t), val), (inst, side, ub, plan)
+                    for var, val in (("Cp", plan.cp), ("Ch", plan.ch), ("Cs", plan.cs), ("C", plan.c)):
+                        assert store.min((var, 0)) <= val <= store.max((var, 0)), (inst, side, ub, var, plan)
+                checked += bool(within)
+                narrowed += any(store.min((var, 0)) > 0 for var in ("Cp", "Ch", "Cs"))
+        assert checked >= 250 and narrowed >= 200

@@ -92,6 +92,23 @@ class TestSolve:
         side = SideSpecs(qr=QRSpec(1, 3))
         _, stats = solve(inst, side, SearchConfig(node_limit=1))
         assert stats.status == "TIMEOUT"
+        assert stats.stop_reason == "node_limit"
+
+    def test_stop_reason_separates_limits_from_proofs(self):
+        inst = validate_and_normalize(
+            make_instance(d=[3] * 6, p=[1] * 6, h=[5] * 6, s=[4] * 6,
+                          alpha_hi=[8] * 6, beta_hi=[8] * 6)
+        )
+        side = SideSpecs(qr=QRSpec(1, 3))
+        opt = brute_force_oracle(inst, side).c
+        for config, status, reason in (
+            (SearchConfig(time_limit=0), "TIMEOUT", "time_limit"),
+            (SearchConfig(ub=opt), "OPT", "bound_met"),
+            (SearchConfig(), "OPT", "exhausted"),
+            (SearchConfig(ub=opt - 1), "INFEASIBLE", "exhausted"),
+        ):
+            _, stats = solve(inst, side, config)
+            assert (stats.status, stats.stop_reason) == (status, reason), config
 
     def test_peak_branching_orders_by_demand(self):
         inst = validate_and_normalize(
