@@ -35,15 +35,21 @@ from lotsizing.propagator import _strip
 REFERENCES = Path(__file__).resolve().parents[1] / "perfbench" / "references.json"
 
 
-def _root(cls: str, seed: int = 1):
-    """Root of a class instance after bound consistency, with the class's
-    production disjunctions posted."""
+def _fresh(cls: str, seed: int = 1):
+    """A class instance and its fresh store, with the class's production
+    disjunctions posted."""
     template = INSTANCE_CLASSES[cls]
     params = dataclasses.replace(template.params, seed=seed)
     inst = validate_and_normalize(generate(params))
     store = DomainStore.for_instance(inst)
     if template.disjunction:
         apply_disjunctions(store, DisjunctiveSpec.uniform(params.T, template.disjunction))
+    return inst, store
+
+
+def _root(cls: str, seed: int = 1):
+    """Root of a class instance after bound consistency."""
+    inst, store = _fresh(cls, seed)
     bc_feasibility(store, inst)
     return inst, store, _strip(inst, store)
 
@@ -127,3 +133,23 @@ def test_trace_plan(benchmark, cls):
     ls = LotSizingConstraint(inst, store)
     plan = benchmark(ls._trace_plan, fwd, stripped)
     assert plan.c == int(fwd.optimum()) + fwd.sunk + stripped.c_min
+
+
+@pytest.mark.parametrize("cls", ["C3LS", "C1Peaks"])
+def test_bc_feasibility(benchmark, cls):
+    """Bound consistency on a fresh store: the array sweep and its write-back."""
+    inst, store = _fresh(cls)
+    st, _ = benchmark.pedantic(
+        bc_feasibility, setup=lambda: ((copy.deepcopy(store), inst), {}), rounds=50
+    )
+    assert st is Status.CHANGED
+
+
+@pytest.mark.parametrize("cls", ["C3LS", "C1Peaks"])
+def test_flow_bounds(benchmark, cls):
+    """The four flow relaxations of a root: one network build, three derived
+    networks, four greedy passes."""
+    inst, store, stripped = _root(cls)
+    ls = LotSizingConstraint(inst, store)
+    st = benchmark(ls._flow_bounds, stripped)
+    assert st is not Status.FAILED

@@ -8,6 +8,13 @@ normal operation but share the representation.
 State restoration is trail-based: ``push_level`` opens a frame and the first
 change to each variable inside the frame records its previous intervals;
 ``pop_level`` restores them exactly.
+
+Two counters watch the store. ``mod_count`` goes up on every change and is
+never restored; a propagator compares it across one of its own passes to
+detect a fixpoint. ``plan_epoch`` goes up on every change of a plan variable
+(X, I or Y) and on every ``pop_level`` that restores anything, so two equal
+readings mean the plan variables hold the same domains: a stage that reads
+only those can skip a rerun across propagation calls and backtracks.
 """
 
 from __future__ import annotations
@@ -19,6 +26,8 @@ import numpy as np
 
 Ivs = tuple[tuple[int, int], ...]
 Var = tuple[str, int]
+
+PLAN_VARS = frozenset(("X", "I", "Y"))
 
 
 class Status(enum.Enum):
@@ -157,6 +166,7 @@ class DomainStore:
         self._failed_at_push: list[bool] = []
         self.failed = False
         self.mod_count = 0
+        self.plan_epoch = 0
 
     # -- construction -------------------------------------------------------
 
@@ -244,6 +254,8 @@ class DomainStore:
         self._record(key)
         self._dom[key] = new
         self.mod_count += 1
+        if key[0] in PLAN_VARS:
+            self.plan_epoch += 1
         return Status.CHANGED
 
     def tighten(self, key: Var, kind: str, value: int) -> Status:
@@ -292,26 +304,8 @@ class DomainStore:
         if not self._frames:
             raise RuntimeError("pop_level at level 0")
         frame = self._frames.pop()
+        if frame:
+            self.plan_epoch += 1
         for key, old in frame.items():
             self._dom[key] = old
         self.failed = self._failed_at_push.pop()
-
-    # -- channeling ---------------------------------------------------------
-
-    def channel_setup(self, t: int) -> Status:
-        """Link X_t and Y_t through the setup constraint X_t <= cap * Y_t.
-
-        Y fixed to 0 forces X_t = 0; a positive production minimum forces
-        Y_t = 1. Y_t = 1 with 0 in dom(X_t) stays: paying the setup while
-        producing nothing is allowed.
-        """
-        if self.failed:
-            return Status.FAILED
-        status = Status.UNCHANGED
-        if self.max(("Y", t)) == 0:
-            status = merge(status, self.assign(("X", t), 0))
-            if status is Status.FAILED:
-                return status
-        if self.min(("X", t)) > 0:
-            status = merge(status, self.assign(("Y", t), 1))
-        return status

@@ -188,10 +188,17 @@ def state_budget(view: CostView) -> int:
     return (view.v - view.u + 1) * (top + 1) * (top + 1)
 
 
-def table_fits(view: CostView) -> bool:
-    """Whether one table of ``view`` holds at most ``_TABLE_CAP`` states; a
-    table holds the sum of its row sizes."""
-    return sum(view.row_cap) + len(view.row_cap) <= _TABLE_CAP
+def table_fits(stripped: StrippedInstance) -> bool:
+    """Whether one whole-horizon table of ``stripped`` (stripped at the
+    current domains) holds at most ``_TABLE_CAP`` states. A table holds the
+    sum of its row sizes: the boundary after period t keeps
+    min(i_cap[t], demand of periods t+1..) + 1 states, the initial one 1."""
+    states = stripped.T + 1
+    tail = 0
+    for t in range(stripped.T - 1, -1, -1):
+        states += max(min(stripped.i_cap[t], tail), 0)
+        tail += stripped.d[t]
+    return states <= _TABLE_CAP
 
 
 @dataclass

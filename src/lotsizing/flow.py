@@ -5,7 +5,10 @@ network: a source feeds per-period production arcs, inventory arcs chain the
 periods, and each period ships its demand to the sink. Production arc costs
 amortize the setup cost over the capacity (``p_t + s_t / cap_t``), which is
 what makes the relaxation valid. Restricting the cost vector gives dedicated
-lower bounds for the production-cost and holding-cost variables.
+lower bounds for the production-cost, holding-cost and setup-cost variables.
+The four networks of one set of domains differ only in their costs, so the
+propagator builds the FULL network once (``build_network``) and derives the
+other three from it (``derive_network``): one build, four cost vectors.
 
 One integer greedy, ``path_greedy``, solves every instance of this network:
 the whole-horizon relaxations (``min_cost_flow``, rates scaled to integers),
@@ -97,7 +100,7 @@ def build_network(
         elif mode is FlowMode.CS_ONLY:
             cost = Fraction(s_eff, cap) if (cap > 0 and s_eff > 0) else 0
         else:
-            cost = stripped.p[t] + (Fraction(s_eff, cap) if (cap > 0 and s_eff > 0) else 0)
+            cost = Fraction(stripped.p[t] * cap + s_eff, cap) if (cap > 0 and s_eff > 0) else stripped.p[t]
         prod_cap.append(cap)
         prod_cost.append(cost)
         demand.append(stripped.d[t] if in_window else 0)
@@ -116,6 +119,33 @@ def build_network(
     )
 
 
+def derive_network(full: FlowNetwork, stripped: StrippedInstance, mode: FlowMode) -> FlowNetwork:
+    """The ``mode`` network of the instance and domains that ``full`` (the
+    FULL network) was built from, equal to ``build_network``'s. The four
+    modes share capacities and demands; CP_ONLY keeps the unit costs p,
+    CH_ONLY the holding costs, and CS_ONLY the amortized setups (FULL's
+    production costs minus p) with the sunk setups as its constant."""
+    if mode is FlowMode.FULL:
+        return full
+    n = full.n
+    p = stripped.p[:n]
+    no_hold = [0] * (n - 1)
+    if mode is FlowMode.CP_ONLY:
+        prod_cost, inv_cost, const = list(p), no_hold, 0
+    elif mode is FlowMode.CH_ONLY:
+        prod_cost, inv_cost, const = [0] * n, full.inv_cost, 0
+    else:
+        prod_cost = [c - pt for c, pt in zip(full.prod_cost, p)]
+        inv_cost, const = no_hold, full.const
+    return FlowNetwork(
+        n=n,
+        prod_cap=full.prod_cap,
+        prod_cost=prod_cost,
+        inv_cap=full.inv_cap,
+        inv_cost=inv_cost,
+        demand=full.demand,
+        const=const,
+    )
 
 
 def path_greedy(cap, rate, hold, inv_cap, demand) -> tuple[list[int], list[int]]:

@@ -3,8 +3,9 @@ cost-based filtering.
 
 ``bc_feasibility`` reaches bound consistency on the cost-free network (flow
 balances, setup links, variable bounds) in one forward and one backward
-sweep: the constraint network is Berge-acyclic, so two wakes per constraint
-suffice on hole-free domains (holes force extra sweeps).
+sweep over plain bound lists: the constraint network is Berge-acyclic, so
+two wakes per constraint suffice on hole-free domains (holes force extra
+sweeps).
 
 ``LotSizingConstraint.propagate`` runs the full filtering pipeline to a
 fixpoint: when every setup variable is fixed the plan is completed by the
@@ -22,6 +23,17 @@ The argmin plan of the DP's cost table is offered to the search, which
 gates it (the DP does not know Q/R) and keeps it as its incumbent. When an
 accepted plan costs the node's lower bound, nothing in the subtree is
 cheaper: propagation stops there and reports the node ``CLOSED``.
+
+A stage reruns only when what it reads has changed. ``propagate`` iterates
+until a pass leaves ``mod_count`` alone, but across passes, calls and
+backtracks the constraint remembers the store's ``plan_epoch`` (X/I/Y
+changes and restoring pops) at which BC, the strip and the four flow
+relaxations last ran, and reruns all three only once it has moved: with the
+plan variables unchanged BC is at its fixpoint, the strip is the same, and
+the cost minima the flows raised can only have risen since. The DP (or
+WISP) stage reruns when the epoch, min C or one of the four cost maxima has
+moved. The cost identity C = Cp + Ch + Cs and the completion of fully set
+plans run on every pass.
 """
 
 from __future__ import annotations
@@ -34,9 +46,9 @@ from typing import Callable
 import numpy as np
 
 from . import wisp as wisp_mod
-from .domains import DomainStore, Status, merge
-from .dp import DpTable, filter_with_dp, make_cost_view, table_fits, window_tables
-from .flow import FlowMode, INFEASIBLE, build_network, min_cost_flow, path_greedy
+from .domains import DomainStore, Status, iv_contains, merge
+from .dp import DpTable, filter_with_dp, table_fits, window_tables
+from .flow import FlowMode, INFEASIBLE, build_network, derive_network, min_cost_flow, path_greedy
 from .instance import Instance, StrippedInstance, strip_lower_bounds
 from .solution import Solution
 
@@ -48,85 +60,140 @@ class PropagateResult(enum.Enum):
     CLOSED = "closed"  # an accepted DP plan costs the node's lower bound
 
 
-def _wake_balance(store: DomainStore, inst: Instance, t: int) -> Status:
-    """Bound consistency on I_{t-1} + X_t = d_t + I_t (I_{-1} is 0).
+class _Wipeout(Exception):
+    """A bound request that empties a domain: (key, tighten kind, value)."""
 
-    Iterated to the constraint's own fixpoint within the wake: a tightened
-    production minimum can jump across a domain hole and invalidate the
-    inventory bounds computed just before.
-    """
-    d = inst.d[t]
-    overall = Status.UNCHANGED
-    while True:
-        st = Status.UNCHANGED
-        if t == 0:
-            pl = ph = 0
-        else:
-            pl, ph = store.min(("I", t - 1)), store.max(("I", t - 1))
-        xl, xh = store.min(("X", t)), store.max(("X", t))
-        st = merge(st, store.set_min(("I", t), pl + xl - d))
-        st = merge(st, store.set_max(("I", t), ph + xh - d))
-        if st is Status.FAILED:
-            return st
-        il, ih = store.min(("I", t)), store.max(("I", t))
-        st = merge(st, store.set_min(("X", t), d + il - ph))
-        st = merge(st, store.set_max(("X", t), d + ih - pl))
-        if st is Status.FAILED:
-            return st
-        if t > 0:
-            xl, xh = store.min(("X", t)), store.max(("X", t))
-            st = merge(st, store.set_min(("I", t - 1), d + il - xh))
-            st = merge(st, store.set_max(("I", t - 1), d + ih - xl))
-            if st is Status.FAILED:
-                return st
-        if st is Status.UNCHANGED:
-            return overall
-        overall = Status.CHANGED
+
+def _raise_lo(lo, hi, holes, t, v, name) -> bool:
+    """lo[t] := v when v is tighter, moved up to the next value of a domain
+    with holes as ``DomainStore.set_min`` does; True when lo[t] moved."""
+    if v <= lo[t]:
+        return False
+    w = v
+    if holes[t] is not None:
+        w = next((max(a, v) for a, b in holes[t] if b >= v), hi[t] + 1)
+    if w > hi[t]:
+        raise _Wipeout(name, t, "set_min", v)
+    lo[t] = w
+    return True
+
+
+def _lower_hi(lo, hi, holes, t, v, name) -> bool:
+    """hi[t] := v when v is tighter, moved down like ``DomainStore.set_max``."""
+    if v >= hi[t]:
+        return False
+    w = v
+    if holes[t] is not None:
+        w = next((min(b, v) for a, b in reversed(holes[t]) if a <= v), lo[t] - 1)
+    if w < lo[t]:
+        raise _Wipeout(name, t, "set_max", v)
+    hi[t] = w
+    return True
 
 
 def bc_feasibility(store: DomainStore, inst: Instance) -> tuple[Status, dict]:
     """Bound consistency on the feasibility network.
 
-    Forward pass channels each setup link then its balance; the backward
-    pass revisits them in reverse order. On hole-free domains each
-    constraint is woken exactly twice (returned in the wake-count dict),
-    which reaches the fixpoint on this Berge-acyclic network. Domains with
-    holes can deflect a requested bound past a gap and stale earlier wakes,
-    so in that case full sweeps repeat until nothing changes.
+    The sweep runs on plain lists of the X, I and Y bounds. A forward pass
+    wakes each setup link then its balance; the backward pass revisits them
+    in reverse order; each balance wake iterates to its own fixpoint. On
+    hole-free domains each constraint is woken exactly twice (returned in the
+    wake-count dict), which reaches the fixpoint on this Berge-acyclic
+    network. A bound that lands in a domain hole moves on to the next domain
+    value, as the store itself would move it; that can stale earlier wakes,
+    so with holes full forward sweeps repeat until nothing changes. The
+    final bounds are written back with ``set_min``/``set_max``. On a wipeout
+    the bounds reached so far are written back and the emptying request is
+    replayed on the store, which leaves it failed exactly where a
+    store-level sweep in the same order would have.
     """
-    wakes: dict[tuple[str, int], int] = {}
+    T = inst.T
+    d = inst.d
+    if store.failed:
+        return Status.FAILED, {}
+    dom = [[store.intervals((name, t)) for t in range(T)] for name in ("X", "I", "Y")]
+    xl = [ivs[0][0] for ivs in dom[0]]
+    xh = [ivs[-1][1] for ivs in dom[0]]
+    il = [ivs[0][0] for ivs in dom[1]]
+    ih = [ivs[-1][1] for ivs in dom[1]]
+    yl = [ivs[0][0] for ivs in dom[2]]
+    yh = [ivs[-1][1] for ivs in dom[2]]
+    xholes = [ivs if len(ivs) > 1 else None for ivs in dom[0]]
+    iholes = [ivs if len(ivs) > 1 else None for ivs in dom[1]]
+    bounds = (("X", xl, xh), ("I", il, ih), ("Y", yl, yh))
+    start = [(lo[:], hi[:]) for _, lo, hi in bounds]
+    setup_wakes = [0] * T
+    balance_wakes = [0] * T
 
-    def wake(kind: str, t: int) -> Status:
-        wakes[(kind, t)] = wakes.get((kind, t), 0) + 1
-        if kind == "setup":
-            return store.channel_setup(t)
-        return _wake_balance(store, inst, t)
+    def setup(t: int) -> bool:
+        setup_wakes[t] += 1
+        moved = False
+        if yh[t] == 0 and (xl[t] != 0 or xh[t] != 0):
+            if not (xl[t] <= 0 <= xh[t] and (xholes[t] is None or iv_contains(xholes[t], 0))):
+                raise _Wipeout("X", t, "assign", 0)
+            xl[t] = xh[t] = 0
+            moved = True
+        if xl[t] > 0 and yl[t] == 0:
+            if yh[t] == 0:
+                raise _Wipeout("Y", t, "assign", 1)
+            yl[t] = 1
+            moved = True
+        return moved
 
-    holes = any(
-        len(store.intervals(("X", t))) > 1 or len(store.intervals(("I", t))) > 1
-        for t in range(inst.T)
-    )
+    def balance(t: int) -> bool:
+        """I_{t-1} + X_t = d_t + I_t (I_{-1} is 0), to its own fixpoint: a
+        raised production minimum can jump a hole and stale the inventory
+        bounds set just before."""
+        balance_wakes[t] += 1
+        dt = d[t]
+        moved = False
+        while True:
+            step = False
+            pl, ph = (il[t - 1], ih[t - 1]) if t > 0 else (0, 0)
+            step |= _raise_lo(il, ih, iholes, t, pl + xl[t] - dt, "I")
+            step |= _lower_hi(il, ih, iholes, t, ph + xh[t] - dt, "I")
+            lo_i, hi_i = il[t], ih[t]
+            step |= _raise_lo(xl, xh, xholes, t, dt + lo_i - ph, "X")
+            step |= _lower_hi(xl, xh, xholes, t, dt + hi_i - pl, "X")
+            if t > 0:
+                step |= _raise_lo(il, ih, iholes, t - 1, dt + lo_i - xh[t], "I")
+                step |= _lower_hi(il, ih, iholes, t - 1, dt + hi_i - xl[t], "I")
+            if not step:
+                return moved
+            moved = True
+
+    wipeout = None
+    try:
+        for t in range(T):
+            setup(t)
+            balance(t)
+        for t in range(T - 1, -1, -1):
+            balance(t)
+            setup(t)
+        holes = any(xholes) or any(iholes)
+        while holes:
+            moved = False
+            for t in range(T):
+                moved |= setup(t)
+                moved |= balance(t)
+            holes = moved
+    except _Wipeout as exc:
+        wipeout = exc.args
     status = Status.UNCHANGED
-    for t in range(inst.T):
-        for kind in ("setup", "balance"):
-            status = merge(status, wake(kind, t))
-            if status is Status.FAILED:
-                return Status.FAILED, wakes
-    for t in range(inst.T - 1, -1, -1):
-        for kind in ("balance", "setup"):
-            status = merge(status, wake(kind, t))
-            if status is Status.FAILED:
-                return Status.FAILED, wakes
-    while holes:
-        before = store.mod_count
-        for t in range(inst.T):
-            for kind in ("setup", "balance"):
-                st = wake(kind, t)
-                if st is Status.FAILED:
-                    return Status.FAILED, wakes
-                status = merge(status, st)
-        if store.mod_count == before:
-            break
+    for (name, lo, hi), (lo0, hi0) in zip(bounds, start):
+        for t in range(T):
+            if lo[t] != lo0[t]:
+                store.set_min((name, t), lo[t])
+                status = Status.CHANGED
+            if hi[t] != hi0[t]:
+                store.set_max((name, t), hi[t])
+                status = Status.CHANGED
+    wakes = {("setup", t): n for t, n in enumerate(setup_wakes) if n}
+    wakes.update({("balance", t): n for t, n in enumerate(balance_wakes) if n})
+    if wipeout is not None:
+        name, t, kind, value = wipeout
+        store.tighten((name, t), kind, value)
+        return Status.FAILED, wakes
     return status, wakes
 
 
@@ -186,7 +253,12 @@ class LotSizingConstraint:
     offer: Callable[[Solution], bool] | None = None
 
     def __post_init__(self):
-        self._dp_sig: int | None = None
+        # Store readings at which the stages last ran: the plan epoch for
+        # BC, the strip and the flow bounds; that and the cost bounds the
+        # cost-filter stage reads for the DP or WISP stage.
+        self._flow_epoch: int | None = None
+        self._stripped: StrippedInstance | None = None
+        self._filter_key: tuple | None = None
         self._wisp_ran = False
         self._closed: Solution | None = None
         self._trivial_caps = self.instance.max_cost_bounds()
@@ -262,19 +334,22 @@ class LotSizingConstraint:
         self._closed = None
         while True:
             before = store.mod_count
-            st, _ = bc_feasibility(store, self.instance)
-            if st is Status.FAILED:
-                return PropagateResult.FAILED, None
+            fresh = store.plan_epoch != self._flow_epoch
+            if fresh:
+                if bc_feasibility(store, self.instance)[0] is Status.FAILED:
+                    return PropagateResult.FAILED, None
+                self._stripped = _strip(self.instance, store)
+            stripped = self._stripped
 
             if self._all_y_fixed():
-                res = self._try_complete()
+                res = self._try_complete(stripped)
                 if res is not None:
                     return res
 
-            stripped = _strip(self.instance, self.store)
-
-            if self._flow_bounds(stripped) is Status.FAILED:
-                return PropagateResult.FAILED, None
+            if fresh:
+                if self._flow_bounds(stripped) is Status.FAILED:
+                    return PropagateResult.FAILED, None
+                self._flow_epoch = store.plan_epoch
 
             if self._cost_filter_stage(stripped) is Status.FAILED:
                 return PropagateResult.FAILED, None
@@ -296,7 +371,7 @@ class LotSizingConstraint:
             for t in range(self.instance.T)
         )
 
-    def _try_complete(self) -> tuple[PropagateResult, Solution | None] | None:
+    def _try_complete(self, stripped: StrippedInstance) -> tuple[PropagateResult, Solution | None] | None:
         """All Y fixed: instantiate the rest, or report failure.
 
         Minimizing C, a completion that busts the C cap proves the subtree
@@ -325,8 +400,7 @@ class LotSizingConstraint:
                 if self._assign_solution(sol) is Status.FAILED:
                     return PropagateResult.FAILED, None
                 return PropagateResult.COMPLETED, sol
-        stripped = _strip(self.instance, self.store)
-        if not table_fits(make_cost_view(stripped, store, None)):
+        if not table_fits(stripped):
             return None
         sol = self._dp_complete(stripped)
         if sol is None:
@@ -340,16 +414,18 @@ class LotSizingConstraint:
         return PropagateResult.COMPLETED, sol
 
     def _flow_bounds(self, stripped: StrippedInstance) -> Status:
-        """Raise the cost minima from the four flow relaxations."""
+        """Raise the cost minima from the four flow relaxations: one network
+        build, four cost vectors."""
         store = self.store
         status = Status.UNCHANGED
+        full = build_network(stripped, store, FlowMode.FULL)
         for mode, var, base in (
             (FlowMode.CP_ONLY, "Cp", stripped.cp_min),
             (FlowMode.CH_ONLY, "Ch", stripped.ch_min),
             (FlowMode.CS_ONLY, "Cs", stripped.cs_min),
             (FlowMode.FULL, "C", stripped.c_min),
         ):
-            res = min_cost_flow(build_network(stripped, store, mode))
+            res = min_cost_flow(derive_network(full, stripped, mode))
             if res.status == INFEASIBLE:
                 return Status.FAILED
             status = merge(status, store.set_min((var, 0), res.integer_lower_bound + base))
@@ -359,10 +435,10 @@ class LotSizingConstraint:
 
     def _cost_filter_stage(self, stripped: StrippedInstance) -> Status:
         store = self.store
-        if self._dp_sig is not None and self._dp_sig == store.mod_count:
+        if self._filter_key == self._cost_filter_key():
             return Status.UNCHANGED
         mode = self.config.filter_mode
-        if mode == "auto" and not table_fits(make_cost_view(stripped, store, None)):
+        if mode == "auto" and not table_fits(stripped):
             # Above the table cap the node keeps its flow bounds: on the
             # registry's over-cap classes the decomposition bound equals them.
             return Status.UNCHANGED
@@ -377,8 +453,21 @@ class LotSizingConstraint:
             status = self._wisp_stage(stripped)
             self._wisp_ran = True
         if status is not Status.FAILED:
-            self._dp_sig = store.mod_count
+            self._filter_key = self._cost_filter_key()
         return status
+
+    def _cost_filter_key(self) -> tuple:
+        """What the DP and WISP stages read: the plan variables, min C (the
+        plan offer's closing test) and the four cost maxima (bounds and caps)."""
+        s = self.store
+        return (
+            s.plan_epoch,
+            s.min(("C", 0)),
+            s.max(("Cp", 0)),
+            s.max(("Ch", 0)),
+            s.max(("Cs", 0)),
+            s.max(("C", 0)),
+        )
 
     def _dp_stage(self, stripped: StrippedInstance) -> Status:
         store = self.store

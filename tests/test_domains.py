@@ -6,6 +6,7 @@ import pytest
 
 from lotsizing import DomainStore, Status, make_instance
 from lotsizing.domains import iv_from_mask, iv_intersect, iv_mask, iv_normalize, iv_values
+from test_bc import reference_setup
 
 
 def small_store() -> DomainStore:
@@ -129,27 +130,53 @@ class TestTrail:
             assert store.snapshot() == stack.pop()
 
 
+class TestPlanEpoch:
+    def test_moves_on_plan_changes_and_restoring_pops(self):
+        store = small_store()
+        epoch = store.plan_epoch
+        store.set_max(("C", 0), store.max(("C", 0)) - 1)
+        assert store.plan_epoch == epoch  # cost variables do not count
+        store.push_level()
+        store.set_min(("X", 0), 1)
+        assert store.plan_epoch > epoch
+        epoch = store.plan_epoch
+        store.pop_level()
+        assert store.plan_epoch > epoch  # the pop restored X_0
+        epoch = store.plan_epoch
+        store.push_level()
+        store.set_max(("Cs", 0), store.max(("Cs", 0)) - 1)
+        store.pop_level()
+        assert store.plan_epoch > epoch  # a restoring pop counts, whatever it restored
+        epoch = store.plan_epoch
+        store.push_level()
+        store.set_min(("X", 0), 0)
+        store.pop_level()
+        assert store.plan_epoch == epoch  # nothing to restore
+
+
 class TestChanneling:
+    """The setup link of the store-level reference BC."""
+
     def test_y_zero_forces_no_production(self):
         store = small_store()
         store.assign(("Y", 0), 0)
-        assert store.channel_setup(0) is Status.CHANGED
+        assert reference_setup(store, 0) is Status.CHANGED
         assert store.intervals(("X", 0)) == ((0, 0),)
 
     def test_production_min_forces_setup(self):
         store = small_store()
         store.set_min(("X", 1), 3)
-        assert store.channel_setup(1) is Status.CHANGED
+        assert reference_setup(store, 1) is Status.CHANGED
         assert store.value(("Y", 1)) == 1
 
     def test_y_zero_without_zero_production_fails(self):
         store = small_store()
         store.set_min(("X", 0), 2)
         store.assign(("Y", 0), 0)
-        assert store.channel_setup(0) is Status.FAILED
+        assert reference_setup(store, 0) is Status.FAILED
 
     def test_idempotent(self):
         store = small_store()
         store.set_min(("X", 1), 3)
-        store.channel_setup(1)
-        assert store.channel_setup(1) is Status.UNCHANGED
+        reference_setup(store, 1)
+        assert reference_setup(store, 1) is Status.UNCHANGED

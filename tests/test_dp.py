@@ -28,6 +28,7 @@ from lotsizing import dp as dp_mod
 from lotsizing.domains import iv_from_mask, iv_intersect, iv_shift, iv_values, merge
 from lotsizing.dp import DpBudgetExceeded, _window_min
 from conftest import plan_costs, rand_normalized, store_plans
+from test_bc import reference_setup
 
 INF = math.inf
 
@@ -85,7 +86,7 @@ class TestTables:
         inst = two_period()
         store = DomainStore.for_instance(inst)
         store.assign(("Y", 0), 0)
-        store.channel_setup(0)
+        reference_setup(store, 0)
         store, stripped = setup_problem(inst, store, bc=False)
         fwd = dpls_forward(stripped, store)
         assert math.isinf(fwd.optimum())
@@ -131,7 +132,7 @@ class TestTables:
                     store.tighten(("Y", t), "assign", rng.randint(0, 1))
                 if rng.random() < 0.3:
                     store.tighten(("X", t), "remove_value", rng.randint(0, 6))
-                store.channel_setup(t)
+                reference_setup(store, t)
             if store.failed:
                 continue
             store, stripped = setup_problem(inst, store)

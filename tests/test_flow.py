@@ -1,22 +1,33 @@
 """Flow relaxations and the exact completion under fixed setups."""
 
+import dataclasses
 import heapq
 import math
 import random
 from fractions import Fraction
 
+import lotsizing.dp as dp_mod
 from lotsizing import (
+    INSTANCE_CLASSES,
+    DisjunctiveSpec,
     DomainStore,
     FlowMode,
+    Status,
+    apply_disjunctions,
+    bc_feasibility,
     build_network,
     complete_when_setups_fixed,
     dpls_forward,
+    generate,
     make_instance,
     min_cost_flow,
     strip_lower_bounds,
     validate_and_normalize,
     verify,
 )
+from lotsizing.dp import make_cost_view
+from lotsizing.flow import derive_network
+from lotsizing.propagator import _strip
 from conftest import plan_costs, rand_normalized, store_plans
 from test_dp import setup_problem as dp_setup_problem
 
@@ -348,3 +359,81 @@ class TestCompletionAgainstDp:
             )
             feasible += 1
         assert feasible >= 300 and infeasible >= 300
+
+
+def _registry_root(cls: str, seed: int):
+    """A registry instance after bound consistency at the root, with the
+    class's disjunctions posted; None when that refutes it."""
+    template = INSTANCE_CLASSES[cls]
+    params = dataclasses.replace(template.params, seed=seed)
+    inst = validate_and_normalize(generate(params))
+    store = DomainStore.for_instance(inst)
+    if template.disjunction:
+        apply_disjunctions(store, DisjunctiveSpec.uniform(params.T, template.disjunction))
+    if store.failed or bc_feasibility(store, inst)[0] is Status.FAILED:
+        return None
+    return store, _strip(inst, store)
+
+
+def _fuzz_states(rng: random.Random, count: int):
+    """Stores with random setups fixed and bounds tightened, and their
+    strips; most after bound consistency, some without, where inventory
+    bounds can exceed the demand still to serve."""
+    while count:
+        inst = rand_normalized(rng, max_T=8, max_d=6, max_cap=9)
+        store = DomainStore.for_instance(inst)
+        if rng.random() < 0.5:
+            store.assign(("Y", rng.randrange(inst.T)), 1)
+        for _ in range(rng.randint(0, 5)):
+            key = (rng.choice("XIY"), rng.randrange(inst.T))
+            store.tighten(key, rng.choice(("set_min", "set_max", "assign")), rng.randint(store.min(key), store.max(key)))
+        if store.failed or (rng.random() < 0.7 and bc_feasibility(store, inst)[0] is Status.FAILED):
+            continue
+        try:
+            stripped = _strip(inst, store)
+        except ValueError:  # a negative adjusted demand without bound consistency
+            continue
+        count -= 1
+        yield store, stripped
+
+
+class TestDerivedNetworks:
+    """``derive_network`` turns the FULL network into the other three modes'
+    networks; ``dp.table_fits`` sizes the whole-horizon table from the strip
+    alone. Both must match what they replace exactly."""
+
+    def _check(self, store, stripped, window=None):
+        full = build_network(stripped, store, FlowMode.FULL, window)
+        for mode in FlowMode:
+            assert derive_network(full, stripped, mode) == build_network(stripped, store, mode, window), mode
+
+    def test_registry_roots(self, monkeypatch):
+        roots = 0
+        for cls in INSTANCE_CLASSES:
+            for seed in (1, 2, 3):
+                root = _registry_root(cls, seed)
+                if root is None:
+                    continue
+                store, stripped = root
+                self._check(store, stripped)
+                states = sum(make_cost_view(stripped, store, None).row_cap) + stripped.T + 1
+                monkeypatch.setattr(dp_mod, "_TABLE_CAP", states)
+                assert dp_mod.table_fits(stripped)
+                monkeypatch.setattr(dp_mod, "_TABLE_CAP", states - 1)
+                assert not dp_mod.table_fits(stripped)
+                roots += 1
+        assert roots >= 100
+
+    def test_fuzz_states_and_windows(self, monkeypatch):
+        rng = random.Random(29)
+        sunk = 0
+        for store, stripped in _fuzz_states(rng, 600):
+            T = stripped.T
+            self._check(store, stripped)
+            u = rng.randrange(T)
+            self._check(store, stripped, (u, rng.randrange(u, T)))
+            view = make_cost_view(stripped, store, None)
+            monkeypatch.setattr(dp_mod, "_TABLE_CAP", rng.randint(T, 4 * T + sum(view.row_cap)))
+            assert dp_mod.table_fits(stripped) == (sum(view.row_cap) + len(view.row_cap) <= dp_mod._TABLE_CAP)
+            sunk += build_network(stripped, store, FlowMode.CS_ONLY).const > 0
+        assert sunk >= 50

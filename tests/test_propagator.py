@@ -1,5 +1,6 @@
 """Feasibility propagation and the full filtering pipeline."""
 
+import copy
 import dataclasses
 import json
 import math
@@ -16,6 +17,7 @@ from lotsizing import (
     LotSizingConfig,
     LotSizingConstraint,
     PropagateResult,
+    QRSpec,
     Status,
     SearchConfig,
     SideSpecs,
@@ -315,8 +317,8 @@ class TestDpComplete:
 
 
 def registry_instance(name: str):
-    """Seed 1 of a registry class with its disjunctions, or seed k of the
-    Criterion 7 peak analogs for ``"C7/k"``."""
+    """Seed 1 of a registry class with its side constraints, or seed k of
+    the Criterion 7 peak analogs for ``"C7/k"``."""
     if name.startswith("C7/"):
         params = GeneratorParams(d_avg=100, delta=50, theta_lo=0.8, theta_hi=1.0, lam=4, T=40,
                                  seed=int(name[3:]), peak_value=5000,
@@ -325,8 +327,11 @@ def registry_instance(name: str):
     template = INSTANCE_CLASSES[name]
     params = dataclasses.replace(template.params, seed=1)
     side = None
-    if template.disjunction:
-        side = SideSpecs(disjunction=DisjunctiveSpec.uniform(params.T, template.disjunction))
+    if template.disjunction or template.qr:
+        side = SideSpecs(
+            disjunction=DisjunctiveSpec.uniform(params.T, template.disjunction) if template.disjunction else None,
+            qr=QRSpec(*template.qr) if template.qr else None,
+        )
     return validate_and_normalize(generate(params)), side
 
 
@@ -376,9 +381,7 @@ class TestAutoRouting:
             store, ls, _, _ = build_model(inst, side, SearchConfig(filter_mode=mode))
             store.set_max(("C", 0), opt)
             assert ls.propagate()[0] is PropagateResult.FIXPOINT
-            return [store.intervals((kind, t)) for kind in "XIY" for t in range(inst.T)] + [
-                store.intervals((var, 0)) for var in ("Cp", "Ch", "Cs", "C")
-            ]
+            return _plan_and_cost_domains(store, inst.T)
 
         assert root("auto") == root("wisp")
         for ub in (opt, None):
@@ -391,10 +394,86 @@ class TestAutoRouting:
             assert runs[0] == runs[1]
 
 
+def _plan_and_cost_domains(store, T):
+    return [store.intervals((kind, t)) for kind in "XIY" for t in range(T)] + [
+        store.intervals((var, 0)) for var in ("Cp", "Ch", "Cs", "C")
+    ]
+
+
+class TestStageSkip:
+    """BC, the strip and the flow bounds rerun only when the plan epoch has
+    moved, the DP stage only when its key has; skipping must never leave a
+    state that a fresh constraint would still narrow."""
+
+    @pytest.mark.parametrize("name", ["C1LS", "C1Peaks", "C1Disj", "C1QR", "C1DisjQR"])
+    def test_fixpoint_is_fixed_for_a_fresh_constraint(self, monkeypatch, name):
+        """Node-capped searches in both protocols; after every ``propagate``
+        that reports a fixpoint, a fresh constraint on the same store changes
+        nothing. The DP plan closes the DP classes at the root, so they are
+        searched once more with plan offers turned down, which makes them
+        branch with the DP stage at every node."""
+        inst, side = registry_instance(name)
+        original = LotSizingConstraint.propagate
+        checked = []
+
+        def propagate_and_recheck(self):
+            res, sol = original(self)
+            if res is PropagateResult.FIXPOINT:
+                before = self.store.mod_count
+                fresh = LotSizingConstraint(self.instance, self.store, self.config)
+                assert original(fresh) == (PropagateResult.FIXPOINT, None)
+                assert self.store.mod_count == before
+                checked.append(self.store.level)
+            return res, sol
+
+        monkeypatch.setattr(LotSizingConstraint, "propagate", propagate_and_recheck)
+        optima = json.loads(_REFERENCES.read_text(encoding="ascii"))["optima"]
+        branching = "peak" if "Peaks" in name else "lex"
+        for offers in (True, False):
+            if not offers:
+                monkeypatch.setattr(LotSizingConstraint, "_offer_plan", lambda self, fwd, stripped: False)
+            for ub in (optima.get(name, {}).get("1"), None):
+                solve(inst, side, SearchConfig(ub=ub, branching=branching, node_limit=15))
+        assert checked
+        if name != "C1DisjQR":  # seed 1 of C1DisjQR is refuted at the root
+            assert max(checked) > 0
+
+    @pytest.mark.parametrize("name", ["C1LS", "C1Disj"])
+    def test_pop_without_assignment_reruns_the_dp(self, monkeypatch, name):
+        """Propagate at a pushed level, pop it with no assignment, and
+        propagate again: the pop restores the domains the DP had narrowed,
+        so the DP must rerun and leave what a fresh constraint leaves. The
+        root starts at the fixpoint of the stages before the DP, so only the
+        DP can tell the two states apart; its bound is half a percent above
+        the optimum, so the DP narrows the domains without fixing the plan."""
+        inst, side = registry_instance(name)
+        store, ls, _, _ = build_model(inst, side, SearchConfig())
+        opt = _reference_optimum(name, 1)
+        store.set_max(("C", 0), opt + opt // 200)
+        with monkeypatch.context() as m:
+            m.setattr(dp_mod, "_TABLE_CAP", 0)
+            assert LotSizingConstraint(inst, store).propagate()[0] is PropagateResult.FIXPOINT
+        cheap = _plan_and_cost_domains(store, inst.T)
+        want_store = copy.deepcopy(store)
+        assert LotSizingConstraint(inst, want_store, ls.config).propagate()[0] is PropagateResult.FIXPOINT
+        want = _plan_and_cost_domains(want_store, inst.T)
+        assert want != cheap
+
+        store.push_level()
+        assert ls.propagate()[0] is PropagateResult.FIXPOINT
+        assert _plan_and_cost_domains(store, inst.T) == want
+        store.pop_level()
+        assert _plan_and_cost_domains(store, inst.T) == cheap
+        assert ls.propagate()[0] is PropagateResult.FIXPOINT
+        assert _plan_and_cost_domains(store, inst.T) == want
+
+
+_REFERENCES = Path(__file__).resolve().parents[1] / "perfbench" / "references.json"
+
+
 def _reference_optimum(cls: str, seed: int) -> int:
     """The stored HiGHS optimum of a registry instance (perfbench/references.json)."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "references.json"
-    return json.loads(path.read_text(encoding="ascii"))["optima"][cls][str(seed)]
+    return json.loads(_REFERENCES.read_text(encoding="ascii"))["optima"][cls][str(seed)]
 
 
 class TestCostBoundSoundness:
