@@ -6,9 +6,10 @@ periods, and each period ships its demand to the sink. Production arc costs
 amortize the setup cost over the capacity (``p_t + s_t / cap_t``), which is
 what makes the relaxation valid. Restricting the cost vector gives dedicated
 lower bounds for the production-cost, holding-cost and setup-cost variables.
-The four networks of one set of domains differ only in their costs, so the
-propagator builds the FULL network once (``build_network``) and derives the
-other three from it (``derive_network``): one build, four cost vectors.
+The four networks of one set of domains differ only in their costs:
+``build_network`` assembles the FULL network and ``derive_network`` turns it
+into any other mode's, so the propagator builds once and derives the other
+three, one build and four cost vectors.
 
 One integer greedy, ``path_greedy``, solves every instance of this network:
 the whole-horizon relaxations (``min_cost_flow``, rates scaled to integers),
@@ -78,53 +79,42 @@ def build_network(
     u, v = (0, stripped.T - 1) if window is None else window
     n = v + 1
     prod_cap, prod_cost, demand = [], [], []
-    inv_cap, inv_cost = [], []
+    inv_cap = []
     const = 0
     for t in range(n):
         cap = min(stripped.x_cap[t], store.max(("X", t)) - stripped.x_off[t])
-        y_lo = store.min(("Y", t))
-        y_hi = store.max(("Y", t))
-        if y_hi == 0:
+        if store.max(("Y", t)) == 0:
             cap = 0
         in_window = u <= t <= v
         s_eff = stripped.s[t] if in_window else 0
-        if y_lo == 1 and s_eff > 0:
-            if mode in (FlowMode.FULL, FlowMode.CS_ONLY):
-                const += s_eff
+        if store.min(("Y", t)) == 1:
+            const += s_eff
             s_eff = 0
         cap = max(cap, 0)
-        if mode is FlowMode.CP_ONLY:
-            cost = stripped.p[t]
-        elif mode is FlowMode.CH_ONLY:
-            cost = 0
-        elif mode is FlowMode.CS_ONLY:
-            cost = Fraction(s_eff, cap) if (cap > 0 and s_eff > 0) else 0
-        else:
-            cost = Fraction(stripped.p[t] * cap + s_eff, cap) if (cap > 0 and s_eff > 0) else stripped.p[t]
         prod_cap.append(cap)
-        prod_cost.append(cost)
+        prod_cost.append(Fraction(stripped.p[t] * cap + s_eff, cap) if (cap > 0 and s_eff > 0) else stripped.p[t])
         demand.append(stripped.d[t] if in_window else 0)
         if t < n - 1:
             icap = min(stripped.i_cap[t], store.max(("I", t)) - stripped.i_off[t])
             inv_cap.append(max(icap, 0))
-            inv_cost.append(stripped.h[t] if mode in (FlowMode.FULL, FlowMode.CH_ONLY) else 0)
-    return FlowNetwork(
+    full = FlowNetwork(
         n=n,
         prod_cap=prod_cap,
         prod_cost=prod_cost,
         inv_cap=inv_cap,
-        inv_cost=inv_cost,
+        inv_cost=list(stripped.h[: n - 1]),
         demand=demand,
         const=const,
     )
+    return derive_network(full, stripped, mode)
 
 
 def derive_network(full: FlowNetwork, stripped: StrippedInstance, mode: FlowMode) -> FlowNetwork:
     """The ``mode`` network of the instance and domains that ``full`` (the
-    FULL network) was built from, equal to ``build_network``'s. The four
-    modes share capacities and demands; CP_ONLY keeps the unit costs p,
-    CH_ONLY the holding costs, and CS_ONLY the amortized setups (FULL's
-    production costs minus p) with the sunk setups as its constant."""
+    FULL network) was built from. The four modes share capacities and
+    demands; CP_ONLY keeps the unit costs p, CH_ONLY the holding costs, and
+    CS_ONLY the amortized setups (FULL's production costs minus p) with the
+    sunk setups as its constant."""
     if mode is FlowMode.FULL:
         return full
     n = full.n

@@ -4,15 +4,18 @@ import random
 
 import pytest
 
-from lotsizing import DomainStore, Status, make_instance
+from lotsizing import DomainStore, Status, bc_feasibility, make_instance
 from lotsizing.domains import iv_from_mask, iv_intersect, iv_mask, iv_normalize, iv_values
-from test_bc import reference_setup
+
+
+def small_problem():
+    inst = make_instance(d=[2, 3, 1], p=[1, 1, 1], h=[1, 1, 1], s=[2, 2, 2],
+                         alpha_hi=[5, 5, 5], beta_hi=[10, 10, 10])
+    return DomainStore.for_instance(inst), inst
 
 
 def small_store() -> DomainStore:
-    inst = make_instance(d=[2, 3, 1], p=[1, 1, 1], h=[1, 1, 1], s=[2, 2, 2],
-                         alpha_hi=[5, 5, 5], beta_hi=[10, 10, 10])
-    return DomainStore.for_instance(inst)
+    return small_problem()[0]
 
 
 class TestIntervalSets:
@@ -155,28 +158,33 @@ class TestPlanEpoch:
 
 
 class TestChanneling:
-    """The setup link of the store-level reference BC."""
+    """The setup link X_t <= cap * Y_t inside ``bc_feasibility``."""
 
     def test_y_zero_forces_no_production(self):
-        store = small_store()
-        store.assign(("Y", 0), 0)
-        assert reference_setup(store, 0) is Status.CHANGED
-        assert store.intervals(("X", 0)) == ((0, 0),)
+        store, inst = small_problem()
+        store.assign(("Y", 1), 0)
+        assert bc_feasibility(store, inst)[0] is Status.CHANGED
+        assert store.intervals(("X", 1)) == ((0, 0),)
+        assert store.intervals(("X", 0)) == ((5, 5),)  # period 0 now serves period 1
 
     def test_production_min_forces_setup(self):
-        store = small_store()
+        store, inst = small_problem()
         store.set_min(("X", 1), 3)
-        assert reference_setup(store, 1) is Status.CHANGED
+        assert store.max(("Y", 1)) == 1 and store.min(("Y", 1)) == 0
+        assert bc_feasibility(store, inst)[0] is Status.CHANGED
         assert store.value(("Y", 1)) == 1
 
     def test_y_zero_without_zero_production_fails(self):
-        store = small_store()
+        store, inst = small_problem()
         store.set_min(("X", 0), 2)
         store.assign(("Y", 0), 0)
-        assert reference_setup(store, 0) is Status.FAILED
+        assert bc_feasibility(store, inst)[0] is Status.FAILED
+        assert store.failed
 
     def test_idempotent(self):
-        store = small_store()
+        store, inst = small_problem()
         store.set_min(("X", 1), 3)
-        reference_setup(store, 1)
-        assert reference_setup(store, 1) is Status.UNCHANGED
+        bc_feasibility(store, inst)
+        before = store.mod_count
+        assert bc_feasibility(store, inst)[0] is Status.UNCHANGED
+        assert store.mod_count == before

@@ -26,7 +26,7 @@ from lotsizing import (
     verify,
 )
 from lotsizing.dp import make_cost_view
-from lotsizing.flow import derive_network
+from lotsizing.flow import FlowNetwork, derive_network
 from lotsizing.propagator import _strip
 from conftest import plan_costs, rand_normalized, store_plans
 from test_dp import setup_problem as dp_setup_problem
@@ -397,15 +397,57 @@ def _fuzz_states(rng: random.Random, count: int):
         yield store, stripped
 
 
+def reference_network(stripped, store, mode, window=None) -> FlowNetwork:
+    """Each mode's network built on its own, period by period: the per-mode
+    builder that one FULL build plus ``derive_network`` replaced, kept as
+    the reference the derivation must reproduce exactly."""
+    u, v = (0, stripped.T - 1) if window is None else window
+    n = v + 1
+    prod_cap, prod_cost, demand = [], [], []
+    inv_cap, inv_cost = [], []
+    const = 0
+    for t in range(n):
+        cap = min(stripped.x_cap[t], store.max(("X", t)) - stripped.x_off[t])
+        y_lo = store.min(("Y", t))
+        y_hi = store.max(("Y", t))
+        if y_hi == 0:
+            cap = 0
+        in_window = u <= t <= v
+        s_eff = stripped.s[t] if in_window else 0
+        if y_lo == 1 and s_eff > 0:
+            if mode in (FlowMode.FULL, FlowMode.CS_ONLY):
+                const += s_eff
+            s_eff = 0
+        cap = max(cap, 0)
+        if mode is FlowMode.CP_ONLY:
+            cost = stripped.p[t]
+        elif mode is FlowMode.CH_ONLY:
+            cost = 0
+        elif mode is FlowMode.CS_ONLY:
+            cost = Fraction(s_eff, cap) if (cap > 0 and s_eff > 0) else 0
+        else:
+            cost = Fraction(stripped.p[t] * cap + s_eff, cap) if (cap > 0 and s_eff > 0) else stripped.p[t]
+        prod_cap.append(cap)
+        prod_cost.append(cost)
+        demand.append(stripped.d[t] if in_window else 0)
+        if t < n - 1:
+            icap = min(stripped.i_cap[t], store.max(("I", t)) - stripped.i_off[t])
+            inv_cap.append(max(icap, 0))
+            inv_cost.append(stripped.h[t] if mode in (FlowMode.FULL, FlowMode.CH_ONLY) else 0)
+    return FlowNetwork(n, prod_cap, prod_cost, inv_cap, inv_cost, demand, const)
+
+
 class TestDerivedNetworks:
-    """``derive_network`` turns the FULL network into the other three modes'
-    networks; ``dp.table_fits`` sizes the whole-horizon table from the strip
-    alone. Both must match what they replace exactly."""
+    """``build_network`` builds the FULL network and derives every mode from
+    it; ``dp.table_fits`` sizes the whole-horizon table from the strip alone.
+    Both must match what they replace exactly."""
 
     def _check(self, store, stripped, window=None):
         full = build_network(stripped, store, FlowMode.FULL, window)
         for mode in FlowMode:
-            assert derive_network(full, stripped, mode) == build_network(stripped, store, mode, window), mode
+            ref = reference_network(stripped, store, mode, window)
+            assert build_network(stripped, store, mode, window) == ref, mode
+            assert derive_network(full, stripped, mode) == ref, mode
 
     def test_registry_roots(self, monkeypatch):
         roots = 0
