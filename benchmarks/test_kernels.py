@@ -79,7 +79,7 @@ def test_forward_step(benchmark, cls):
     """The widest step of the whole-horizon forward table."""
     _, store, stripped = _root(cls)
     view = make_cost_view(stripped, store, None)
-    fwd = _build_forward(view, stripped, store, None, None)
+    fwd = _build_forward(view, stripped, store)
     t = max(range(view.u, view.v + 1), key=lambda b: len(fwd.row(b)) + len(fwd.row(b + 1)))
     prev = fwd.row(t)
     row = benchmark(_forward_step, view, t, prev)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .instance import (
@@ -37,28 +37,40 @@ def _write_solution(sol: Solution, path: Path) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
+_SCALARS = ("T", "cp", "ch", "cs", "c")
+_PLAN_FIELDS = ("t", "x", "i", "y")
+
+
 def _read_solution(path: Path) -> Solution:
     x, i, y = [], [], []
-    costs = {}
-    T = None
+    scalars = {}
     for lineno, raw in enumerate(path.read_text(encoding="ascii").splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split()
-        if parts[0] == "T":
-            T = int(parts[1])
-        elif parts[0] in ("cp", "ch", "cs", "c"):
-            costs[parts[0]] = int(parts[1])
+        scalar = parts[0] in _SCALARS
+        names, toks = ((parts[0],), parts[1:]) if scalar else (_PLAN_FIELDS, parts)
+        if len(toks) != len(names):
+            shape = f"{parts[0]} <int>" if scalar else " ".join(_PLAN_FIELDS)
+            raise ValueError(f"{path}:{lineno}: expected '{shape}', got {raw!r}")
+        vals = []
+        for name, tok in zip(names, toks):
+            try:
+                vals.append(int(tok))
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: field {name}: invalid integer {tok!r}") from None
+        if scalar:
+            scalars[parts[0]] = vals[0]
         else:
-            if len(parts) != 4:
-                raise ValueError(f"{path}:{lineno}: expected 't x i y'")
-            x.append(int(parts[1]))
-            i.append(int(parts[2]))
-            y.append(int(parts[3]))
-    if T is None or len(x) != T or set(costs) != {"cp", "ch", "cs", "c"}:
+            x.append(vals[1])
+            i.append(vals[2])
+            y.append(vals[3])
+    if set(scalars) != set(_SCALARS) or len(x) != scalars["T"]:
         raise ValueError(f"{path}: incomplete solution file")
-    return Solution(x=tuple(x), i=tuple(i), y=tuple(y), cp=costs["cp"], ch=costs["ch"], cs=costs["cs"], c=costs["c"])
+    return Solution(
+        x=tuple(x), i=tuple(i), y=tuple(y), cp=scalars["cp"], ch=scalars["ch"], cs=scalars["cs"], c=scalars["c"]
+    )
 
 
 def cmd_generate(args) -> int:
@@ -93,19 +105,7 @@ def cmd_generate(args) -> int:
         peak_first = False
     files = []
     for k in range(args.count):
-        params = GeneratorParams(
-            d_avg=base_params.d_avg,
-            delta=base_params.delta,
-            theta_lo=base_params.theta_lo,
-            theta_hi=base_params.theta_hi,
-            e=base_params.e,
-            lam=base_params.lam,
-            T=base_params.T,
-            seed=args.seed + k,
-            peak_value=base_params.peak_value,
-            peak_periods=base_params.peak_periods,
-        )
-        inst = generate(params)
+        inst = generate(replace(base_params, seed=args.seed + k))
         fname = f"{name}_{k:02d}.txt"
         write_instance(inst, out / fname)
         files.append(fname)
@@ -166,7 +166,6 @@ def cmd_solve(args) -> int:
         branching=args.branching,
         time_limit=args.time_limit,
         node_limit=args.node_limit,
-        dp_budget=args.dp_budget,
         filter_mode=args.filter,
     )
     sol, stats = solve(inst, side, config)
@@ -248,12 +247,7 @@ def cmd_bench(args) -> int:
     rows = []
     for f in files:
         inst = validate_and_normalize(read_instance(f))
-        base = SearchConfig(
-            branching=branching,
-            time_limit=args.time_limit,
-            dp_budget=args.dp_budget,
-            filter_mode=args.filter,
-        )
+        base = SearchConfig(branching=branching, time_limit=args.time_limit, filter_mode=args.filter)
         if args.given_ub:
             # Paper protocol: find the optimum first, then measure the run
             # that is handed the optimal upper bound.
@@ -261,14 +255,7 @@ def cmd_bench(args) -> int:
             if discover.best_cost is None:
                 rows.append((f.name, discover))
                 continue
-            measured = SearchConfig(
-                ub=discover.best_cost,
-                branching=branching,
-                time_limit=args.time_limit,
-                dp_budget=args.dp_budget,
-                filter_mode=args.filter,
-            )
-            _, stats = solve(inst, side, measured)
+            _, stats = solve(inst, side, replace(base, ub=discover.best_cost))
         else:
             _, stats = solve(inst, side, base)
         rows.append((f.name, stats))
@@ -314,12 +301,6 @@ def cmd_export_lp(args) -> int:
     return 0
 
 
-DP_BUDGET_HELP = (
-    "transition budget of the window decomposition, which runs only under --filter wisp: "
-    "windows under it get exact DP bounds"
-)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="lotsizing", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -346,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--branching", choices=("lex", "peak"), default="lex")
     s.add_argument("--time-limit", type=float)
     s.add_argument("--node-limit", type=int)
-    s.add_argument("--dp-budget", type=int, default=20_000_000, help=DP_BUDGET_HELP)
     s.add_argument("--stats", choices=("text", "machine"), default="text")
     s.add_argument("--out-solution")
     s.set_defaults(func=cmd_solve)
@@ -363,7 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--given-ub", action="store_true", help="measure runs given the optimal upper bound")
     b.add_argument("--time-limit", type=float, default=200.0)
     b.add_argument("--filter", choices=("auto", "dp", "wisp"), default="auto")
-    b.add_argument("--dp-budget", type=int, default=20_000_000, help=DP_BUDGET_HELP)
     b.set_defaults(func=cmd_bench)
 
     e = sub.add_parser("export-lp", help="write the aggregated MILP as an .lp file")

@@ -45,10 +45,6 @@ from .instance import StrippedInstance
 INF = math.inf
 
 
-class DpBudgetExceeded(Exception):
-    """State space too large for the configured budget; use the WISP path."""
-
-
 @dataclass
 class CostView:
     """Cost/transition data of one window, shared by tables and filters.
@@ -182,7 +178,7 @@ def make_cost_view(
 
 def state_budget(view: CostView) -> int:
     """Transition-count proxy (periods x (max states + 1)^2) that the WISP
-    window bounds test against the configured DP budget. The whole-horizon
+    window bounds test against ``wisp._WINDOW_BUDGET``. The whole-horizon
     DP is chosen by ``table_fits`` instead."""
     top = max(view.row_cap)
     return (view.v - view.u + 1) * (top + 1) * (top + 1)
@@ -328,13 +324,6 @@ def _backward_step(view: CostView, t: int, nxt: np.ndarray) -> np.ndarray:
     return row
 
 
-def _check_budget(view: CostView, dp_budget: int | None) -> None:
-    if dp_budget is not None and state_budget(view) > dp_budget:
-        raise DpBudgetExceeded(
-            f"window ({view.u}, {view.v}) needs {state_budget(view)} transitions, budget {dp_budget}"
-        )
-
-
 def greedy_prestock(
     stripped: StrippedInstance,
     store: DomainStore,
@@ -390,17 +379,15 @@ def greedy_prestock(
     return init
 
 
-def _build_forward(view: CostView, stripped, store, init_row, dp_budget) -> DpTable:
-    _check_budget(view, dp_budget)
-    if init_row is None:
-        if view.u == 0:
-            init_row = np.array([0.0])
-        else:
-            init_row = greedy_prestock(stripped, store, view.u, view.cap(view.u), zero_costs=view.cs_mode)
-    init_row = np.asarray(init_row, dtype=float)
+def _build_forward(view: CostView, stripped: StrippedInstance, store: DomainStore) -> DpTable:
+    """Forward table of ``view``, seeded with the cheapest pre-stock when the
+    window starts after period 0."""
+    if view.u == 0:
+        init_row = np.array([0.0])
+    else:
+        init_row = greedy_prestock(stripped, store, view.u, view.cap(view.u), zero_costs=view.cs_mode)
     mask = view.i_mask_at(view.u)
     if mask is not None:
-        init_row = init_row.copy()
         init_row[~mask] = INF
     rows = [init_row]
     for t in range(view.u, view.v + 1):
@@ -416,65 +403,17 @@ def _backward_rows(view: CostView) -> list[np.ndarray]:
     return rows
 
 
-def _build_backward(view: CostView, dp_budget) -> DpTable:
-    _check_budget(view, dp_budget)
-    return DpTable(forward=False, view=view, rows=_backward_rows(view))
-
-
-def dpls_forward(
-    stripped: StrippedInstance,
-    store: DomainStore,
-    window: tuple[int, int] | None = None,
-    init_row: np.ndarray | None = None,
-    dp_budget: int | None = None,
-) -> DpTable:
-    view = make_cost_view(stripped, store, window, cs_mode=False)
-    return _build_forward(view, stripped, store, init_row, dp_budget)
-
-
-def dpls_backward(
-    stripped: StrippedInstance,
-    store: DomainStore,
-    window: tuple[int, int] | None = None,
-    dp_budget: int | None = None,
-) -> DpTable:
-    view = make_cost_view(stripped, store, window, cs_mode=False)
-    return _build_backward(view, dp_budget)
-
-
-def dpknap_forward(
-    stripped: StrippedInstance,
-    store: DomainStore,
-    window: tuple[int, int] | None = None,
-    init_row: np.ndarray | None = None,
-    dp_budget: int | None = None,
-) -> DpTable:
-    view = make_cost_view(stripped, store, window, cs_mode=True)
-    return _build_forward(view, stripped, store, init_row, dp_budget)
-
-
-def dpknap_backward(
-    stripped: StrippedInstance,
-    store: DomainStore,
-    window: tuple[int, int] | None = None,
-    dp_budget: int | None = None,
-) -> DpTable:
-    view = make_cost_view(stripped, store, window, cs_mode=True)
-    return _build_backward(view, dp_budget)
-
-
 def window_tables(
     stripped: StrippedInstance,
     store: DomainStore,
     window: tuple[int, int] | None,
     cs_mode: bool,
-    dp_budget: int | None = None,
 ) -> tuple[DpTable, DpTable]:
     """Matched forward/backward tables sharing one cost view. The backward
     table is built on its first read, so callers that stop at the forward
     table never pay for it."""
     view = make_cost_view(stripped, store, window, cs_mode=cs_mode)
-    fwd = _build_forward(view, stripped, store, None, dp_budget)
+    fwd = _build_forward(view, stripped, store)
     bwd = DpTable(forward=False, view=view, build=lambda: _backward_rows(view))
     return fwd, bwd
 

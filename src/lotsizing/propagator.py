@@ -16,8 +16,8 @@ runs when one of its tables holds at most 2**20 states (``dp.table_fits``);
 above that, the node keeps the flow bounds alone. The same test gates the
 DP completion of plans whose production domains carry holes. The paper's
 interval-decomposition bound and windowed filtering run only under
-``filter_mode="wisp"``, where ``dp_budget`` decides which of their windows
-are exact.
+``filter_mode="wisp"``, where the fixed threshold ``wisp._WINDOW_BUDGET``
+decides which of their windows are exact.
 
 The argmin plan of the DP's cost table is offered to the search, which
 gates it (the DP does not know Q/R) and keeps it as its incumbent. When an
@@ -237,7 +237,6 @@ def complete_when_setups_fixed(inst: Instance, store: DomainStore) -> Solution |
 
 @dataclass
 class LotSizingConfig:
-    dp_budget: int = 20_000_000
     filter_mode: str = "auto"  # auto | dp | wisp
     hole_punch: bool = False
     flow_completion_valid: bool = True
@@ -511,12 +510,7 @@ class LotSizingConstraint:
             (wisp_mod.COST_C, "C", stripped.c_min, self._trivial_caps[3]),
             (wisp_mod.COST_CS, "Cs", stripped.cs_min, self._trivial_caps[2]),
         ):
-            decomp = wisp_mod.compute_decomposition(
-                stripped,
-                store,
-                mode=mode,
-                dp_budget=self.config.dp_budget,
-            )
+            decomp = wisp_mod.compute_decomposition(stripped, store, mode=mode)
             if any(math.isinf(s.w) for s in decomp.subproblems):
                 return Status.FAILED
             # Setups already sunk outside every support window are paid on
@@ -543,7 +537,6 @@ class LotSizingConstraint:
                         store,
                         ub,
                         mode=mode,
-                        dp_budget=self.config.dp_budget,
                         hole_punch=self.config.hole_punch,
                     ),
                 )

@@ -42,7 +42,6 @@ class SearchConfig:
     branching: str = "lex"  # lex | peak
     time_limit: float | None = None
     node_limit: int | None = None
-    dp_budget: int = 20_000_000
     filter_mode: str = "auto"  # auto | dp | wisp
     hole_punch: bool = False
 
@@ -91,7 +90,6 @@ def build_model(
         inst,
         store,
         LotSizingConfig(
-            dp_budget=config.dp_budget,
             filter_mode=config.filter_mode,
             hole_punch=config.hole_punch,
             flow_completion_valid=flow_ok,

@@ -8,15 +8,15 @@ disjoint combination is weighted interval scheduling over the n = T(T-1)/2
 windows, which arrive pre-sorted (by end period, then start period), so the
 DP is linear in n.
 
-Per-window bounds come from the windowed DP when the state space fits the
-budget and from the flow relaxation otherwise. Both take one pass per start
-period u: one forward table gives the exact bounds of all windows (u, v) that
-fit (``_window_bounder``), and one greedy pass over the path network
-(``flow.window_flow_bounds``) gives the flow bounds of the rest. Bounds are
-recomputed on every call; nothing is memoized across calls. Prefix/suffix
-variants of the scheduling DP give lower bounds on the cost spent strictly
-before or after a window; these offsets let the windowed DP tables filter
-domains against the global cost bound.
+Per-window bounds come from the windowed DP when the window's state proxy
+fits ``_WINDOW_BUDGET`` and from the flow relaxation otherwise. Both take one
+pass per start period u: one forward table gives the exact bounds of all
+windows (u, v) that fit (``_window_bounder``), and one greedy pass over the
+path network (``flow.window_flow_bounds``) gives the flow bounds of the rest.
+Bounds are recomputed on every call; nothing is memoized across calls.
+Prefix/suffix variants of the scheduling DP give lower bounds on the cost
+spent strictly before or after a window; these offsets let the windowed DP
+tables filter domains against the global cost bound.
 """
 
 from __future__ import annotations
@@ -37,6 +37,10 @@ FLOW_RELAX = "FLOW_RELAX"
 
 COST_C = "COST_C"
 COST_CS = "COST_CS"
+
+# Transition proxy (``dp.state_budget``) up to which a window gets the exact
+# DP. Read at call time: ``math.inf`` makes every window exact, 0 none.
+_WINDOW_BUDGET = 20_000_000
 
 
 @dataclass
@@ -98,7 +102,7 @@ def enumerate_subproblems(T: int) -> list[SubProblem]:
 INF_BOUND = math.inf
 
 
-def _last_exact_ends(stripped: StrippedInstance, store: DomainStore, dp_budget: int | None) -> list[int]:
+def _last_exact_ends(stripped: StrippedInstance, store: DomainStore) -> list[int]:
     """Per start u, the last end v whose window (u, v) gets the exact DP.
 
     The state proxy of a window is (v - u + 1) * (top + 1)^2, with top the
@@ -107,8 +111,6 @@ def _last_exact_ends(stripped: StrippedInstance, store: DomainStore, dp_budget: 
     a start are u..v*(u); v*(u) = u - 1 when there is none.
     """
     T = stripped.T
-    if dp_budget is None:
-        return [T - 1] * T
     dprefix = np.concatenate(([0], np.cumsum(stripped.d, dtype=np.int64)))
     total = int(dprefix[-1])
     icap = np.array(
@@ -122,14 +124,14 @@ def _last_exact_ends(stripped: StrippedInstance, store: DomainStore, dp_budget: 
     starts = np.arange(T)
     top_uv = top[:, np.maximum(starts, 1) - 1].T  # [u, v]: boundaries max(u, 1)..
     span = starts[None, :] - starts[:, None] + 1  # [u, v]: v - u + 1
-    fits = (span >= 1) & (span * (top_uv + 1.0) ** 2 <= dp_budget)  # float: no overflow
+    fits = (span >= 1) & (span * (top_uv + 1.0) ** 2 <= _WINDOW_BUDGET)  # float: no overflow
     return (starts - 1 + fits.sum(axis=1)).tolist()
 
 
-def _window_bounder(stripped: StrippedInstance, store: DomainStore, mode: str, dp_budget: int | None):
+def _window_bounder(stripped: StrippedInstance, store: DomainStore, mode: str):
     """``bounds(u, v_last) -> [(w, kind) for v = u..v_last]`` under current domains.
 
-    Windows whose state proxy fits the budget get the exact windowed DP
+    Windows whose state proxy fits ``_WINDOW_BUDGET`` get the exact windowed DP
     (pre-stock seeded, zero end inventory): one forward table per start u on
     the relaxed view of (u, min(v*, T-2)) gives them all, since the rows of a
     shorter window are the low states of a longer one's, so f(v+1, 0) is the
@@ -141,7 +143,7 @@ def _window_bounder(stripped: StrippedInstance, store: DomainStore, mode: str, d
     """
     cs = mode == COST_CS
     T = stripped.T
-    last_exact = _last_exact_ends(stripped, store, dp_budget)
+    last_exact = _last_exact_ends(stripped, store)
     sunk = [stripped.s[t] if store.min(("Y", t)) == 1 else 0 for t in range(T)]
     flow_pass = window_flow_bounds(stripped, store, cs)
 
@@ -151,7 +153,7 @@ def _window_bounder(stripped: StrippedInstance, store: DomainStore, mode: str, d
         sweep_end = min(end, T - 2)
         if sweep_end >= u:
             view = make_cost_view(stripped, store, (u, sweep_end), cs_mode=cs)
-            rows = _build_forward(view, stripped, store, None, None).rows
+            rows = _build_forward(view, stripped, store).rows
             paid = 0
             for v in range(u, sweep_end + 1):
                 paid += sunk[v]
@@ -159,7 +161,7 @@ def _window_bounder(stripped: StrippedInstance, store: DomainStore, mode: str, d
                 out.append((INF_BOUND if math.isinf(opt) else opt + paid, DP_EXACT))
         if end == T - 1:
             view = make_cost_view(stripped, store, (u, T - 1), cs_mode=cs)
-            opt = _build_forward(view, stripped, store, None, None).optimum()
+            opt = _build_forward(view, stripped, store).optimum()
             out.append((INF_BOUND if math.isinf(opt) else opt + view.sunk, DP_EXACT))
         if v_last > end:
             flow = flow_pass(u)
@@ -174,10 +176,9 @@ def bound_subproblem(
     store: DomainStore,
     sub: SubProblem,
     mode: str = COST_C,
-    dp_budget: int | None = None,
 ) -> tuple[float, str]:
     """Lower bound on the window's cost contribution under current domains."""
-    return _window_bounder(stripped, store, mode, dp_budget)(sub.u, sub.v)[-1]
+    return _window_bounder(stripped, store, mode)(sub.u, sub.v)[-1]
 
 
 @dataclass
@@ -246,12 +247,11 @@ def compute_decomposition(
     stripped: StrippedInstance,
     store: DomainStore,
     mode: str = COST_C,
-    dp_budget: int | None = None,
 ) -> WispDecomposition:
     """Bound every sub-problem, one start period at a time, and run the DPs."""
     T = stripped.T
     subs = enumerate_subproblems(T)
-    bounds = _window_bounder(stripped, store, mode, dp_budget)
+    bounds = _window_bounder(stripped, store, mode)
     for u in range(T - 1):
         for v, (w, kind) in enumerate(bounds(u, T - 1)[1:], start=u + 1):
             sub = subs[subproblem_index(u + 1, v + 1) - 1]
@@ -265,10 +265,10 @@ def wisp_support_filter(
     store: DomainStore,
     cost_ub: int,
     mode: str = COST_C,
-    dp_budget: int | None = None,
     hole_punch: bool = False,
 ) -> Status:
-    """Windowed DP filtering on every support window whose DP fits.
+    """Windowed DP filtering on every support window whose DP fits
+    ``_WINDOW_BUDGET``.
 
     The cost spent outside the window is lower-bounded by the best disjoint
     combinations strictly before and after it, taken from the scheduling
@@ -280,7 +280,7 @@ def wisp_support_filter(
     for idx in decomp.support:
         sub = decomp.subproblems[idx - 1]
         view = make_cost_view(stripped, store, (sub.u, sub.v), cs_mode=cs)
-        if dp_budget is not None and state_budget(view) > dp_budget:
+        if state_budget(view) > _WINDOW_BUDGET:
             continue
         fwd, bwd = window_tables(stripped, store, (sub.u, sub.v), cs_mode=cs)
         before = decomp.lb_before(sub.u)

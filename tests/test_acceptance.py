@@ -22,8 +22,6 @@ from lotsizing import (
     Status,
     bc_feasibility,
     brute_force_oracle,
-    dpls_backward,
-    dpls_forward,
     enumerate_subproblems,
     generate,
     make_instance,
@@ -32,8 +30,9 @@ from lotsizing import (
     validate_and_normalize,
 )
 from lotsizing.domains import iv_values
-from lotsizing.dp import state_budget, make_cost_view
+from lotsizing.dp import state_budget, make_cost_view, window_tables
 from lotsizing.flow import FlowMode, build_network, min_cost_flow
+from lotsizing import wisp as wisp_mod
 from lotsizing.instance import PEAK_PERIODS_1BASED
 from lotsizing.wisp import COST_C, bound_subproblem, compute_decomposition
 from conftest import rand_instance, store_plans
@@ -116,8 +115,7 @@ class TestCriterion2:
                 assert want is None
                 n += 1
                 continue
-            fwd = dpls_forward(stripped, store)
-            bwd = dpls_backward(stripped, store)
+            fwd, bwd = window_tables(stripped, store, None, cs_mode=False)
             assert fwd.optimum() == bwd.optimum()
             if want is None:
                 assert math.isinf(fwd.optimum())
@@ -197,7 +195,7 @@ def dp_optimum(inst, side=None):
     store, stripped = bc_strip(inst, side=side)
     if stripped is None:
         return None
-    fwd = dpls_forward(stripped, store)
+    fwd, _ = window_tables(stripped, store, None, cs_mode=False)
     if math.isinf(fwd.optimum()):
         return None
     return int(fwd.optimum()) + fwd.sunk + stripped.c_min
@@ -288,8 +286,9 @@ class TestCriterion7:
             assert stats.root_lb >= flow_lb
         print(PASS.format(n=7, name="forced WISP on peak analogs"))
 
-    def test_windowed_filtering_sound_on_small_peaks(self):
+    def test_windowed_filtering_sound_on_small_peaks(self, monkeypatch):
         rng = random.Random(20260812)
+        monkeypatch.setattr(wisp_mod, "_WINDOW_BUDGET", 200)
         tested = 0
         while tested < 25:
             T = 8
@@ -308,7 +307,7 @@ class TestCriterion7:
             ub = opt + rng.choice([0, 1, 3])
             store = DomainStore.for_instance(inst)
             store.set_max(("C", 0), ub)
-            ls = LotSizingConstraint(inst, store, LotSizingConfig(dp_budget=200, filter_mode="wisp"))
+            ls = LotSizingConstraint(inst, store, LotSizingConfig(filter_mode="wisp"))
             res, sol = ls.propagate()
             if res is PropagateResult.FAILED:
                 raise AssertionError("a reachable bound must stay feasible")

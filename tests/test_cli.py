@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from lotsizing import read_instance
 from lotsizing.cli import main
 
@@ -97,6 +99,28 @@ class TestSolve:
         assert run("verify", "--instance", str(inst), "--solution", str(sol_path)) == 2
         assert "INVALID" in capsys.readouterr().out
 
+
+    @pytest.mark.parametrize(
+        "key, line, message",
+        [
+            ("T", "T", "expected 'T <int>'"),
+            ("cp", "cp", "expected 'cp <int>'"),
+            ("T", "T x", "field T: invalid integer 'x'"),
+        ],
+    )
+    def test_verify_reports_malformed_line(self, tmp_path, capsys, key, line, message):
+        inst = write_two_period(tmp_path)
+        sol_path = tmp_path / "sol.txt"
+        run("solve", "--instance", str(inst), "--out-solution", str(sol_path))
+        lines = sol_path.read_text().splitlines()
+        lineno = next(k for k, ln in enumerate(lines, start=1) if ln.split()[0] == key)
+        lines[lineno - 1] = line
+        sol_path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run("verify", "--instance", str(inst), "--solution", str(sol_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {sol_path}:{lineno}: {message}")
+        assert "Traceback" not in err
 
 class TestBench:
     def test_report_over_small_suite(self, tmp_path, capsys):

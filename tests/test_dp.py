@@ -13,9 +13,6 @@ from lotsizing import (
     DomainStore,
     Status,
     bc_feasibility,
-    dpknap_forward,
-    dpls_backward,
-    dpls_forward,
     filter_with_dp,
     generate,
     greedy_prestock,
@@ -26,7 +23,7 @@ from lotsizing import (
 )
 from lotsizing import dp as dp_mod
 from lotsizing.domains import iv_from_mask, iv_intersect, iv_shift, iv_values, merge
-from lotsizing.dp import DpBudgetExceeded, _window_min
+from lotsizing.dp import _window_min
 from conftest import plan_costs, rand_normalized, store_plans
 from test_bc import reference_setup
 
@@ -62,7 +59,7 @@ def setup_problem(inst, store=None, bc=True):
 class TestTables:
     def test_forward_values_hand_checked(self):
         store, stripped = setup_problem(two_period(), bc=False)
-        fwd = dpls_forward(stripped, store)
+        fwd, _ = window_tables(stripped, store, None, cs_mode=False)
         assert fwd.row(1)[0] == 7  # produce just d1: setup 5 + 2 units at 1
         assert fwd.row(1)[3] == 13  # produce 5: 5 + 5 + holding 3
         assert fwd.row(2)[0] == 13
@@ -70,7 +67,7 @@ class TestTables:
 
     def test_backward_values_hand_checked(self):
         store, stripped = setup_problem(two_period(), bc=False)
-        bwd = dpls_backward(stripped, store)
+        _, bwd = window_tables(stripped, store, None, cs_mode=False)
         assert bwd.row(1)[0] == 10  # serve d2 from scratch: setup 4 + 3 units at 2
         assert bwd.row(1)[3] == 0
         assert bwd.row(0)[0] == 13
@@ -79,7 +76,7 @@ class TestTables:
         inst = make_instance(d=[0, 0, 0], p=[1, 1, 1], h=[1, 1, 1], s=[3, 3, 3],
                              alpha_hi=[4, 4, 4], beta_hi=[4, 4, 4])
         store, stripped = setup_problem(inst, bc=False)
-        fwd = dpls_forward(stripped, store)
+        fwd, _ = window_tables(stripped, store, None, cs_mode=False)
         assert all(fwd.row(b)[0] == 0 for b in range(4))
 
     def test_y_zero_makes_window_infeasible(self):
@@ -88,7 +85,7 @@ class TestTables:
         store.assign(("Y", 0), 0)
         reference_setup(store, 0)
         store, stripped = setup_problem(inst, store, bc=False)
-        fwd = dpls_forward(stripped, store)
+        fwd, _ = window_tables(stripped, store, None, cs_mode=False)
         assert math.isinf(fwd.optimum())
 
     def test_forward_equals_backward_and_oracle(self):
@@ -100,8 +97,7 @@ class TestTables:
             if plans_none:
                 assert not list(store_plans(inst, DomainStore.for_instance(inst)))
                 continue
-            fwd = dpls_forward(stripped, store)
-            bwd = dpls_backward(stripped, store)
+            fwd, bwd = window_tables(stripped, store, None, cs_mode=False)
             assert fwd.optimum() == bwd.optimum()
             plans = [plan_costs(inst, x, i, y)[3] for x, i, y in store_plans(inst, store)]
             want = min(plans) if plans else INF
@@ -115,8 +111,7 @@ class TestTables:
             store, stripped = setup_problem(inst)
             if stripped is None:
                 continue
-            fwd = dpls_forward(stripped, store)
-            bwd = dpls_backward(stripped, store)
+            fwd, bwd = window_tables(stripped, store, None, cs_mode=False)
             if math.isinf(fwd.optimum()):
                 continue
             for b in range(inst.T + 1):
@@ -139,39 +134,29 @@ class TestTables:
             if stripped is None:
                 assert not list(store_plans(inst, store))
                 continue
-            fwd = dpls_forward(stripped, store)
+            fwd, _ = window_tables(stripped, store, None, cs_mode=False)
             plans = [plan_costs(inst, x, i, y)[3] for x, i, y in store_plans(inst, store)]
             want = min(plans) if plans else INF
             got = fwd.optimum() + fwd.sunk + stripped.c_min if not math.isinf(fwd.optimum()) else INF
             assert got == want
 
-    def test_budget_guard(self):
-        inst = make_instance(d=[50] * 6, p=[1] * 6, h=[1] * 6, s=[9] * 6,
-                             alpha_hi=[200] * 6, beta_hi=[200] * 6)
-        store, stripped = setup_problem(inst, bc=False)
-        try:
-            dpls_forward(stripped, store, dp_budget=100)
-            raise AssertionError("budget guard did not trigger")
-        except DpBudgetExceeded:
-            pass
-
 
 class TestKnap:
     def test_setup_only_optimum(self):
         store, stripped = setup_problem(two_period(), bc=False)
-        knap = dpknap_forward(stripped, store)
+        knap, _ = window_tables(stripped, store, None, cs_mode=True)
         assert knap.optimum() == 5  # produce everything in period 1
 
     def test_zero_setups(self):
         inst = make_instance(d=[2, 2], p=[3, 3], h=[2, 2], s=[0, 0], alpha_hi=[4, 4], beta_hi=[4, 4])
         store, stripped = setup_problem(inst, bc=False)
-        knap = dpknap_forward(stripped, store)
+        knap, _ = window_tables(stripped, store, None, cs_mode=True)
         assert knap.optimum() == 0
 
     def test_tight_inventory_forces_both_setups(self):
         inst = make_instance(d=[2, 3], p=[1, 2], h=[1, 1], s=[5, 4], alpha_hi=[5, 5], beta_hi=[0, 0])
         store, stripped = setup_problem(inst, bc=False)
-        knap = dpknap_forward(stripped, store)
+        knap, _ = window_tables(stripped, store, None, cs_mode=True)
         assert knap.optimum() == 9
 
     def test_lower_bounds_every_plan(self):
@@ -181,7 +166,7 @@ class TestKnap:
             store, stripped = setup_problem(inst)
             if stripped is None:
                 continue
-            knap = dpknap_forward(stripped, store)
+            knap, _ = window_tables(stripped, store, None, cs_mode=True)
             plans = [plan_costs(inst, x, i, y)[2] for x, i, y in store_plans(inst, store)]
             if plans:
                 assert knap.optimum() <= min(plans)

@@ -17,7 +17,6 @@ from lotsizing import (
     bc_feasibility,
     build_network,
     complete_when_setups_fixed,
-    dpls_forward,
     generate,
     make_instance,
     min_cost_flow,
@@ -25,7 +24,7 @@ from lotsizing import (
     validate_and_normalize,
     verify,
 )
-from lotsizing.dp import make_cost_view
+from lotsizing.dp import make_cost_view, window_tables
 from lotsizing.flow import FlowNetwork, derive_network
 from lotsizing.propagator import _strip
 from conftest import plan_costs, rand_normalized, store_plans
@@ -344,7 +343,7 @@ class TestCompletionAgainstDp:
                 assert sol is None
                 infeasible += 1
                 continue
-            fwd = dpls_forward(stripped, store)
+            fwd, _ = window_tables(stripped, store, None, cs_mode=False)
             if math.isinf(fwd.optimum()):
                 assert sol is None
                 infeasible += 1

@@ -11,15 +11,28 @@ from pathlib import Path
 
 import lotsizing.propagator as propagator
 import lotsizing.search as search
+import lotsizing.side_constraints as side_constraints
 import lotsizing.wisp as wisp
 from lotsizing import SearchConfig, make_instance, solve, validate_and_normalize
 
+# Every solver attribute the tracer wraps (and must put back) ...
 TRACED = (
-    (propagator, "min_cost_flow"),
+    (propagator, "bc_feasibility"),
+    (search, "bc_feasibility"),
     (propagator, "complete_when_setups_fixed"),
     (search, "complete_when_setups_fixed"),
+    (propagator, "min_cost_flow"),
+    (propagator, "window_tables"),
+    (wisp, "window_tables"),
+    (propagator, "filter_with_dp"),
+    (wisp, "filter_with_dp"),
     (wisp, "compute_decomposition"),
+    (wisp, "wisp_support_filter"),
+    (propagator.LotSizingConstraint, "propagate"),
+    (side_constraints.SequenceSystem, "propagate"),
 )
+# ... and the constants it reads.
+READ = ((wisp, "DP_EXACT"), (wisp, "FLOW_RELAX"))
 
 
 def _layertrace():
@@ -39,6 +52,8 @@ class TestLayerTrace:
                 alpha_hi=[6, 6, 6, 6], beta_hi=[6, 6, 6, 6],
             )
         )
+        for owner, name in READ:
+            assert hasattr(owner, name), name
         originals = [getattr(module, name) for module, name in TRACED]
         tracer = _layertrace().Tracer()
         tracer.install()

@@ -269,7 +269,7 @@ class TestPropagate:
 def _scan_complete(stripped, store):
     """Production plan read off the forward table by a scan over j from 0:
     the predecessor search ``LotSizingConstraint._dp_complete`` vectorizes."""
-    fwd, _ = window_tables(stripped, store, None, cs_mode=False, dp_budget=None)
+    fwd, _ = window_tables(stripped, store, None, cs_mode=False)
     if math.isinf(fwd.optimum()):
         return None
     view = fwd.view

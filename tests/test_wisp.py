@@ -1,21 +1,32 @@
 """Sub-problem enumeration, bounds, the scheduling DP, windowed filtering."""
 
+import dataclasses
 import math
 import random
 
+import pytest
+
 from lotsizing import (
+    INSTANCE_CLASSES,
     DomainStore,
+    FlowMode,
     Status,
+    bc_feasibility,
+    build_network,
     bound_subproblem,
     compute_decomposition,
-    dpls_forward,
     dpwisp,
     enumerate_subproblems,
     filter_with_dp,
+    generate,
+    min_cost_flow,
+    validate_and_normalize,
     window_tables,
     wisp_support_filter,
 )
+from lotsizing import wisp as wisp_mod
 from lotsizing.domains import iv_values
+from lotsizing.propagator import _strip
 from lotsizing.wisp import COST_C, COST_CS
 from test_dp import setup_problem, two_period
 from conftest import plan_costs, rand_normalized, store_plans
@@ -57,7 +68,7 @@ class TestBounds:
         subs = {(s.u, s.v): s for s in enumerate_subproblems(2)}
         w, kind = bound_subproblem(stripped, store, subs[(0, 1)], COST_C)
         assert kind == "DP_EXACT"
-        assert w == dpls_forward(stripped, store).optimum() == 13
+        assert w == window_tables(stripped, store, None, cs_mode=False)[0].optimum() == 13
 
     def test_cs_bound_never_above_c_bound(self):
         rng = random.Random(51)
@@ -71,7 +82,7 @@ class TestBounds:
                 ws, _ = bound_subproblem(stripped, store, sub, COST_CS)
                 assert ws <= wc
 
-    def test_flow_fallback_agrees_direction(self):
+    def test_flow_fallback_agrees_direction(self, monkeypatch):
         rng = random.Random(53)
         for _ in range(40):
             inst = rand_normalized(rng, max_T=5, max_d=4, max_cap=6, with_lower_bounds=False)
@@ -79,8 +90,10 @@ class TestBounds:
             if stripped is None:
                 continue
             for sub in enumerate_subproblems(inst.T):
-                w_dp, k1 = bound_subproblem(stripped, store, sub, COST_C, dp_budget=None)
-                w_fl, k2 = bound_subproblem(stripped, store, sub, COST_C, dp_budget=0)
+                monkeypatch.setattr(wisp_mod, "_WINDOW_BUDGET", math.inf)
+                w_dp, k1 = bound_subproblem(stripped, store, sub, COST_C)
+                monkeypatch.setattr(wisp_mod, "_WINDOW_BUDGET", 0)
+                w_fl, k2 = bound_subproblem(stripped, store, sub, COST_C)
                 assert k1 == "DP_EXACT" and k2 == "FLOW_RELAX"
                 if math.isinf(w_dp):
                     continue
@@ -120,7 +133,7 @@ class TestBounds:
 
 
 class TestSweepEquivalence:
-    def test_matches_per_window_tables(self):
+    def test_matches_per_window_tables(self, monkeypatch):
         """One forward table per start gives, for every window, the bound and
         kind of a table built for that window alone: the exact DP when the
         window's state proxy fits the budget, else the flow pass."""
@@ -148,14 +161,15 @@ class TestSweepEquivalence:
                 cs = mode == COST_CS
                 flow_pass = window_flow_bounds(stripped, store, cs)
                 for budget in (None, 0, rng.choice([20, 60, 200, 800])):
-                    decomp = compute_decomposition(stripped, store, mode, dp_budget=budget)
+                    monkeypatch.setattr(wisp_mod, "_WINDOW_BUDGET", math.inf if budget is None else budget)
+                    decomp = compute_decomposition(stripped, store, mode)
                     kinds = {(s.u, s.bound_kind) for s in decomp.subproblems}
                     # starts whose windows go partly exact, partly flow
                     checked["split"] += sum((u, "FLOW_RELAX") in kinds for u, k in kinds if k == "DP_EXACT")
                     for sub in decomp.subproblems:
                         view = make_cost_view(stripped, store, (sub.u, sub.v), cs_mode=cs)
                         if budget is None or state_budget(view) <= budget:
-                            opt = _build_forward(view, stripped, store, None, None).optimum()
+                            opt = _build_forward(view, stripped, store).optimum()
                             want = (math.inf if math.isinf(opt) else opt + view.sunk, "DP_EXACT")
                         else:
                             want = (flow_pass(sub.u)[sub.v], "FLOW_RELAX")
@@ -163,6 +177,25 @@ class TestSweepEquivalence:
                         checked[want[1]] += 1
         assert checked["DP_EXACT"] >= 2500 and checked["FLOW_RELAX"] >= 1500
         assert checked["split"] >= 50
+
+
+class TestWindowThreshold:
+    @pytest.mark.parametrize("name, exact, flow_bound", [("C1LS", 42, 408_774), ("C1Peaks", 47, 9_026_601)])
+    def test_registry_root_split_and_value(self, name, exact, flow_bound):
+        """At the fixed threshold the seed-1 root of C1LS and C1Peaks gets a
+        few exact windows, and the decomposition bound equals the FULL flow
+        bound: the fact behind ``auto`` keeping the flow bounds over the
+        table cap."""
+        params = dataclasses.replace(INSTANCE_CLASSES[name].params, seed=1)
+        inst = validate_and_normalize(generate(params))
+        store = DomainStore.for_instance(inst)
+        bc_feasibility(store, inst)
+        stripped = _strip(inst, store)
+        decomp = compute_decomposition(stripped, store, COST_C)
+        kinds = [s.bound_kind for s in decomp.subproblems]
+        assert (kinds.count("DP_EXACT"), len(kinds)) == (exact, 780)
+        flow = min_cost_flow(build_network(stripped, store, FlowMode.FULL)).integer_lower_bound
+        assert decomp.value + stripped.c_min == flow + stripped.c_min == flow_bound
 
 
 class TestWindowFlowBound:
