@@ -60,18 +60,6 @@ def iv_normalize(pairs: Iterable[tuple[int, int]]) -> Ivs:
     return tuple(out)
 
 
-def iv_min(ivs: Ivs) -> int:
-    return ivs[0][0]
-
-
-def iv_max(ivs: Ivs) -> int:
-    return ivs[-1][1]
-
-
-def iv_count(ivs: Ivs) -> int:
-    return sum(hi - lo + 1 for lo, hi in ivs)
-
-
 def iv_contains(ivs: Ivs, v: int) -> bool:
     for lo, hi in ivs:
         if lo <= v <= hi:

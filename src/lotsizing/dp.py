@@ -7,7 +7,8 @@ current search domains. Setting unit and holding costs to zero gives the
 knapsack-style variant that lower-bounds the setup cost alone.
 
 Tables drive three filtering rules against a cost upper bound: inventory
-values whose through-path exceeds the bound, production values with no
+bounds move past the values whose through-path exceeds the bound (inventory
+is filtered to bounds, never holed), production values with no
 surviving (I_{t-1}, I_t) support pair, and setup values whose cheapest
 completion exceeds the bound. The inventory rule costs O(S) per boundary,
 S the number of states. A support pair joins two states that survive the
@@ -174,14 +175,6 @@ def make_cost_view(
         tail=tail_t,
         cs_mode=cs_mode,
     )
-
-
-def state_budget(view: CostView) -> int:
-    """Transition-count proxy (periods x (max states + 1)^2) that the WISP
-    window bounds test against ``wisp._WINDOW_BUDGET``. The whole-horizon
-    DP is chosen by ``table_fits`` instead."""
-    top = max(view.row_cap)
-    return (view.v - view.u + 1) * (top + 1) * (top + 1)
 
 
 def table_fits(stripped: StrippedInstance) -> bool:
@@ -515,7 +508,6 @@ def filter_with_dp(
     cost_ub: int,
     before: int = 0,
     after: int = 0,
-    hole_punch: bool = False,
 ) -> Status:
     """Remove inventory/production/setup values not supported under the bound.
 
@@ -526,15 +518,16 @@ def filter_with_dp(
     the remaining in-window demand are never touched.
 
     An inventory value survives if its through-path f + f_r stays within the
-    bound, O(S) per boundary. A production value x of period t survives if
-    a state pair (j, i), i - j + d = x, generates it within the bound
-    (support semantics). Such a pair joins two surviving states (J at
-    boundary t, I at t + 1), because each table step minimizes over the
-    same transitions, so ``_support`` decides the domain's values from pairs
-    of J x I, scanning rows cheapest first or the diagonals of the undecided
-    values, whichever reads fewer pairs, and stops once every value is
-    decided. Its cost follows the pairs it reads, at most |J| x |I| per
-    step; its memory is fixed. The setup value Y_t = 1 survives if some
+    bound, O(S) per boundary; the domain's bounds move to the lowest and
+    highest survivors, and the values between them stay. A production value
+    x of period t survives if a state pair (j, i), i - j + d = x, generates
+    it within the bound (support semantics). Such a pair joins two surviving
+    states (J at boundary t, I at t + 1), because each table step minimizes
+    over the same transitions, so ``_support`` decides the domain's values
+    from pairs of J x I, scanning rows cheapest first or the diagonals of
+    the undecided values, whichever reads fewer pairs, and stops once every
+    value is decided. Its cost follows the pairs it reads, at most |J| x |I|
+    per step; its memory is fixed. The setup value Y_t = 1 survives if some
     x > 0 survives or the x = 0 diagonal plus the setup charge stays within
     the bound.
     """
@@ -562,13 +555,9 @@ def filter_with_dp(
                 mask[thr:] = True
         if not mask.any():
             return Status.FAILED
-        if hole_punch:
-            allowed = iv_shift(iv_from_mask(mask, 0), i_off)
-            st = store.set_intervals(("I", t), iv_intersect(dom, allowed))
-        else:
-            idx = np.nonzero(mask)[0]
-            st = store.set_min(("I", t), int(idx[0]) + i_off)
-            st = merge(st, store.set_max(("I", t), int(idx[-1]) + i_off))
+        idx = np.nonzero(mask)[0]
+        st = store.set_min(("I", t), int(idx[0]) + i_off)
+        st = merge(st, store.set_max(("I", t), int(idx[-1]) + i_off))
         if st is Status.FAILED:
             return Status.FAILED
         status = merge(status, st)

@@ -9,15 +9,17 @@ sweeps).
 
 ``LotSizingConstraint.propagate`` runs the full filtering pipeline to a
 fixpoint: when every setup variable is fixed the plan is completed by the
-exact path-network flow (or by the DP when production domains carry holes);
-otherwise lower bounds are pulled from the four cost-restricted flow
-relaxations and the whole-horizon DP. Under ``filter_mode="auto"`` the DP
-runs when one of its tables holds at most 2**20 states (``dp.table_fits``);
-above that, the node keeps the flow bounds alone. The same test gates the
-DP completion of plans whose production domains carry holes. The paper's
+exact path-network flow, or by the DP when the flow plan lands in a
+production hole; otherwise lower bounds are pulled from the four
+cost-restricted flow relaxations and the whole-horizon DP. Under
+``filter_mode="auto"`` the DP runs when one of its tables holds at most
+2**20 states (``dp.table_fits``); above that, the node keeps the flow bounds
+alone. The same test gates the DP completion. The paper's
 interval-decomposition bound and windowed filtering run only under
 ``filter_mode="wisp"``, where the fixed threshold ``wisp._WINDOW_BUDGET``
-decides which of their windows are exact.
+decides which of their windows are exact. Inventory domains are filtered to
+bounds, the paper's contract; production domains keep the holes the DP's
+support test punches.
 
 The argmin plan of the DP's cost table is offered to the search, which
 gates it (the DP does not know Q/R) and keeps it as its incumbent. When an
@@ -40,7 +42,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -213,45 +215,39 @@ def complete_when_setups_fixed(inst: Instance, store: DomainStore) -> Solution |
     """Cheapest plan consistent with fully fixed setup decisions, or None.
 
     With every setup fixed, the rest is the path network with unit costs p
-    and h and the sunk setups as a constant. Bound consistency, on a level
-    popped again before returning, makes the current lower bounds
-    strippable; the greedy then ships the stripped demands exactly. The
-    costs are integers, so the optimum is integral. Production holes are
-    ignored.
+    and h and the sunk setups as a constant. The store must be at its bound
+    consistency fixpoint (``propagate`` guarantees it), which makes the
+    current lower bounds strippable; the greedy then ships the stripped
+    demands exactly. The costs are integers, so the optimum is integral.
+    The plan solves the interval hull of the domains: production holes are
+    ignored, so None proves the domains infeasible and the plan's cost is a
+    lower bound, but the plan itself may land in a hole.
     """
-    store.push_level()
-    try:
-        if bc_feasibility(store, inst)[0] is Status.FAILED:
-            return None
-        stripped = _strip(inst, store)
-        net = build_network(stripped, store, FlowMode.FULL)
-        spent, prod_flow = path_greedy(net.prod_cap, net.prod_cost, net.inv_cost, net.inv_cap, net.demand)
-        if len(spent) < inst.T:
-            return None
-        x = [stripped.x_off[t] + prod_flow[t] for t in range(inst.T)]
-        y = [store.value(("Y", t)) for t in range(inst.T)]
-    finally:
-        store.pop_level()
+    stripped = _strip(inst, store)
+    net = build_network(stripped, store, FlowMode.FULL)
+    spent, prod_flow = path_greedy(net.prod_cap, net.prod_cost, net.inv_cost, net.inv_cap, net.demand)
+    if len(spent) < inst.T:
+        return None
+    x = [stripped.x_off[t] + prod_flow[t] for t in range(inst.T)]
+    y = [store.value(("Y", t)) for t in range(inst.T)]
     return Solution.from_plan(inst, x, y)
 
 
-@dataclass
-class LotSizingConfig:
-    filter_mode: str = "auto"  # auto | dp | wisp
-    hole_punch: bool = False
-    flow_completion_valid: bool = True
+FILTER_MODES = ("auto", "dp", "wisp")
 
 
 @dataclass
 class LotSizingConstraint:
     instance: Instance
     store: DomainStore
-    config: LotSizingConfig = field(default_factory=LotSizingConfig)
+    filter_mode: str = "auto"  # one of FILTER_MODES
     # The search's gate for DP plans: True when the plan is valid, which also
     # makes it the incumbent if cheaper. None offers no plans.
     offer: Callable[[Solution], bool] | None = None
 
     def __post_init__(self):
+        if self.filter_mode not in FILTER_MODES:
+            raise ValueError(f"unknown filter_mode {self.filter_mode!r}; known: {', '.join(FILTER_MODES)}")
         # Store readings at which the stages last ran: the plan epoch for
         # BC, the strip and the flow bounds; that and the cost bounds the
         # cost-filter stage reads for the DP or WISP stage.
@@ -373,10 +369,13 @@ class LotSizingConstraint:
     def _try_complete(self, stripped: StrippedInstance) -> tuple[PropagateResult, Solution | None] | None:
         """All Y fixed: instantiate the rest, or report failure.
 
-        Minimizing C, a completion that busts the C cap proves the subtree
-        dead; one that only busts a per-component cap (or lands in a filtered
-        production hole) proves nothing, so those fall through (None) and the
-        search keeps branching.
+        The exact flow completion goes first; it solves the interval hull of
+        the domains, so no plan, or one that busts the C cap, proves the
+        subtree dead, and its plan is kept when it lies inside the domains.
+        A plan in a production hole, or one that busts a per-component cap,
+        proves nothing and falls through to the whole-horizon DP, which
+        honors holes; above the DP's table cap the node is left to the
+        search (None).
         """
         store = self.store
         T = self.instance.T
@@ -389,16 +388,13 @@ class LotSizingConstraint:
             if self._assign_solution(sol) is Status.FAILED:
                 return PropagateResult.FAILED, None
             return PropagateResult.COMPLETED, sol
-        if self.config.flow_completion_valid:
-            sol = complete_when_setups_fixed(self.instance, store)
-            if sol is None:
+        sol = complete_when_setups_fixed(self.instance, store)
+        if sol is None or sol.c > store.max(("C", 0)):
+            return PropagateResult.FAILED, None
+        if self._check_cost_caps(sol) and self._in_domains(sol):
+            if self._assign_solution(sol) is Status.FAILED:
                 return PropagateResult.FAILED, None
-            if sol.c > store.max(("C", 0)):
-                return PropagateResult.FAILED, None
-            if self._check_cost_caps(sol) and self._in_domains(sol):
-                if self._assign_solution(sol) is Status.FAILED:
-                    return PropagateResult.FAILED, None
-                return PropagateResult.COMPLETED, sol
+            return PropagateResult.COMPLETED, sol
         if not table_fits(stripped):
             return None
         sol = self._dp_complete(stripped)
@@ -436,7 +432,7 @@ class LotSizingConstraint:
         store = self.store
         if self._filter_key == self._cost_filter_key():
             return Status.UNCHANGED
-        mode = self.config.filter_mode
+        mode = self.filter_mode
         if mode == "auto" and not table_fits(stripped):
             # Above the table cap the node keeps its flow bounds: on the
             # registry's over-cap classes the decomposition bound equals them.
@@ -482,10 +478,7 @@ class LotSizingConstraint:
             if not cs_mode and self._offer_plan(fwd, stripped):
                 return status
             ub = store.max((var, 0)) - base
-            status = merge(
-                status,
-                filter_with_dp(fwd, bwd, store, stripped, ub, hole_punch=self.config.hole_punch),
-            )
+            status = merge(status, filter_with_dp(fwd, bwd, store, stripped, ub))
             if status is Status.FAILED:
                 return status
         return status
@@ -529,17 +522,7 @@ class LotSizingConstraint:
                 return status
             ub = store.max((var, 0)) - base
             if store.max((var, 0)) < trivial:
-                status = merge(
-                    status,
-                    wisp_mod.wisp_support_filter(
-                        decomp,
-                        stripped,
-                        store,
-                        ub,
-                        mode=mode,
-                        hole_punch=self.config.hole_punch,
-                    ),
-                )
+                status = merge(status, wisp_mod.wisp_support_filter(decomp, stripped, store, ub, mode=mode))
                 if status is Status.FAILED:
                     return status
         return status

@@ -2,8 +2,10 @@
 
 Each node runs the global-constraint propagator (and the Q/R sequence
 propagator when posted) to a joint fixpoint; once every setup variable is
-fixed the propagator completes the plan exactly, so branching is normally
-restricted to the Y's. Value order tries "no setup" first; variable order is
+fixed the propagator completes the plan exactly (the path-network flow
+first, the DP when the flow plan lands in a production hole), so branching
+is normally restricted to the Y's; the search splits a production domain
+only when neither completion settles the node. Value order tries "no setup" first; variable order is
 lexicographic or peak-demand-first. Incumbents come from completions and
 from the argmin plans of the whole-horizon DP, which the search accepts only
 when ``verify`` does; a node whose lower bound an accepted plan meets is
@@ -26,7 +28,6 @@ from .instance import Instance, validate_and_normalize
 # bc_feasibility and complete_when_setups_fixed stay names of this module:
 # perfbench/layertrace.py wraps them here by name.
 from .propagator import (
-    LotSizingConfig,
     LotSizingConstraint,
     PropagateResult,
     bc_feasibility,  # noqa: F401
@@ -36,6 +37,9 @@ from .side_constraints import SideSpecs, apply_disjunctions, post_qr, qr_satisfi
 from .solution import Solution
 
 
+BRANCHINGS = ("lex", "peak")
+
+
 @dataclass
 class SearchConfig:
     ub: int | None = None  # known cost upper bound; None = discover the optimum
@@ -43,7 +47,6 @@ class SearchConfig:
     time_limit: float | None = None
     node_limit: int | None = None
     filter_mode: str = "auto"  # auto | dp | wisp
-    hole_punch: bool = False
 
 
 @dataclass
@@ -85,16 +88,7 @@ def build_model(
     if side is not None and side.qr is not None:
         seq = post_qr(inst.T, side.qr.Q, side.qr.R)
         seq.install(store)
-    flow_ok = side is None or side.disjunction is None
-    ls = LotSizingConstraint(
-        inst,
-        store,
-        LotSizingConfig(
-            filter_mode=config.filter_mode,
-            hole_punch=config.hole_punch,
-            flow_completion_valid=flow_ok,
-        ),
-    )
+    ls = LotSizingConstraint(inst, store, config.filter_mode)
     return store, ls, seq, root_ok
 
 
@@ -126,6 +120,8 @@ def solve(
     config = config or SearchConfig()
     if validate_and_normalize(inst).T != inst.T:
         raise ValueError("instance must be normalized first (validate_and_normalize)")
+    if config.branching not in BRANCHINGS:
+        raise ValueError(f"unknown branching {config.branching!r}; known: {', '.join(BRANCHINGS)}")
     stats = SearchStats()
     start = time.perf_counter()
     store, ls, seq, root_ok = build_model(inst, side, config)

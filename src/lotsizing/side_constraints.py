@@ -50,6 +50,11 @@ class SideSpecs:
 
 
 def apply_disjunctions(store: DomainStore, spec: DisjunctiveSpec) -> Status:
+    """Restrict the production domains; a period outside the store's
+    horizon is a ValueError, raised before any domain changes."""
+    for t in spec.intervals:
+        if not store.has_var(("X", t)):
+            raise ValueError(f"disjunction for period {t + 1}, outside the horizon")
     status = Status.UNCHANGED
     for t, ivs in sorted(spec.intervals.items()):
         allowed = iv_normalize(tuple(ivs) + ((0, 0),))
@@ -202,6 +207,8 @@ def read_side_specs(path: str | Path) -> SideSpecs:
         try:
             if parts[0] == "disj" and len(parts) == 4:
                 t, lo, hi = int(parts[1]) - 1, int(parts[2]), int(parts[3])
+                if t < 0:
+                    raise ValueError("periods start at 1")
                 disj.setdefault(t, []).append((lo, hi))
             elif parts[0] == "qr" and len(parts) == 3:
                 qr = QRSpec(int(parts[1]), int(parts[2]))

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domains import DomainStore, Status, merge
-from .dp import _build_forward, filter_with_dp, make_cost_view, state_budget, window_tables
+from .dp import _build_forward, filter_with_dp, make_cost_view, window_tables
 from .flow import window_flow_bounds
 from .instance import StrippedInstance
 
@@ -38,8 +38,9 @@ FLOW_RELAX = "FLOW_RELAX"
 COST_C = "COST_C"
 COST_CS = "COST_CS"
 
-# Transition proxy (``dp.state_budget``) up to which a window gets the exact
-# DP. Read at call time: ``math.inf`` makes every window exact, 0 none.
+# Transition proxy (periods x (max states + 1)^2, ``_last_exact_ends``) up to
+# which a window gets the exact DP. Read at call time: ``math.inf`` makes
+# every window exact, 0 none.
 _WINDOW_BUDGET = 20_000_000
 
 
@@ -265,10 +266,10 @@ def wisp_support_filter(
     store: DomainStore,
     cost_ub: int,
     mode: str = COST_C,
-    hole_punch: bool = False,
 ) -> Status:
     """Windowed DP filtering on every support window whose DP fits
-    ``_WINDOW_BUDGET``.
+    ``_WINDOW_BUDGET`` under the current domains (``_last_exact_ends``,
+    re-read per window since earlier windows narrow the store).
 
     The cost spent outside the window is lower-bounded by the best disjoint
     combinations strictly before and after it, taken from the scheduling
@@ -279,22 +280,12 @@ def wisp_support_filter(
     cs = mode == COST_CS
     for idx in decomp.support:
         sub = decomp.subproblems[idx - 1]
-        view = make_cost_view(stripped, store, (sub.u, sub.v), cs_mode=cs)
-        if state_budget(view) > _WINDOW_BUDGET:
+        if sub.v > _last_exact_ends(stripped, store)[sub.u]:
             continue
         fwd, bwd = window_tables(stripped, store, (sub.u, sub.v), cs_mode=cs)
         before = decomp.lb_before(sub.u)
         after = decomp.lb_after(sub.v + 1)
-        st = filter_with_dp(
-            fwd,
-            bwd,
-            store,
-            stripped,
-            cost_ub,
-            before=int(before),
-            after=int(after),
-            hole_punch=hole_punch,
-        )
+        st = filter_with_dp(fwd, bwd, store, stripped, cost_ub, before=int(before), after=int(after))
         if st is Status.FAILED:
             return Status.FAILED
         status = merge(status, st)

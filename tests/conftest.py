@@ -85,3 +85,12 @@ def plan_costs(inst: Instance, x, i, y) -> tuple[int, int, int, int]:
     ch = sum(inst.h[t] * i[t] for t in range(inst.T))
     cs = sum(inst.s[t] for t in range(inst.T) if y[t])
     return cp, ch, cs, cp + ch + cs
+
+
+def state_budget(view) -> int:
+    """Transition-count proxy (periods x (max states + 1)^2) of a DP cost
+    view: the reference for the window-size test that ``wisp`` computes for
+    all windows at once (``wisp._last_exact_ends`` against
+    ``wisp._WINDOW_BUDGET``)."""
+    top = max(view.row_cap)
+    return (view.v - view.u + 1) * (top + 1) * (top + 1)

@@ -13,7 +13,6 @@ from lotsizing import (
     DisjunctiveSpec,
     DomainStore,
     GeneratorParams,
-    LotSizingConfig,
     LotSizingConstraint,
     PropagateResult,
     QRSpec,
@@ -30,12 +29,12 @@ from lotsizing import (
     validate_and_normalize,
 )
 from lotsizing.domains import iv_values
-from lotsizing.dp import state_budget, make_cost_view, window_tables
+from lotsizing.dp import make_cost_view, window_tables
 from lotsizing.flow import FlowMode, build_network, min_cost_flow
 from lotsizing import wisp as wisp_mod
 from lotsizing.instance import PEAK_PERIODS_1BASED
 from lotsizing.wisp import COST_C, bound_subproblem, compute_decomposition
-from conftest import rand_instance, store_plans
+from conftest import rand_instance, state_budget, store_plans
 
 PASS = "ACCEPTANCE {n} {name}: PASS"
 
@@ -307,7 +306,7 @@ class TestCriterion7:
             ub = opt + rng.choice([0, 1, 3])
             store = DomainStore.for_instance(inst)
             store.set_max(("C", 0), ub)
-            ls = LotSizingConstraint(inst, store, LotSizingConfig(filter_mode="wisp"))
+            ls = LotSizingConstraint(inst, store, filter_mode="wisp")
             res, sol = ls.propagate()
             if res is PropagateResult.FAILED:
                 raise AssertionError("a reachable bound must stay feasible")
@@ -428,9 +427,7 @@ def suite_instance_small(rng):
 def assert_root_filter_sound(inst, side, ub, plans):
     from lotsizing.search import build_model, _propagate_all
 
-    config = SearchConfig(hole_punch=True)
-    store, ls, seq, root_ok = build_model(inst, side, config)
-    ls.config.hole_punch = True
+    store, ls, seq, root_ok = build_model(inst, side, SearchConfig())
     if not root_ok:
         assert not plans
         return

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from lotsizing import read_instance
+import lotsizing.cli as cli
+from lotsizing import SearchStats, read_instance
 from lotsizing.cli import main
 
 
@@ -161,6 +162,47 @@ class TestBench:
         capsys.readouterr()
         assert run("bench", "--dir", str(out), "--given-ub") == 0
         assert "OPT=2" in capsys.readouterr().out
+
+    def test_given_ub_keeps_unproven_discover_row(self, tmp_path, capsys, monkeypatch):
+        """A discover run stopped with an unproven incumbent hands no bound
+        on: its row stays TIMEOUT and no second solve runs."""
+        out = tmp_path / "suite"
+        run("generate", "--T", "4", "--count", "1", "--seed", "3", "--out", str(out))
+        capsys.readouterr()
+        calls = []
+
+        def stopped(inst, side, config):
+            calls.append(config)
+            return None, SearchStats(nodes=7, best_cost=99, status="TIMEOUT", stop_reason="time_limit")
+
+        monkeypatch.setattr(cli, "solve", stopped)
+        assert run("bench", "--dir", str(out), "--given-ub") == 0
+        text = capsys.readouterr().out
+        assert len(calls) == 1 and calls[0].ub is None
+        row = next(line.split() for line in text.splitlines() if line.startswith("custom_00.txt"))
+        assert row[1] == "7" and row[-2:] == ["99", "TIMEOUT"]
+        assert "OPT=0" in text
+
+
+class TestBadInputs:
+    @pytest.mark.parametrize("t", ["0", "-2"])
+    def test_side_spec_period_below_one(self, tmp_path, capsys, t):
+        inst = write_two_period(tmp_path)
+        side = tmp_path / "bad.side"
+        side.write_text(f"disj {t} 1 2\n")
+        assert run("solve", "--instance", str(inst), "--side-spec", str(side)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {side}:1: ") and "periods start at 1" in err
+        assert "Traceback" not in err
+
+    def test_side_spec_period_past_horizon(self, tmp_path, capsys):
+        inst = write_two_period(tmp_path)
+        side = tmp_path / "far.side"
+        side.write_text("disj 1 1 2\ndisj 99 1 2\n")
+        assert run("solve", "--instance", str(inst), "--side-spec", str(side)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: disjunction for period 99, outside the horizon")
+        assert "Traceback" not in err
 
 
 class TestExportLp:

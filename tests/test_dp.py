@@ -365,13 +365,14 @@ class TestFilter:
             ub = opt + rng.choice([0, 0, 1, 3])
             fine = [(x, i) for (x, i, y), c in zip(plans, costs) if c <= ub]
             fwd, bwd = window_tables(stripped, store, None, cs_mode=False)
-            st = filter_with_dp(fwd, bwd, store, stripped, ub - stripped.c_min, hole_punch=True)
+            st = filter_with_dp(fwd, bwd, store, stripped, ub - stripped.c_min)
             assert st is not Status.FAILED
             for t in range(inst.T):
+                # Production values exactly; inventory to bounds.
                 x_vals = set(iv_values(store.intervals(("X", t))))
-                i_vals = set(iv_values(store.intervals(("I", t))))
+                i_vals = {i[t] for _, i in fine}
                 assert x_vals == {x[t] for x, _ in fine}
-                assert i_vals == {i[t] for _, i in fine}
+                assert (store.min(("I", t)), store.max(("I", t))) == (min(i_vals), max(i_vals))
             tested += 1
         assert tested >= 100
 
@@ -408,7 +409,6 @@ def _reference_filter(
     cost_ub: int,
     before: int = 0,
     after: int = 0,
-    hole_punch: bool = False,
 ) -> Status:
     """Reference for ``filter_with_dp``: every production value is read off
     the full S x S pair matrix of its period.
@@ -446,13 +446,9 @@ def _reference_filter(
                 mask[thr:] = True
         if not mask.any():
             return Status.FAILED
-        if hole_punch:
-            allowed = iv_shift(iv_from_mask(mask, 0), i_off)
-            st = store.set_intervals(("I", t), iv_intersect(dom, allowed))
-        else:
-            idx = np.nonzero(mask)[0]
-            st = store.set_min(("I", t), int(idx[0]) + i_off)
-            st = merge(st, store.set_max(("I", t), int(idx[-1]) + i_off))
+        idx = np.nonzero(mask)[0]
+        st = store.set_min(("I", t), int(idx[0]) + i_off)
+        st = merge(st, store.set_max(("I", t), int(idx[-1]) + i_off))
         if st is Status.FAILED:
             return Status.FAILED
         status = merge(status, st)
@@ -560,11 +556,10 @@ class TestSupportEquivalence:
             before, after = (rng.randint(0, 20), rng.randint(0, 20)) if fwd.view.windowed else (0, 0)
             slack = rng.choice([-1, 0, 0, 1, 5, 20, 100, 10**6])
             ub = int(opt) + fwd.sunk + before + after + slack
-            hole_punch = rng.random() < 0.5
             ref = copy.deepcopy(store)
             open_y = [t for t in range(T) if store.intervals(("Y", t)) == ((0, 1),)]
-            want = _reference_filter(fwd, bwd, ref, stripped, ub, before, after, hole_punch)
-            got = filter_with_dp(fwd, bwd, store, stripped, ub, before, after, hole_punch)
+            want = _reference_filter(fwd, bwd, ref, stripped, ub, before, after)
+            got = filter_with_dp(fwd, bwd, store, stripped, ub, before, after)
             assert got is want, (window, cs_mode, slack)
             assert store.snapshot() == ref.snapshot(), (window, cs_mode, slack)
             if slack < 0 and not fwd.view.windowed:

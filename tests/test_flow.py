@@ -40,6 +40,18 @@ def setup_problem(inst):
     return store, strip_lower_bounds(inst)
 
 
+def complete_at_bc(inst, store):
+    """``complete_when_setups_fixed`` on a raw store: bound consistency
+    first, as ``propagate`` guarantees, on a level popped again after."""
+    store.push_level()
+    try:
+        if bc_feasibility(store, inst)[0] is Status.FAILED:
+            return None
+        return complete_when_setups_fixed(inst, store)
+    finally:
+        store.pop_level()
+
+
 class TestBuildNetwork:
     def test_full_costs_amortize_setups(self):
         inst = two_period()
@@ -263,7 +275,7 @@ class TestCompletion:
         store = DomainStore.for_instance(inst)
         store.assign(("Y", 0), 1)
         store.assign(("Y", 1), 0)
-        sol = complete_when_setups_fixed(inst, store)
+        sol = complete_at_bc(inst, store)
         assert sol.x == (5, 0) and sol.i == (3, 0) and sol.c == 13
 
     def test_both_setups_completion(self):
@@ -271,7 +283,7 @@ class TestCompletion:
         store = DomainStore.for_instance(inst)
         store.assign(("Y", 0), 1)
         store.assign(("Y", 1), 1)
-        sol = complete_when_setups_fixed(inst, store)
+        sol = complete_at_bc(inst, store)
         assert sol.c == 17
 
     def test_no_setups_infeasible(self):
@@ -279,7 +291,7 @@ class TestCompletion:
         store = DomainStore.for_instance(inst)
         store.assign(("Y", 0), 0)
         store.assign(("Y", 1), 0)
-        assert complete_when_setups_fixed(inst, store) is None
+        assert complete_at_bc(inst, store) is None
 
     def test_completion_is_min_cost_over_fixed_y(self):
         rng = random.Random(9)
@@ -291,7 +303,7 @@ class TestCompletion:
                 store.assign(("Y", t), rng.randint(0, 1))
             if store.failed:
                 continue
-            sol = complete_when_setups_fixed(inst, store)
+            sol = complete_at_bc(inst, store)
             matching = [
                 plan_costs(inst, x, i, y)[3]
                 for x, i, y in store_plans(inst, store)
@@ -316,7 +328,7 @@ class TestCompletion:
         store = DomainStore.for_instance(inst)
         for t in range(inst.T):
             store.assign(("Y", t), 1 if inst.alpha_lo[t] > 0 or inst.d[t] > 0 else 0)
-        sol = complete_when_setups_fixed(inst, store)
+        sol = complete_at_bc(inst, store)
         if sol is not None:
             assert all(sol.x[t] >= inst.alpha_lo[t] for t in range(inst.T))
             assert all(sol.i[t] >= inst.beta_lo[t] for t in range(inst.T))
@@ -337,7 +349,7 @@ class TestCompletionAgainstDp:
                 store.assign(("Y", t), 1 if rng.random() < 0.8 else 0)
             if store.failed:
                 continue
-            sol = complete_when_setups_fixed(inst, store)
+            sol = complete_at_bc(inst, store)
             _, stripped = dp_setup_problem(inst, store)
             if stripped is None:
                 assert sol is None

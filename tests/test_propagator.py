@@ -14,7 +14,6 @@ from lotsizing import (
     DisjunctiveSpec,
     DomainStore,
     GeneratorParams,
-    LotSizingConfig,
     LotSizingConstraint,
     PropagateResult,
     QRSpec,
@@ -28,6 +27,7 @@ from lotsizing import (
     solve,
     strip_lower_bounds,
     validate_and_normalize,
+    verify,
 )
 from lotsizing.domains import iv_values
 from lotsizing.instance import PEAK_PERIODS_1BASED
@@ -39,6 +39,7 @@ from lotsizing.propagator import _strip
 from conftest import plan_costs, rand_normalized, store_plans
 from test_acceptance import suite_instance_small
 from test_dp import two_period
+from test_flow import complete_at_bc
 
 
 class TestBoundConsistency:
@@ -105,11 +106,11 @@ class TestBoundConsistency:
         assert feasible_checked >= 80
 
 
-def propagate_once(inst, c_cap=None, **config):
+def propagate_once(inst, c_cap=None, filter_mode="auto"):
     store = DomainStore.for_instance(inst)
     if c_cap is not None:
         store.set_max(("C", 0), c_cap)
-    ls = LotSizingConstraint(inst, store, LotSizingConfig(**config))
+    ls = LotSizingConstraint(inst, store, filter_mode)
     res, sol = ls.propagate()
     return store, ls, res, sol
 
@@ -133,7 +134,7 @@ class TestPropagate:
         store = DomainStore.for_instance(inst)
         store.assign(("Y", 0), 1)
         store.assign(("Y", 1), 0)
-        ls = LotSizingConstraint(inst, store, LotSizingConfig())
+        ls = LotSizingConstraint(inst, store)
         res, sol = ls.propagate()
         assert res is PropagateResult.COMPLETED
         assert sol.c == 13 and sol.x == (5, 0)
@@ -144,7 +145,7 @@ class TestPropagate:
         for _ in range(60):
             inst = rand_normalized(rng, max_T=5)
             store = DomainStore.for_instance(inst)
-            ls = LotSizingConstraint(inst, store, LotSizingConfig())
+            ls = LotSizingConstraint(inst, store)
             res, _ = ls.propagate()
             if res is not PropagateResult.FIXPOINT:
                 continue
@@ -187,7 +188,7 @@ class TestPropagate:
                 store.set_max((name, 0), cap)
             if store.failed:
                 continue
-            ls = LotSizingConstraint(inst, store, LotSizingConfig(hole_punch=True))
+            ls = LotSizingConstraint(inst, store)
             res, sol = ls.propagate()
             surviving = [
                 (x, i, y)
@@ -241,7 +242,10 @@ class TestPropagate:
                     assert store.contains(("X", t), x[t])
                     assert store.contains(("I", t), i[t])
 
-    def test_completeness_at_optimum_with_hole_punching(self):
+    def test_completeness_at_optimum(self):
+        """At the optimum as bound, X domains hold exactly the values of
+        optimal plans and I domains are bounded by those plans' extremes
+        (inventory is filtered to bounds)."""
         rng = random.Random(103)
         fixpoints = 0
         completed = 0
@@ -252,7 +256,7 @@ class TestPropagate:
                 continue
             costs = [plan_costs(inst, x, i, y)[3] for x, i, y in base_plans]
             opt = min(costs)
-            store, _, res, sol = propagate_once(inst, c_cap=opt, hole_punch=True)
+            store, _, res, sol = propagate_once(inst, c_cap=opt)
             if res is PropagateResult.COMPLETED:
                 assert sol.c == opt
                 completed += 1
@@ -261,7 +265,8 @@ class TestPropagate:
             optimal = [(x, i, y) for (x, i, y), c in zip(base_plans, costs) if c <= opt]
             for t in range(inst.T):
                 assert set(iv_values(store.intervals(("X", t)))) == {p[0][t] for p in optimal}
-                assert set(iv_values(store.intervals(("I", t)))) == {p[1][t] for p in optimal}
+                i_vals = {p[1][t] for p in optimal}
+                assert (store.min(("I", t)), store.max(("I", t))) == (min(i_vals), max(i_vals))
             fixpoints += 1
         assert fixpoints >= 3 and completed >= 50
 
@@ -308,12 +313,113 @@ class TestDpComplete:
             if store.failed or bc_feasibility(store, inst)[0] is Status.FAILED:
                 continue
             stripped = _strip(inst, store)
-            ls = LotSizingConstraint(inst, store, LotSizingConfig())
+            ls = LotSizingConstraint(inst, store)
             sol = ls._dp_complete(stripped)
             want = _scan_complete(stripped, store)
             assert (sol and sol.x) == want
             compared += want is not None
         assert compared >= 120
+
+
+def _fixed_setup_disj(intervals, y, **data):
+    """A Disj instance built as ``solve`` builds it, then every setup fixed
+    to y; None when that fails."""
+    inst = validate_and_normalize(make_instance(**data))
+    side = SideSpecs(disjunction=DisjunctiveSpec(intervals))
+    store, ls, _, root_ok = build_model(inst, side, SearchConfig())
+    if not root_ok or any(store.assign(("Y", t), val) is Status.FAILED for t, val in enumerate(y)):
+        return None
+    return inst, side, store, ls
+
+
+def _fixed_setup_optimum(inst, side, y):
+    """Brute-force optimum over the plans with setup vector y."""
+    return min(
+        (sol.c for sol in enumerate_plans(inst, side, include_idle_setups=True) if list(sol.y) == list(y)),
+        default=None,
+    )
+
+
+@pytest.fixture
+def dp_completions(monkeypatch):
+    """Records every ``_dp_complete`` call's result."""
+    calls = []
+    original = LotSizingConstraint._dp_complete
+
+    def counted(self, stripped):
+        sol = original(self, stripped)
+        calls.append(sol)
+        return sol
+
+    monkeypatch.setattr(LotSizingConstraint, "_dp_complete", counted)
+    return calls
+
+
+class TestCompletionOrder:
+    """With every setup fixed the exact flow completion goes first under
+    disjunctions too; the DP completes only a flow plan that lands in a
+    production hole."""
+
+    def test_flow_plan_inside_domains_completes_without_dp(self, dp_completions):
+        y = [1, 1]
+        inst, side, store, ls = _fixed_setup_disj(
+            {1: ((2, 2), (6, 7))}, y,
+            d=[3, 2], p=[3, 2], h=[2, 0], s=[3, 2], alpha_hi=[7, 8], beta_hi=[5, 2],
+        )
+        assert store.intervals(("X", 1)) == ((0, 0), (2, 2), (6, 7))
+        res, sol = ls.propagate()
+        assert res is PropagateResult.COMPLETED
+        assert sol.c == _fixed_setup_optimum(inst, side, y) == 18
+        assert dp_completions == []
+
+    def test_flow_plan_in_a_hole_falls_back_to_dp(self, dp_completions):
+        y = [1, 1, 1, 1]
+        inst, side, store, ls = _fixed_setup_disj(
+            {1: ((2, 2), (6, 6)), 2: ((2, 3), (5, 6)), 3: ((3, 4), (8, 8))}, y,
+            d=[4, 0, 4, 3], p=[1, 3, 0, 2], h=[0, 2, 0, 2], s=[5, 6, 6, 6],
+            alpha_hi=[8, 3, 5, 7], beta_hi=[7, 3, 8, 7],
+        )
+        flow = complete_at_bc(inst, store)
+        assert not all(store.contains(("X", t), flow.x[t]) for t in range(inst.T))
+        res, sol = ls.propagate()
+        assert res is PropagateResult.COMPLETED
+        assert len(dp_completions) == 1 and dp_completions[0] == sol
+        assert sol.c == _fixed_setup_optimum(inst, side, y) == 33
+
+    def test_completion_matches_brute_force_under_holes(self, dp_completions):
+        rng = random.Random(4409)
+        by_flow = by_dp = failed = 0
+        for _ in range(2_000):
+            T = rng.randint(2, 4)
+            intervals = {}
+            for t in range(T):
+                if rng.random() < 0.7:
+                    a = rng.randint(1, 3)
+                    b = rng.randint(a, a + 1)
+                    c = rng.randint(b + 2, b + 4)
+                    intervals[t] = ((a, b), (c, c + rng.randint(0, 2)))
+            y = [int(rng.random() < 0.75) for _ in range(T)]
+            model = _fixed_setup_disj(
+                intervals, y,
+                d=[rng.randint(0, 5) for _ in range(T)], p=[rng.randint(0, 4) for _ in range(T)],
+                h=[rng.randint(0, 2) for _ in range(T)], s=[rng.randint(0, 6) for _ in range(T)],
+                alpha_hi=[rng.randint(3, 8) for _ in range(T)], beta_hi=[rng.randint(2, 8) for _ in range(T)],
+            )
+            if model is None:
+                continue
+            inst, side, store, ls = model
+            dp_completions.clear()
+            res, sol = ls.propagate()
+            want = _fixed_setup_optimum(inst, side, y)
+            if res is PropagateResult.FAILED:
+                assert want is None
+                failed += 1
+                continue
+            assert res is PropagateResult.COMPLETED
+            assert sol.c == want and verify(inst, side, sol)[0]
+            by_dp += bool(dp_completions)
+            by_flow += not dp_completions
+        assert by_flow >= 600 and by_dp >= 30 and failed >= 600
 
 
 def registry_instance(name: str):
@@ -420,7 +526,7 @@ class TestStageSkip:
             res, sol = original(self)
             if res is PropagateResult.FIXPOINT:
                 before = self.store.mod_count
-                fresh = LotSizingConstraint(self.instance, self.store, self.config)
+                fresh = LotSizingConstraint(self.instance, self.store, self.filter_mode)
                 assert original(fresh) == (PropagateResult.FIXPOINT, None)
                 assert self.store.mod_count == before
                 checked.append(self.store.level)
@@ -455,7 +561,7 @@ class TestStageSkip:
             assert LotSizingConstraint(inst, store).propagate()[0] is PropagateResult.FIXPOINT
         cheap = _plan_and_cost_domains(store, inst.T)
         want_store = copy.deepcopy(store)
-        assert LotSizingConstraint(inst, want_store, ls.config).propagate()[0] is PropagateResult.FIXPOINT
+        assert LotSizingConstraint(inst, want_store, ls.filter_mode).propagate()[0] is PropagateResult.FIXPOINT
         want = _plan_and_cost_domains(want_store, inst.T)
         assert want != cheap
 
@@ -493,7 +599,7 @@ class TestCostBoundSoundness:
             opt = costs[0]
             for ub in (opt - 1, opt, opt + rng.randint(1, 6), costs[len(costs) // 2], None):
                 pairs += 1
-                store, ls, seq, root_ok = build_model(inst, side, SearchConfig(hole_punch=rng.random() < 0.5))
+                store, ls, seq, root_ok = build_model(inst, side, SearchConfig())
                 within = [sol for sol in plans if ub is None or sol.c <= ub]
                 if not root_ok or (ub is not None and store.set_max(("C", 0), ub) is Status.FAILED):
                     assert not within

@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from lotsizing import (
     DisjunctiveSpec,
     PropagateResult,
@@ -37,6 +39,12 @@ def rand_side(rng, inst) -> SideSpecs | None:
 
 
 class TestSolve:
+    @pytest.mark.parametrize("field, value", [("filter_mode", "dpp"), ("branching", "peaks")])
+    def test_unknown_option_value_rejected(self, field, value):
+        config = SearchConfig(**{field: value})
+        with pytest.raises(ValueError, match=f"unknown {field} '{value}'"):
+            solve(two_period(), None, config)
+
     def test_given_optimal_bound(self):
         sol, stats = solve(two_period(), None, SearchConfig(ub=13))
         assert stats.status == "OPT"

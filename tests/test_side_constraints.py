@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from lotsizing import (
     DisjunctiveSpec,
     DomainStore,
@@ -42,6 +44,14 @@ class TestDisjunctions:
         store.set_max(("X", 0), 90)
         spec = DisjunctiveSpec.uniform(1, ((100, 150), (200, 240), (0, 30)))
         assert apply_disjunctions(store, spec) is Status.FAILED
+
+    @pytest.mark.parametrize("t", [-1, 3, 98])
+    def test_period_outside_horizon_rejected(self, t):
+        store = wide_store(T=3)
+        before = store.snapshot()
+        with pytest.raises(ValueError, match=f"period {t + 1},"):
+            apply_disjunctions(store, DisjunctiveSpec(intervals={0: ((1, 2),), t: ((1, 2),)}))
+        assert store.snapshot() == before
 
 
 class TestSequence:
@@ -159,3 +169,10 @@ class TestSideSpecFiles:
             raise AssertionError("expected parse error")
         except ValueError as exc:
             assert "bad.side:1" in str(exc)
+
+    @pytest.mark.parametrize("t", ["0", "-3"])
+    def test_period_below_one_rejected(self, tmp_path, t):
+        path = tmp_path / "bad.side"
+        path.write_text(f"qr 1 2\ndisj {t} 1 2\n")
+        with pytest.raises(ValueError, match="bad.side:2: .*periods start at 1"):
+            read_side_specs(path)

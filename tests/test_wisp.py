@@ -29,7 +29,7 @@ from lotsizing.domains import iv_values
 from lotsizing.propagator import _strip
 from lotsizing.wisp import COST_C, COST_CS
 from test_dp import setup_problem, two_period
-from conftest import plan_costs, rand_normalized, store_plans
+from conftest import plan_costs, rand_normalized, state_budget, store_plans
 from test_flow import _reference_solve
 
 
@@ -137,7 +137,7 @@ class TestSweepEquivalence:
         """One forward table per start gives, for every window, the bound and
         kind of a table built for that window alone: the exact DP when the
         window's state proxy fits the budget, else the flow pass."""
-        from lotsizing.dp import _build_forward, make_cost_view, state_budget
+        from lotsizing.dp import _build_forward, make_cost_view
         from lotsizing.flow import window_flow_bounds
 
         rng = random.Random(83)
@@ -333,6 +333,35 @@ class TestSupportFilter:
         store, stripped = setup_problem(inst, bc=False)
         decomp = compute_decomposition(stripped, store, COST_C)
         assert wisp_support_filter(decomp, stripped, store, math.inf, COST_C) is Status.UNCHANGED
+
+    def test_window_size_test_matches_state_budget(self, monkeypatch):
+        """The support filter's size test, ``v <= _last_exact_ends[u]``,
+        agrees with the per-window proxy on every window of random stores
+        with fixed setups and I caps, at budgets from 0 to 1e9."""
+        from lotsizing.dp import make_cost_view
+
+        rng = random.Random(61)
+        agree = {True: 0, False: 0}
+        for _ in range(1_500):
+            inst = rand_normalized(rng, max_T=8, max_d=9, max_cap=14)
+            store = DomainStore.for_instance(inst)
+            for t in range(inst.T):
+                if rng.random() < 0.25:
+                    store.assign(("Y", t), rng.randint(0, 1))
+                if rng.random() < 0.3:
+                    store.set_max(("I", t), rng.randint(store.min(("I", t)), store.max(("I", t))))
+            store, stripped = setup_problem(inst, store)
+            if stripped is None:
+                continue
+            budget = rng.choice([0, 10, 100, 300, 1_000, 3_000, 10**9])
+            monkeypatch.setattr(wisp_mod, "_WINDOW_BUDGET", budget)
+            last = wisp_mod._last_exact_ends(stripped, store)
+            for sub in enumerate_subproblems(inst.T):
+                view = make_cost_view(stripped, store, (sub.u, sub.v))
+                fits = state_budget(view) <= budget
+                assert (sub.v <= last[sub.u]) == fits, (sub.u, sub.v, budget)
+                agree[fits] += 1
+        assert agree[True] >= 1_200 and agree[False] >= 600
 
     def test_windowed_removals_are_sound(self):
         rng = random.Random(73)
