@@ -25,6 +25,7 @@ from lotsizing import (
     bc_feasibility,
     filter_with_dp,
     generate,
+    post_qr,
     validate_and_normalize,
     window_tables,
 )
@@ -153,3 +154,13 @@ def test_flow_bounds(benchmark, cls):
     ls = LotSizingConstraint(inst, store)
     st = benchmark(ls._flow_bounds, stripped)
     assert st is not Status.FAILED
+
+
+def test_sequence_propagate(benchmark):
+    """Q/R sequence propagation on the C3QR root (after bound consistency),
+    from the freshly installed count chain to its fixpoint."""
+    inst, store, _ = _root("C3QR")
+    system = post_qr(inst.T, *INSTANCE_CLASSES["C3QR"].qr)
+    system.install(store)
+    st = benchmark.pedantic(system.propagate, setup=lambda: ((copy.deepcopy(store),), {}), rounds=50)
+    assert st is Status.CHANGED

@@ -141,6 +141,74 @@ def iv_from_mask(mask: np.ndarray, offset: int = 0) -> Ivs:
 
 
 # ---------------------------------------------------------------------------
+# Bound sweeps on plain lists
+# ---------------------------------------------------------------------------
+
+
+class Wipeout(Exception):
+    """A bound request that empties a domain: (key, tighten kind, value)."""
+
+
+def raise_lo(lo, hi, holes, t, v, name) -> bool:
+    """lo[t] := v when v is tighter, moved up to the next value of a domain
+    with holes as ``DomainStore.set_min`` does; True when lo[t] moved."""
+    if v <= lo[t]:
+        return False
+    w = v
+    if holes[t] is not None:
+        w = next((max(a, v) for a, b in holes[t] if b >= v), hi[t] + 1)
+    if w > hi[t]:
+        raise Wipeout(name, t, "set_min", v)
+    lo[t] = w
+    return True
+
+
+def lower_hi(lo, hi, holes, t, v, name) -> bool:
+    """hi[t] := v when v is tighter, moved down like ``DomainStore.set_max``."""
+    if v >= hi[t]:
+        return False
+    w = v
+    if holes[t] is not None:
+        w = next((min(b, v) for a, b in reversed(holes[t]) if a <= v), lo[t] - 1)
+    if w < lo[t]:
+        raise Wipeout(name, t, "set_max", v)
+    hi[t] = w
+    return True
+
+
+def read_bounds(store: "DomainStore", name: str, n: int) -> tuple[list[int], list[int], list[Ivs | None]]:
+    """Plain lists (lo, hi, holes) for the variables (name, 0..n-1); holes[t]
+    is the domain's intervals when it has holes, else None."""
+    doms = [store.intervals((name, t)) for t in range(n)]
+    lo = [ivs[0][0] for ivs in doms]
+    hi = [ivs[-1][1] for ivs in doms]
+    return lo, hi, [ivs if len(ivs) > 1 else None for ivs in doms]
+
+
+def write_back(store: "DomainStore", bounds, start, wipeout) -> Status:
+    """Write the bounds a plain-list sweep moved back with ``set_min`` and
+    ``set_max``. ``bounds`` holds (name, lo, hi) per variable family and
+    ``start`` their (lo, hi) before the sweep. A ``Wipeout``'s arguments in
+    ``wipeout`` are then replayed on the store, which leaves it failed where
+    the same requests made on the store would have: FAILED. Otherwise
+    CHANGED when some bound moved."""
+    status = Status.UNCHANGED
+    for (name, lo, hi), (lo0, hi0) in zip(bounds, start):
+        for t in range(len(lo)):
+            if lo[t] != lo0[t]:
+                store.set_min((name, t), lo[t])
+                status = Status.CHANGED
+            if hi[t] != hi0[t]:
+                store.set_max((name, t), hi[t])
+                status = Status.CHANGED
+    if wipeout is not None:
+        name, t, kind, value = wipeout
+        store.tighten((name, t), kind, value)
+        return Status.FAILED
+    return status
+
+
+# ---------------------------------------------------------------------------
 # Store
 # ---------------------------------------------------------------------------
 

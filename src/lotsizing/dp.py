@@ -8,16 +8,22 @@ knapsack-style variant that lower-bounds the setup cost alone.
 
 Tables drive three filtering rules against a cost upper bound: inventory
 bounds move past the values whose through-path exceeds the bound (inventory
-is filtered to bounds, never holed), production values with no
-surviving (I_{t-1}, I_t) support pair, and setup values whose cheapest
-completion exceeds the bound. The inventory rule costs O(S) per boundary,
-S the number of states. A support pair joins two states that survive the
-inventory rule, so the production rule (``_support``) reads pairs of
-surviving states only, cheapest first, by rows or along the diagonal of
-each undecided value, and stops once the domain is decided: its cost
-follows the pairs it must read, at most |J| x |I| for J and I the
-surviving states, and its temporaries are capped at a fixed size. The
-setup rule reuses the production verdicts plus one O(S) diagonal.
+is filtered to bounds, never holed), production values with no surviving
+(I_{t-1}, I_t) support pair, and setup values whose cheapest completion
+exceeds the bound. One vectorised pass over the rows, laid end to end in
+blocks of bounded size, finds the surviving states in O(S), S the number of
+states, and per boundary their extremes, whether they form an interval, and
+the dearest partial cost on either side of a period. A support pair joins
+two states that survive, J before period t and I after it. Where J and I
+are intervals and even their dearest pair fits the bound, every pair fits,
+so the supported production values are the allowed ones in one interval and
+the period is settled by interval arithmetic, with no per-state work.
+Elsewhere the production rule (``_support``) reads pairs of surviving
+states only, cheapest first, by rows or along the diagonal of each
+undecided value, and stops once the domain is decided: its cost follows the
+pairs it must read, at most |J| x |I|, and its temporaries are capped at a
+fixed size. The setup rule reuses the production verdicts plus one O(S)
+diagonal.
 
 Windowed tables (for the interval-decomposition bound) deliberately relax
 production holes and treat end-of-window stock as zero; the complementary
@@ -36,11 +42,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .domains import DomainStore, Status, iv_from_mask, iv_intersect, iv_mask, iv_shift, merge
+from .domains import DomainStore, Status, iv_from_mask, iv_intersect, iv_mask, iv_normalize, iv_shift, merge
 from .instance import StrippedInstance
 
 INF = math.inf
@@ -500,6 +506,80 @@ def _support(A, C, d, sc, cand, ub) -> tuple[np.ndarray, str]:
     return sup & cand, "covered"
 
 
+class _Survivors(NamedTuple):
+    """The surviving states of a window's tables, with per-boundary facts.
+
+    Boundary k (= b - u) owns entries ``start[k]:start[k + 1]`` of
+    ``alive``, which marks the states whose through-path f + g stays within
+    the bound. Per boundary: the number of survivors, the first and last of
+    them (meaningless when there are none), whether they form one interval,
+    and the largest A = f - p j and C = g + (p + h) i + p d over them, with
+    the p of the period the boundary opens in A and the p, h, d of the
+    period it closes in C.
+    """
+
+    start: list[int]
+    alive: np.ndarray
+    count: list[int]
+    first: list[int]
+    last: list[int]
+    dense: list[bool]
+    max_a: list[float]
+    max_c: list[float]
+
+
+def _survivors(fwd: DpTable, bwd: DpTable, ub: float) -> _Survivors:
+    """One vectorised pass over the rows laid end to end, in runs of whole
+    rows of at most ``_BLOCK`` states (or one longer row), so temporaries
+    stay bounded whatever the table size."""
+    view = fwd.view
+    f_rows, g_rows = fwd._rows(), bwd._rows()
+    p, h, d = np.array(view.p), np.array(view.h), np.array(view.d)
+    a_coef, c_coef, c_const = np.append(p, 0), np.insert(p + h, 0, 0), np.insert(p * d, 0, 0)
+    sizes = np.array([len(row) for row in f_rows])
+    start = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=start[1:])
+    alive = np.empty(start[-1], dtype=bool)
+    parts = []
+    k0 = 0
+    while k0 < len(sizes):
+        k1 = max(int(np.searchsorted(start, start[k0] + _BLOCK, side="right")) - 1, k0 + 1)
+        n, heads = sizes[k0:k1], start[k0:k1] - start[k0]
+        f, g = np.concatenate(f_rows[k0:k1]), np.concatenate(g_rows[k0:k1])
+        ok = alive[start[k0] : start[k1]]
+        np.less_equal(f + g, ub, out=ok)
+        j = np.arange(len(f)) - np.repeat(heads, n)
+        A = f - np.repeat(a_coef[k0:k1], n) * j
+        C = g + np.repeat(c_coef[k0:k1], n) * j + np.repeat(c_const[k0:k1], n)
+        count = np.add.reduceat(ok, heads, dtype=np.int64)
+        hits = np.append(np.flatnonzero(ok), len(f))  # the sentinel keeps every lookup in range
+        at = np.searchsorted(hits, heads)
+        first, last = hits[at] - heads, hits[at + count - 1] - heads
+        parts.append((
+            count,
+            first,
+            last,
+            (count > 0) & (last - first + 1 == count),
+            np.maximum.reduceat(np.where(ok, A, -INF), heads),
+            np.maximum.reduceat(np.where(ok, C, -INF), heads),
+        ))
+        k0 = k1
+    cols = [np.concatenate(col).tolist() for col in zip(*parts)]
+    return _Survivors(start.tolist(), alive, *cols)
+
+
+def _fit_range(surv: _Survivors, k: int, d: int, sc: int, ub: float) -> tuple[int, int] | None:
+    """The all-pairs-fit shortcut for the period between boundaries k and
+    k + 1. When the survivors J and I on both sides are intervals and the
+    dearest pair, max A + max C plus the setup charge, is within ``ub``,
+    every pair of J x I fits, so the supported production values are exactly
+    the candidates in [I_0 - J_1 + d, I_1 - J_0 + d]; returns that range.
+    None when the shortcut does not apply."""
+    if not (surv.dense[k] and surv.dense[k + 1] and surv.max_a[k] + surv.max_c[k + 1] + sc <= ub):
+        return None
+    return surv.first[k + 1] - surv.last[k] + d, surv.last[k + 1] - surv.first[k] + d
+
+
 def filter_with_dp(
     fwd: DpTable,
     bwd: DpTable,
@@ -517,19 +597,23 @@ def filter_with_dp(
     one cost view (``window_tables``). In windowed mode values at or above
     the remaining in-window demand are never touched.
 
-    An inventory value survives if its through-path f + f_r stays within the
-    bound, O(S) per boundary; the domain's bounds move to the lowest and
-    highest survivors, and the values between them stay. A production value
-    x of period t survives if a state pair (j, i), i - j + d = x, generates
-    it within the bound (support semantics). Such a pair joins two surviving
-    states (J at boundary t, I at t + 1), because each table step minimizes
-    over the same transitions, so ``_support`` decides the domain's values
-    from pairs of J x I, scanning rows cheapest first or the diagonals of
-    the undecided values, whichever reads fewer pairs, and stops once every
-    value is decided. Its cost follows the pairs it reads, at most |J| x |I|
-    per step; its memory is fixed. The setup value Y_t = 1 survives if some
-    x > 0 survives or the x = 0 diagonal plus the setup charge stays within
-    the bound.
+    One vectorised pass (``_survivors``) over the rows laid end to end, in
+    blocks of bounded size, finds the surviving states: an inventory value
+    survives if its through-path f + f_r stays within the bound. The
+    inventory domain's bounds move to the lowest and highest survivors, and
+    the values between them stay. A production value x of period t survives
+    if a state pair (j, i), i - j + d = x, generates it within the bound
+    (support semantics). Such a pair joins two surviving states (J at
+    boundary t, I at t + 1), because each table step minimizes over the same
+    transitions. When J and I are intervals and even their dearest pair fits
+    (``_fit_range``), the supported values are an interval and the period is
+    settled by interval arithmetic. Otherwise ``_support`` decides the
+    domain's values from pairs of J x I, scanning rows cheapest first or the
+    diagonals of the undecided values, whichever reads fewer pairs, and
+    stops once every value is decided. Its cost follows the pairs it reads,
+    at most |J| x |I| per step; its memory is fixed. The setup value Y_t = 1
+    survives if some x > 0 survives or the x = 0 diagonal plus the setup
+    charge stays within the bound.
     """
     view = fwd.view
     ub_eff = cost_ub - before - after - view.sunk
@@ -537,53 +621,54 @@ def filter_with_dp(
         return Status.UNCHANGED
     windowed = view.windowed
     status = Status.UNCHANGED
-    alive = [fwd.row(b) + bwd.row(b) <= ub_eff for b in range(view.u, view.v + 2)]
+    surv = _survivors(fwd, bwd, ub_eff)
 
-    for b in range(view.u + 1, view.v + 2):
-        t = b - 1
+    for k in range(1, view.v - view.u + 2):
+        t = view.u + k - 1
         i_off = stripped.i_off[t]
-        dom = store.intervals(("I", t))
-        dom_max = dom[-1][1] - i_off
-        cap = view.cap(b)
-        ok = alive[b - view.u]
-        width = max(dom_max, cap) + 1
-        mask = np.zeros(width, dtype=bool)
-        mask[: cap + 1] = ok[: width if width < len(ok) else len(ok)]
-        if windowed:
-            thr = view.tail[b - view.u]
-            if thr < width:
-                mask[thr:] = True
-        if not mask.any():
+        width = max(store.max(("I", t)) - i_off, view.row_cap[k]) + 1
+        lo, hi = (surv.first[k], surv.last[k]) if surv.count[k] else (width, -1)
+        if windowed and view.tail[k] < width:
+            lo, hi = min(lo, view.tail[k]), width - 1
+        if lo > hi:
             return Status.FAILED
-        idx = np.nonzero(mask)[0]
-        st = store.set_min(("I", t), int(idx[0]) + i_off)
-        st = merge(st, store.set_max(("I", t), int(idx[-1]) + i_off))
+        st = store.set_min(("I", t), lo + i_off)
+        st = merge(st, store.set_max(("I", t), hi + i_off))
         if st is Status.FAILED:
             return Status.FAILED
         status = merge(status, st)
 
     for t in range(view.u, view.v + 1):
         k = t - view.u
-        d, p, h, sc = view.d[k], view.p[k], view.h[k], view.s_charge[k]
+        d, sc = view.d[k], view.s_charge[k]
         x_off = stripped.x_off[t]
         dom = store.intervals(("X", t))
-        dom_max = dom[-1][1] - x_off
         xcap = view.x_cap[k]
-        width = max(dom_max, xcap) + 1
+        width = max(dom[-1][1] - x_off, xcap) + 1
         thr = view.tail[k + 1] if windowed else width
-        cand = view.x_allow_mask(t) & iv_mask(iv_shift(dom, -x_off), 0, xcap)
-        cand[thr:] = False
-        A = np.where(alive[k], fwd.row(t) - p * np.arange(len(alive[k])), INF)
-        i = np.arange(len(alive[k + 1]))
-        C = np.where(alive[k + 1], bwd.row(t + 1) + (p + h) * i + p * d, INF)
-        sup, _ = _support(A, C, d, sc, cand, ub_eff)
-        supported = np.zeros(width, dtype=bool)
-        supported[: xcap + 1] = sup
-        supported[thr:] = True
-        if not supported.any():
-            return Status.FAILED
-        allowed = iv_shift(iv_from_mask(supported, 0), x_off)
-        st = store.set_intervals(("X", t), iv_intersect(dom, allowed))
+        fit = _fit_range(surv, k, d, sc, ub_eff)
+        if fit is not None:
+            x0, runs = view.x_runs(t)
+            allowed = iv_intersect(iv_shift(dom, -x_off), (((0, 0),) if x0 else ()) + tuple(runs))
+            sup_ivs = iv_intersect(allowed, ((max(fit[0], 0), min(fit[1], xcap, thr - 1)),))
+            if not sup_ivs and thr >= width:
+                return Status.FAILED
+            keep = iv_normalize(sup_ivs + ((thr, width - 1),))
+        else:
+            p, h = view.p[k], view.h[k]
+            s0, s1, s2 = surv.start[k : k + 3]
+            A = np.where(surv.alive[s0:s1], fwd.row(t) - p * np.arange(s1 - s0), INF)
+            C = np.where(surv.alive[s1:s2], bwd.row(t + 1) + (p + h) * np.arange(s2 - s1) + p * d, INF)
+            cand = view.x_allow_mask(t) & iv_mask(iv_shift(dom, -x_off), 0, xcap)
+            cand[thr:] = False
+            sup, _ = _support(A, C, d, sc, cand, ub_eff)
+            supported = np.zeros(width, dtype=bool)
+            supported[: xcap + 1] = sup
+            supported[thr:] = True
+            if not supported.any():
+                return Status.FAILED
+            keep = iv_from_mask(supported, 0)
+        st = store.set_intervals(("X", t), iv_intersect(dom, iv_shift(keep, x_off)))
         if st is Status.FAILED:
             return Status.FAILED
         status = merge(status, st)
@@ -593,9 +678,14 @@ def filter_with_dp(
         # Y_t must be 0. Only stated on suffix windows, where the table
         # is exact for the in-window plan.
         if not windowed and sc > 0 and store.min(("Y", t)) == 0 and store.max(("Y", t)) == 1:
-            n = min(len(C), len(A) - d)
-            idle = view.x_runs(t)[0] and n > 0 and bool((A[d : d + n] + C[:n] + sc <= ub_eff).any())
-            if not sup[1:].any() and not idle:
+            if fit is not None:
+                producing = bool(sup_ivs) and sup_ivs[-1][1] >= 1
+                idle = x0 and fit[0] <= 0 <= fit[1]
+            else:
+                producing = bool(sup[1:].any())
+                n = min(len(C), len(A) - d)
+                idle = view.x_runs(t)[0] and n > 0 and bool((A[d : d + n] + C[:n] + sc <= ub_eff).any())
+            if not producing and not idle:
                 st = store.set_max(("Y", t), 0)
                 if st is Status.FAILED:
                     return Status.FAILED

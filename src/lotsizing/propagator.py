@@ -48,7 +48,17 @@ from typing import Callable
 import numpy as np
 
 from . import wisp as wisp_mod
-from .domains import DomainStore, Status, iv_contains, merge
+from .domains import (
+    DomainStore,
+    Status,
+    Wipeout,
+    iv_contains,
+    lower_hi,
+    merge,
+    raise_lo,
+    read_bounds,
+    write_back,
+)
 from .dp import DpTable, filter_with_dp, table_fits, window_tables
 from .flow import FlowMode, INFEASIBLE, build_network, derive_network, min_cost_flow, path_greedy
 from .instance import Instance, StrippedInstance, strip_lower_bounds
@@ -60,37 +70,6 @@ class PropagateResult(enum.Enum):
     FAILED = "failed"
     COMPLETED = "completed"
     CLOSED = "closed"  # an accepted DP plan costs the node's lower bound
-
-
-class _Wipeout(Exception):
-    """A bound request that empties a domain: (key, tighten kind, value)."""
-
-
-def _raise_lo(lo, hi, holes, t, v, name) -> bool:
-    """lo[t] := v when v is tighter, moved up to the next value of a domain
-    with holes as ``DomainStore.set_min`` does; True when lo[t] moved."""
-    if v <= lo[t]:
-        return False
-    w = v
-    if holes[t] is not None:
-        w = next((max(a, v) for a, b in holes[t] if b >= v), hi[t] + 1)
-    if w > hi[t]:
-        raise _Wipeout(name, t, "set_min", v)
-    lo[t] = w
-    return True
-
-
-def _lower_hi(lo, hi, holes, t, v, name) -> bool:
-    """hi[t] := v when v is tighter, moved down like ``DomainStore.set_max``."""
-    if v >= hi[t]:
-        return False
-    w = v
-    if holes[t] is not None:
-        w = next((min(b, v) for a, b in reversed(holes[t]) if a <= v), lo[t] - 1)
-    if w < lo[t]:
-        raise _Wipeout(name, t, "set_max", v)
-    hi[t] = w
-    return True
 
 
 def bc_feasibility(store: DomainStore, inst: Instance) -> tuple[Status, dict]:
@@ -113,15 +92,9 @@ def bc_feasibility(store: DomainStore, inst: Instance) -> tuple[Status, dict]:
     d = inst.d
     if store.failed:
         return Status.FAILED, {}
-    dom = [[store.intervals((name, t)) for t in range(T)] for name in ("X", "I", "Y")]
-    xl = [ivs[0][0] for ivs in dom[0]]
-    xh = [ivs[-1][1] for ivs in dom[0]]
-    il = [ivs[0][0] for ivs in dom[1]]
-    ih = [ivs[-1][1] for ivs in dom[1]]
-    yl = [ivs[0][0] for ivs in dom[2]]
-    yh = [ivs[-1][1] for ivs in dom[2]]
-    xholes = [ivs if len(ivs) > 1 else None for ivs in dom[0]]
-    iholes = [ivs if len(ivs) > 1 else None for ivs in dom[1]]
+    xl, xh, xholes = read_bounds(store, "X", T)
+    il, ih, iholes = read_bounds(store, "I", T)
+    yl, yh, _ = read_bounds(store, "Y", T)
     bounds = (("X", xl, xh), ("I", il, ih), ("Y", yl, yh))
     start = [(lo[:], hi[:]) for _, lo, hi in bounds]
     setup_wakes = [0] * T
@@ -132,12 +105,12 @@ def bc_feasibility(store: DomainStore, inst: Instance) -> tuple[Status, dict]:
         moved = False
         if yh[t] == 0 and (xl[t] != 0 or xh[t] != 0):
             if not (xl[t] <= 0 <= xh[t] and (xholes[t] is None or iv_contains(xholes[t], 0))):
-                raise _Wipeout("X", t, "assign", 0)
+                raise Wipeout("X", t, "assign", 0)
             xl[t] = xh[t] = 0
             moved = True
         if xl[t] > 0 and yl[t] == 0:
             if yh[t] == 0:
-                raise _Wipeout("Y", t, "assign", 1)
+                raise Wipeout("Y", t, "assign", 1)
             yl[t] = 1
             moved = True
         return moved
@@ -152,14 +125,14 @@ def bc_feasibility(store: DomainStore, inst: Instance) -> tuple[Status, dict]:
         while True:
             step = False
             pl, ph = (il[t - 1], ih[t - 1]) if t > 0 else (0, 0)
-            step |= _raise_lo(il, ih, iholes, t, pl + xl[t] - dt, "I")
-            step |= _lower_hi(il, ih, iholes, t, ph + xh[t] - dt, "I")
+            step |= raise_lo(il, ih, iholes, t, pl + xl[t] - dt, "I")
+            step |= lower_hi(il, ih, iholes, t, ph + xh[t] - dt, "I")
             lo_i, hi_i = il[t], ih[t]
-            step |= _raise_lo(xl, xh, xholes, t, dt + lo_i - ph, "X")
-            step |= _lower_hi(xl, xh, xholes, t, dt + hi_i - pl, "X")
+            step |= raise_lo(xl, xh, xholes, t, dt + lo_i - ph, "X")
+            step |= lower_hi(xl, xh, xholes, t, dt + hi_i - pl, "X")
             if t > 0:
-                step |= _raise_lo(il, ih, iholes, t - 1, dt + lo_i - xh[t], "I")
-                step |= _lower_hi(il, ih, iholes, t - 1, dt + hi_i - xl[t], "I")
+                step |= raise_lo(il, ih, iholes, t - 1, dt + lo_i - xh[t], "I")
+                step |= lower_hi(il, ih, iholes, t - 1, dt + hi_i - xl[t], "I")
             if not step:
                 return moved
             moved = True
@@ -179,24 +152,11 @@ def bc_feasibility(store: DomainStore, inst: Instance) -> tuple[Status, dict]:
                 moved |= setup(t)
                 moved |= balance(t)
             holes = moved
-    except _Wipeout as exc:
+    except Wipeout as exc:
         wipeout = exc.args
-    status = Status.UNCHANGED
-    for (name, lo, hi), (lo0, hi0) in zip(bounds, start):
-        for t in range(T):
-            if lo[t] != lo0[t]:
-                store.set_min((name, t), lo[t])
-                status = Status.CHANGED
-            if hi[t] != hi0[t]:
-                store.set_max((name, t), hi[t])
-                status = Status.CHANGED
     wakes = {("setup", t): n for t, n in enumerate(setup_wakes) if n}
     wakes.update({("balance", t): n for t, n in enumerate(balance_wakes) if n})
-    if wipeout is not None:
-        name, t, kind, value = wipeout
-        store.tighten((name, t), kind, value)
-        return Status.FAILED, wakes
-    return status, wakes
+    return write_back(store, bounds, start, wipeout), wakes
 
 
 def _strip(inst: Instance, store: DomainStore) -> StrippedInstance:
@@ -288,7 +248,9 @@ class LotSizingConstraint:
     def _trace_plan(self, fwd: DpTable, stripped: StrippedInstance) -> Solution:
         """The cheapest plan of a feasible whole-horizon cost table, taking
         the lowest predecessor at every step, with a setup wherever it
-        produces or Y is fixed to 1. Honors production holes."""
+        produces or Y is fixed to 1. Honors production holes. State i of
+        boundary t + 1 can only come from states i + d - x_cap .. i + d of
+        boundary t, so only that window of each row is read."""
         view = fwd.view
         T = self.instance.T
         x = [0] * T
@@ -299,15 +261,14 @@ class LotSizingConstraint:
             k = t - view.u
             d, p, h, sc = view.d[k], view.p[k], view.h[k], view.s_charge[k]
             allow = view.x_allow_mask(t)
-            xv = i_state + d - np.arange(len(row_prev))
-            ok = (xv >= 0) & (xv < len(allow))
-            ok[ok] = allow[xv[ok]]
+            lo = max(i_state + d - (len(allow) - 1), 0)
+            xv = i_state + d - np.arange(lo, min(i_state + d, len(row_prev) - 1) + 1)
             cost = p * xv + h * i_state + np.where(xv > 0, sc, 0)
-            hits = np.flatnonzero(ok & (row_prev + cost == target))
+            hits = np.flatnonzero(allow[xv] & (row_prev[lo : lo + len(xv)] + cost == target))
             if len(hits) == 0:
                 raise AssertionError("DP path extraction lost the optimal trace")
-            i_state = int(hits[0])
-            x[t] = int(xv[i_state]) + stripped.x_off[t]
+            i_state = lo + int(hits[0])
+            x[t] = int(xv[hits[0]]) + stripped.x_off[t]
         y = [1 if x[t] > 0 or self.store.min(("Y", t)) == 1 else 0 for t in range(T)]
         return Solution.from_plan(self.instance, x, y)
 

@@ -318,8 +318,12 @@ def brute_force_oracle(
 
 
 def verify(inst: Instance, side: SideSpecs | None, sol: Solution) -> tuple[bool, str | None]:
-    """Recheck a solution from scratch; returns (valid, reason-if-not)."""
+    """Recheck a solution from scratch; returns (valid, reason-if-not). A
+    disjunction for a period past the horizon is a ValueError, as in
+    ``solve``."""
     T = inst.T
+    if side is not None and side.disjunction is not None:
+        side.disjunction.check_horizon(T)
     if len(sol.x) != T or len(sol.i) != T or len(sol.y) != T:
         return False, "vector length mismatch"
     inv = 0

@@ -6,7 +6,9 @@ R periods between consecutive production periods; they are encoded as two
 sliding-window cardinality (Sequence) constraints over the setup variables
 and propagated through prefix-count variables N_b = Y_0 + ... + Y_{b-1},
 with the channeling N_{b+1} = N_b + Y_b and window rules as difference
-bounds on the N's.
+bounds on the N's. The rules sweep plain lists of the N and Y bounds, as
+bound consistency does, and the store sees one write per moved bound, not
+one call per rule and period.
 """
 
 from __future__ import annotations
@@ -14,7 +16,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .domains import DomainStore, Status, iv_intersect, iv_normalize, merge
+from .domains import (
+    DomainStore,
+    Status,
+    Wipeout,
+    iv_intersect,
+    iv_normalize,
+    lower_hi,
+    merge,
+    raise_lo,
+    read_bounds,
+    write_back,
+)
 
 
 @dataclass(frozen=True)
@@ -31,6 +44,16 @@ class DisjunctiveSpec:
     def uniform(cls, T: int, intervals) -> "DisjunctiveSpec":
         ivs = iv_normalize(intervals)
         return cls(intervals={t: ivs for t in range(T)})
+
+    def check_horizon(self, T: int) -> None:
+        """ValueError for a period outside a horizon of T periods."""
+        for t in self.intervals:
+            if not 0 <= t < T:
+                raise _outside_horizon(t)
+
+
+def _outside_horizon(t: int) -> ValueError:
+    return ValueError(f"disjunction for period {t + 1}, outside the horizon")
 
 
 @dataclass(frozen=True)
@@ -54,7 +77,7 @@ def apply_disjunctions(store: DomainStore, spec: DisjunctiveSpec) -> Status:
     horizon is a ValueError, raised before any domain changes."""
     for t in spec.intervals:
         if not store.has_var(("X", t)):
-            raise ValueError(f"disjunction for period {t + 1}, outside the horizon")
+            raise _outside_horizon(t)
     status = Status.UNCHANGED
     for t, ivs in sorted(spec.intervals.items()):
         allowed = iv_normalize(tuple(ivs) + ((0, 0),))
@@ -91,57 +114,65 @@ class SequenceSystem:
             store.add_var(("N", b), 0, b)
         self._installed = True
 
-    def _channel(self, store: DomainStore, b: int) -> Status:
-        # N_{b+1} = N_b + Y_b
-        st = Status.UNCHANGED
-        nl, nh = store.min(("N", b)), store.max(("N", b))
-        yl, yh = store.min(("Y", b)), store.max(("Y", b))
-        st = merge(st, store.set_min(("N", b + 1), nl + yl))
-        st = merge(st, store.set_max(("N", b + 1), nh + yh))
-        if st is Status.FAILED:
-            return st
-        ml, mh = store.min(("N", b + 1)), store.max(("N", b + 1))
-        st = merge(st, store.set_min(("N", b), ml - yh))
-        st = merge(st, store.set_max(("N", b), mh - yl))
-        if st is Status.FAILED:
-            return st
-        nl, nh = store.min(("N", b)), store.max(("N", b))
-        st = merge(st, store.set_min(("Y", b), ml - nh))
-        st = merge(st, store.set_max(("Y", b), mh - nl))
-        return st
-
-    def _window(self, store: DomainStore, a: int, k: int, l: int, u: int) -> Status:
-        # l <= N_{a+k} - N_a <= u
-        st = Status.UNCHANGED
-        al, ah = store.min(("N", a)), store.max(("N", a))
-        bl, bh = store.min(("N", a + k)), store.max(("N", a + k))
-        st = merge(st, store.set_min(("N", a + k), al + l))
-        st = merge(st, store.set_max(("N", a + k), ah + u))
-        if st is Status.FAILED:
-            return st
-        st = merge(st, store.set_min(("N", a), bl - u))
-        st = merge(st, store.set_max(("N", a), bh - l))
-        return st
-
     def propagate(self, store: DomainStore) -> Status:
+        """Channeling and window rules to a fixpoint. A sweep wakes the
+        channel of every period forward, then every window of each posted
+        constraint, then every channel backward; sweeps repeat until one
+        moves nothing.
+
+        The sweeps run on plain lists of the N and Y bounds, and the bounds
+        reached are written back with ``set_min``/``set_max``. On a wipeout
+        the bounds reached so far are written back and the request that
+        empties a domain is replayed on the store, which leaves it failed
+        exactly where a sweep of store calls in the same order would have.
+        """
         if not self._installed:
             self.install(store)
-        overall = Status.UNCHANGED
-        while True:
-            before = store.mod_count
-            for b in range(self.T):
-                if self._channel(store, b) is Status.FAILED:
-                    return Status.FAILED
-            for l, u, k in self.windows:
-                for a in range(0, self.T - k + 1):
-                    if self._window(store, a, k, l, u) is Status.FAILED:
-                        return Status.FAILED
-            for b in range(self.T - 1, -1, -1):
-                if self._channel(store, b) is Status.FAILED:
-                    return Status.FAILED
-            if store.mod_count == before:
-                return overall
-            overall = Status.CHANGED
+        if store.failed:
+            return Status.FAILED
+        T = self.T
+        nl, nh, n_holes = read_bounds(store, "N", T + 1)
+        yl, yh, y_holes = read_bounds(store, "Y", T)
+        bounds = (("N", nl, nh), ("Y", yl, yh))
+        start = [(lo[:], hi[:]) for _, lo, hi in bounds]
+
+        def channel(b: int) -> bool:
+            # N_{b+1} = N_b + Y_b
+            moved = raise_lo(nl, nh, n_holes, b + 1, nl[b] + yl[b], "N")
+            moved |= lower_hi(nl, nh, n_holes, b + 1, nh[b] + yh[b], "N")
+            ml, mh = nl[b + 1], nh[b + 1]
+            moved |= raise_lo(nl, nh, n_holes, b, ml - yh[b], "N")
+            moved |= lower_hi(nl, nh, n_holes, b, mh - yl[b], "N")
+            moved |= raise_lo(yl, yh, y_holes, b, ml - nh[b], "Y")
+            moved |= lower_hi(yl, yh, y_holes, b, mh - nl[b], "Y")
+            return moved
+
+        def window(a: int, k: int, l: int, u: int) -> bool:
+            # l <= N_{a+k} - N_a <= u, both sides from the bounds on entry
+            al, ah, bl, bh = nl[a], nh[a], nl[a + k], nh[a + k]
+            moved = raise_lo(nl, nh, n_holes, a + k, al + l, "N")
+            moved |= lower_hi(nl, nh, n_holes, a + k, ah + u, "N")
+            moved |= raise_lo(nl, nh, n_holes, a, bl - u, "N")
+            moved |= lower_hi(nl, nh, n_holes, a, bh - l, "N")
+            return moved
+
+        wipeout = None
+        try:
+            moved = True
+            while moved:
+                moved = False
+                for b in range(T):
+                    moved |= channel(b)
+                for l, u, k in self.windows:
+                    for a in range(0, T - k + 1):
+                        moved |= window(a, k, l, u)
+                for b in range(T - 1, -1, -1):
+                    moved |= channel(b)
+        except Wipeout as exc:
+            wipeout = exc.args
+        # Bounds only tighten, so a sweep moved something exactly when a
+        # bound differs from its start.
+        return write_back(store, bounds, start, wipeout)
 
 
 def sequence_propagate(store: DomainStore, T: int, l: int, u: int, k: int) -> Status:

@@ -204,6 +204,22 @@ class TestBadInputs:
         assert err.startswith("error: disjunction for period 99, outside the horizon")
         assert "Traceback" not in err
 
+    def test_verify_side_spec_period_past_horizon(self, tmp_path, capsys):
+        """``verify`` rejects the spec as ``solve`` does, where it used to
+        ignore the period and print VALID."""
+        inst = write_two_period(tmp_path)
+        sol_path = tmp_path / "sol.txt"
+        assert run("solve", "--instance", str(inst), "--out-solution", str(sol_path)) == 0
+        side = tmp_path / "far.side"
+        side.write_text("disj 1 1 2\ndisj 99 1 2\n")
+        capsys.readouterr()
+        assert run("solve", "--instance", str(inst), "--side-spec", str(side)) == 2
+        solve_err = capsys.readouterr().err
+        code = run("verify", "--instance", str(inst), "--solution", str(sol_path), "--side-spec", str(side))
+        out, err = capsys.readouterr()
+        assert code == 2 and "VALID" not in out
+        assert err == solve_err == "error: disjunction for period 99, outside the horizon\n"
+
 
 class TestExportLp:
     def test_structure(self, tmp_path, capsys):

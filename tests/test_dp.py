@@ -7,6 +7,7 @@ import random
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from lotsizing import (
     INSTANCE_CLASSES,
@@ -22,7 +23,7 @@ from lotsizing import (
     window_tables,
 )
 from lotsizing import dp as dp_mod
-from lotsizing.domains import iv_from_mask, iv_intersect, iv_shift, iv_values, merge
+from lotsizing.domains import iv_from_mask, iv_intersect, iv_mask, iv_shift, iv_values, merge
 from lotsizing.dp import _window_min
 from conftest import plan_costs, rand_normalized, store_plans
 from test_bc import reference_setup
@@ -524,20 +525,74 @@ def _holed_root(rng):
     return inst, store, setup_problem(inst, store, bc=False)[1]
 
 
+def _scan_inputs(fwd, bwd, store, stripped, ub_eff, t):
+    """The general scan's inputs for period t, built from the tables as the
+    scan path builds them: A and C INF off the survivors, and the candidate
+    mask from the view and the store's current production domain."""
+    view = fwd.view
+    k = t - view.u
+    d, p, h = view.d[k], view.p[k], view.h[k]
+    j = np.arange(len(fwd.row(t)))
+    i = np.arange(len(fwd.row(t + 1)))
+    A = np.where(fwd.row(t) + bwd.row(t) <= ub_eff, fwd.row(t) - p * j, INF)
+    C = np.where(fwd.row(t + 1) + bwd.row(t + 1) <= ub_eff, bwd.row(t + 1) + (p + h) * i + p * d, INF)
+    xcap = view.x_cap[k]
+    dom = iv_shift(store.intervals(("X", t)), -stripped.x_off[t])
+    cand = view.x_allow_mask(t) & iv_mask(dom, 0, xcap)
+    if view.windowed:
+        cand[view.tail[k + 1] :] = False
+    return A, C, cand
+
+
+class _ScanRecorder:
+    """Wraps ``_support`` and ``_fit_range``. Every general scan records how
+    it ended. Every ``_fit_range`` call first checks the survivor facts of
+    both boundaries against the survivors read off the rows one at a time.
+    Where the all-pairs-fit shortcut answers, the recorder runs the general
+    scan on the same period, asserts that it supports exactly the
+    candidates in the shortcut's range, and records its end too, so the scan
+    endings are counted over every period as before."""
+
+    def __init__(self, monkeypatch):
+        self.ends = []
+        self.shortcuts = self.scans = 0
+        self.case = None  # (fwd, bwd, store, stripped) of the filter call under test
+        self._kernel, self._fit = dp_mod._support, dp_mod._fit_range
+        monkeypatch.setattr(dp_mod, "_support", self.support)
+        monkeypatch.setattr(dp_mod, "_fit_range", self.fit_range)
+
+    def support(self, *args):
+        sup, end = self._kernel(*args)
+        self.ends.append(end)
+        self.scans += 1
+        return sup, end
+
+    def fit_range(self, surv, k, d, sc, ub):
+        fwd, bwd, store, stripped = self.case
+        A, C, cand = _scan_inputs(fwd, bwd, store, stripped, ub, fwd.view.u + k)
+        for b, vals, top in ((k, A, surv.max_a), (k + 1, C, surv.max_c)):
+            live = np.flatnonzero(vals < INF)
+            assert surv.count[b] == len(live), (b, surv.count[b], len(live))
+            if len(live):
+                assert (surv.first[b], surv.last[b]) == (live[0], live[-1])
+                assert surv.dense[b] == (live[-1] - live[0] + 1 == len(live))
+                assert top[b] == vals[live].max()
+        fit = self._fit(surv, k, d, sc, ub)
+        if fit is not None:
+            sup, end = self._kernel(A, C, d, sc, cand, ub)
+            x = np.arange(len(cand))
+            assert np.array_equal(sup, cand & (fit[0] <= x) & (x <= fit[1])), (k, fit)
+            self.ends.append(end)
+            self.shortcuts += 1
+        return fit
+
+
 class TestSupportEquivalence:
     """``filter_with_dp`` gives the pair-matrix reference's status and
     domains on suffix and windowed views, in both cost modes."""
 
     def test_matches_pair_matrix_reference(self, monkeypatch):
-        ends = []
-        kernel = dp_mod._support
-
-        def recorded(*args):
-            sup, end = kernel(*args)
-            ends.append(end)
-            return sup, end
-
-        monkeypatch.setattr(dp_mod, "_support", recorded)
+        rec = _ScanRecorder(monkeypatch)
         rng = random.Random(2027)
         cases = failed = y_removals = 0
         for _ in range(3000):
@@ -559,6 +614,7 @@ class TestSupportEquivalence:
             ref = copy.deepcopy(store)
             open_y = [t for t in range(T) if store.intervals(("Y", t)) == ((0, 1),)]
             want = _reference_filter(fwd, bwd, ref, stripped, ub, before, after)
+            rec.case = (fwd, bwd, store, stripped)
             got = filter_with_dp(fwd, bwd, store, stripped, ub, before, after)
             assert got is want, (window, cs_mode, slack)
             assert store.snapshot() == ref.snapshot(), (window, cs_mode, slack)
@@ -571,7 +627,59 @@ class TestSupportEquivalence:
         # Each way a period's scan can end: all values supported early, rows
         # cut by the bound, every row read, every diagonal read.
         for end, least in (("covered", 450), ("bound", 15), ("exhausted", 1000), ("diagonals", 120)):
-            assert ends.count(end) >= least, (end, ends.count(end))
+            assert rec.ends.count(end) >= least, (end, rec.ends.count(end))
+        assert rec.shortcuts >= 1000 and rec.scans >= 1000, (rec.shortcuts, rec.scans)
+
+    @pytest.mark.parametrize("block", [None, 16])
+    def test_shortcut_cases_match_reference(self, monkeypatch, block):
+        """Loose bounds, where the shortcut answers most: slack 10**6 and the
+        trivial cost cap, on roots whose inventory holes leave survivors that
+        are not intervals, so the general scan must answer there. A block of
+        16 states splits the survivor pass into runs of rows, as a table many
+        times the default block does."""
+        if block is not None:
+            monkeypatch.setattr(dp_mod, "_BLOCK", block)
+        rec = _ScanRecorder(monkeypatch)
+        rng = random.Random(8)
+        cases = holed = 0
+        for _ in range(2000):
+            root = _holed_root(rng)
+            if root is None:
+                continue
+            inst, store, stripped = root
+            fwd, bwd = window_tables(stripped, store, None, cs_mode=False)
+            opt = fwd.optimum()
+            if math.isinf(opt):
+                continue
+            trivial = store.max(("C", 0)) - stripped.c_min
+            ub = rng.choice([int(opt) + fwd.sunk + 10**6, trivial])
+            holed += any(len(store.intervals(("I", t))) > 1 for t in range(inst.T))
+            ref = copy.deepcopy(store)
+            want = _reference_filter(fwd, bwd, ref, stripped, ub)
+            rec.case = (fwd, bwd, store, stripped)
+            got = filter_with_dp(fwd, bwd, store, stripped, ub)
+            assert got is want
+            assert store.snapshot() == ref.snapshot()
+            cases += 1
+        assert cases >= 600 and holed >= 350, (cases, holed)
+        # The shortcut settles most periods; holes send the rest to the scan.
+        assert rec.shortcuts >= 1800 and rec.scans >= 1500, (rec.shortcuts, rec.scans)
+
+    def test_trivial_cap_on_registry_roots(self, monkeypatch):
+        """No incumbent: on the C3QR root every period takes the shortcut,
+        and the domains match the reference."""
+        rec = _ScanRecorder(monkeypatch)
+        params = dataclasses.replace(INSTANCE_CLASSES["C3QR"].params, seed=1)
+        inst = validate_and_normalize(generate(params))
+        store, stripped = setup_problem(inst)
+        fwd, bwd = window_tables(stripped, store, None, cs_mode=False)
+        ub = store.max(("C", 0)) - stripped.c_min
+        ref = copy.deepcopy(store)
+        want = _reference_filter(fwd, bwd, ref, stripped, ub)
+        rec.case = (fwd, bwd, store, stripped)
+        assert filter_with_dp(fwd, bwd, store, stripped, ub) is want
+        assert store.snapshot() == ref.snapshot()
+        assert (rec.shortcuts, rec.scans) == (inst.T, 0)
 
 
 class TestSupportMemory:
@@ -592,3 +700,24 @@ class TestSupportMemory:
             tracemalloc.stop()
         assert st is not Status.FAILED
         assert peak < 16 * 2**20
+
+    def test_survivor_pass_on_table_over_block_stays_small(self):
+        """The C1Peaks root holds about 2.9M states, many times ``_BLOCK``:
+        the survivor pass works in runs of rows, where one pass over all
+        rows at once would hold about ten float arrays of the whole table
+        (over 200 MB). Both tables are built before measuring."""
+        params = dataclasses.replace(INSTANCE_CLASSES["C1Peaks"].params, seed=1)
+        inst = validate_and_normalize(generate(params))
+        store, stripped = setup_problem(inst)
+        fwd, bwd = window_tables(stripped, store, None, cs_mode=False)
+        bwd.optimum()
+        assert sum(len(row) for row in fwd.rows) > 10 * dp_mod._BLOCK
+        ub = store.max(("C", 0)) - stripped.c_min
+        tracemalloc.start()
+        try:
+            st = filter_with_dp(fwd, bwd, store, stripped, ub)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert st is not Status.FAILED
+        assert peak < 32 * 2**20

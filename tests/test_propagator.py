@@ -7,6 +7,7 @@ import math
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from lotsizing import (
@@ -20,6 +21,7 @@ from lotsizing import (
     Status,
     SearchConfig,
     SideSpecs,
+    Solution,
     bc_feasibility,
     enumerate_plans,
     generate,
@@ -38,7 +40,7 @@ from lotsizing.flow import FlowMode, build_network, min_cost_flow
 from lotsizing.propagator import _strip
 from conftest import plan_costs, rand_normalized, store_plans
 from test_acceptance import suite_instance_small
-from test_dp import two_period
+from test_dp import _holed_root, two_period
 from test_flow import complete_at_bc
 
 
@@ -299,6 +301,32 @@ def _scan_complete(stripped, store):
     return tuple(x)
 
 
+def _reference_trace_plan(ls, fwd, stripped):
+    """``LotSizingConstraint._trace_plan`` reading every state of each row
+    as a predecessor: the reference for the windowed trace."""
+    view = fwd.view
+    T = ls.instance.T
+    x = [0] * T
+    i_state = 0
+    for t in range(T - 1, -1, -1):
+        row_prev = fwd.row(t)
+        target = fwd.row(t + 1)[i_state]
+        k = t - view.u
+        d, p, h, sc = view.d[k], view.p[k], view.h[k], view.s_charge[k]
+        allow = view.x_allow_mask(t)
+        xv = i_state + d - np.arange(len(row_prev))
+        ok = (xv >= 0) & (xv < len(allow))
+        ok[ok] = allow[xv[ok]]
+        cost = p * xv + h * i_state + np.where(xv > 0, sc, 0)
+        hits = np.flatnonzero(ok & (row_prev + cost == target))
+        if len(hits) == 0:
+            raise AssertionError("DP path extraction lost the optimal trace")
+        i_state = int(hits[0])
+        x[t] = int(xv[i_state]) + stripped.x_off[t]
+    y = [1 if x[t] > 0 or ls.store.min(("Y", t)) == 1 else 0 for t in range(T)]
+    return Solution.from_plan(ls.instance, x, y)
+
+
 class TestDpComplete:
     def test_plan_equals_scan_from_lowest_state(self):
         rng = random.Random(107)
@@ -319,6 +347,36 @@ class TestDpComplete:
             assert (sol and sol.x) == want
             compared += want is not None
         assert compared >= 120
+
+    def test_windowed_trace_matches_full_row_reference(self):
+        """Random roots with holes and fixed setups whose rows are wider
+        than a period's production range, plus registry roots: the trace
+        that reads only the predecessor window gives the reference's plan."""
+        rng = random.Random(41)
+        compared = narrow = 0
+        for _ in range(2500):
+            root = _holed_root(rng)
+            if root is None:
+                continue
+            inst, store, stripped = root
+            fwd, _ = window_tables(stripped, store, None, cs_mode=False)
+            if math.isinf(fwd.optimum()):
+                continue
+            ls = LotSizingConstraint(inst, store)
+            assert ls._trace_plan(fwd, stripped) == _reference_trace_plan(ls, fwd, stripped)
+            compared += 1
+            narrow += any(len(fwd.row(t)) > fwd.view.x_cap[t] + 1 for t in range(inst.T))
+        assert compared >= 700 and narrow >= 400, (compared, narrow)
+        for cls in ("C1LS", "C1Disj", "C3QR"):
+            template = INSTANCE_CLASSES[cls]
+            inst = validate_and_normalize(generate(dataclasses.replace(template.params, seed=1)))
+            disj = DisjunctiveSpec.uniform(inst.T, template.disjunction) if template.disjunction else None
+            qr = QRSpec(*template.qr) if template.qr else None
+            store, ls, _, _ = build_model(inst, SideSpecs(disjunction=disj, qr=qr), SearchConfig())
+            bc_feasibility(store, inst)
+            stripped = _strip(ls.instance, store)
+            fwd, _ = window_tables(stripped, store, None, cs_mode=False)
+            assert ls._trace_plan(fwd, stripped) == _reference_trace_plan(ls, fwd, stripped)
 
 
 def _fixed_setup_disj(intervals, y, **data):

@@ -1,5 +1,6 @@
 """Disjunctive domains and Q/R gap constraints via Sequence propagation."""
 
+import copy
 import random
 
 import pytest
@@ -16,7 +17,7 @@ from lotsizing import (
     qr_satisfied,
     sequence_propagate,
 )
-from lotsizing.domains import iv_values
+from lotsizing.domains import iv_values, merge
 from lotsizing.side_constraints import read_side_specs, write_side_specs
 
 
@@ -135,6 +136,110 @@ class TestSequence:
             raise AssertionError("expected rejection")
         except ValueError:
             pass
+
+
+class _StoreLevelSequence:
+    """``SequenceSystem.propagate`` as one store call per rule and period:
+    the reference for the sweep on plain lists."""
+
+    def __init__(self, system):
+        self.T = system.T
+        self.windows = system.windows
+
+    def _channel(self, store, b):
+        # N_{b+1} = N_b + Y_b
+        st = Status.UNCHANGED
+        nl, nh = store.min(("N", b)), store.max(("N", b))
+        yl, yh = store.min(("Y", b)), store.max(("Y", b))
+        st = merge(st, store.set_min(("N", b + 1), nl + yl))
+        st = merge(st, store.set_max(("N", b + 1), nh + yh))
+        if st is Status.FAILED:
+            return st
+        ml, mh = store.min(("N", b + 1)), store.max(("N", b + 1))
+        st = merge(st, store.set_min(("N", b), ml - yh))
+        st = merge(st, store.set_max(("N", b), mh - yl))
+        if st is Status.FAILED:
+            return st
+        nl, nh = store.min(("N", b)), store.max(("N", b))
+        st = merge(st, store.set_min(("Y", b), ml - nh))
+        st = merge(st, store.set_max(("Y", b), mh - nl))
+        return st
+
+    def _window(self, store, a, k, l, u):
+        # l <= N_{a+k} - N_a <= u
+        st = Status.UNCHANGED
+        al, ah = store.min(("N", a)), store.max(("N", a))
+        bl, bh = store.min(("N", a + k)), store.max(("N", a + k))
+        st = merge(st, store.set_min(("N", a + k), al + l))
+        st = merge(st, store.set_max(("N", a + k), ah + u))
+        if st is Status.FAILED:
+            return st
+        st = merge(st, store.set_min(("N", a), bl - u))
+        st = merge(st, store.set_max(("N", a), bh - l))
+        return st
+
+    def propagate(self, store):
+        overall = Status.UNCHANGED
+        while True:
+            before = store.mod_count
+            for b in range(self.T):
+                if self._channel(store, b) is Status.FAILED:
+                    return Status.FAILED
+            for l, u, k in self.windows:
+                for a in range(0, self.T - k + 1):
+                    if self._window(store, a, k, l, u) is Status.FAILED:
+                        return Status.FAILED
+            for b in range(self.T - 1, -1, -1):
+                if self._channel(store, b) is Status.FAILED:
+                    return Status.FAILED
+            if store.mod_count == before:
+                return overall
+            overall = Status.CHANGED
+
+
+class TestSequenceReference:
+    """The sweep on plain lists against the store-level reference: the same
+    domains, status and failed flag, and the same answer to "did anything
+    change" through ``mod_count`` and ``plan_epoch``, which the search's
+    fixpoint loop and the stage skipping read."""
+
+    @pytest.mark.parametrize("qr", [(2, 6), (3, 7), (1, 1)])
+    def test_matches_store_level_reference(self, qr):
+        Q, R = qr
+        rng = random.Random(100 * Q + R)
+        outcomes = {st: 0 for st in Status}
+        holed = 0
+        for _ in range(400):
+            T = rng.randint(1, 24)
+            store = wide_store(T=T)
+            system = post_qr(T, Q, R)
+            system.install(store)
+            for t in range(T):
+                if rng.random() < 0.3:
+                    store.assign(("Y", t), rng.randint(0, 1))
+            for b in range(1, T + 1):
+                roll = rng.random()
+                if roll < 0.05:
+                    store.set_min(("N", b), rng.randint(0, b // (Q + 1)))
+                elif roll < 0.1:
+                    store.set_max(("N", b), rng.randint(b // (R + 1), b))
+                elif roll < 0.3:
+                    store.remove_value(("N", b), rng.randint(0, b))
+            if store.failed:
+                continue
+            holed += any(len(store.intervals(("N", b))) > 1 for b in range(T + 1))
+            ref = copy.deepcopy(store)
+            for _ in range(2):  # the second call starts from the first one's result
+                marks = store.mod_count, store.plan_epoch, ref.mod_count, ref.plan_epoch
+                want = _StoreLevelSequence(system).propagate(ref)
+                got = system.propagate(store)
+                assert got is want
+                assert store.snapshot() == ref.snapshot()
+                assert store.failed == ref.failed
+                assert (store.mod_count > marks[0]) == (ref.mod_count > marks[2])
+                assert (store.plan_epoch > marks[1]) == (ref.plan_epoch > marks[3])
+                outcomes[got] += 1
+        assert all(n >= 80 for n in outcomes.values()) and holed >= 200, (outcomes, holed)
 
 
 class TestAlternation:
