@@ -29,7 +29,15 @@ from lotsizing import (
     validate_and_normalize,
     window_tables,
 )
-from lotsizing.dp import _build_forward, _forward_step, _window_min, greedy_prestock, make_cost_view
+from lotsizing.dp import (
+    _backward_rows,
+    _backward_step,
+    _build_forward,
+    _forward_step,
+    _window_min,
+    greedy_prestock,
+    make_cost_view,
+)
 from lotsizing.flow import window_flow_bounds
 from lotsizing.propagator import _strip
 
@@ -75,9 +83,10 @@ def test_window_min(benchmark, size, width):
     assert len(out) == size
 
 
-@pytest.mark.parametrize("cls", ["C1LS", "C1Peaks"])
+@pytest.mark.parametrize("cls", ["C1LS", "C1Peaks", "C1Disj"])
 def test_forward_step(benchmark, cls):
-    """The widest step of the whole-horizon forward table."""
+    """The widest step of the whole-horizon forward table; C1Disj steps over
+    three production runs, the others over one."""
     _, store, stripped = _root(cls)
     view = make_cost_view(stripped, store, None)
     fwd = _build_forward(view, stripped, store)
@@ -85,6 +94,17 @@ def test_forward_step(benchmark, cls):
     prev = fwd.row(t)
     row = benchmark(_forward_step, view, t, prev)
     assert np.array_equal(row, fwd.row(t + 1))
+
+
+@pytest.mark.parametrize("cls", ["C1LS", "C1Disj"])
+def test_backward_step(benchmark, cls):
+    """The widest step of the whole-horizon backward table."""
+    _, store, stripped = _root(cls)
+    view = make_cost_view(stripped, store, None)
+    rows = _backward_rows(view)
+    t = max(range(view.u, view.v + 1), key=lambda b: len(rows[b]) + len(rows[b + 1]))
+    row = benchmark(_backward_step, view, t, rows[t + 1])
+    assert np.array_equal(row, rows[t])
 
 
 @pytest.mark.parametrize("cls", ["C3LS", "C1Peaks"])

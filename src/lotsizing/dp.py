@@ -18,12 +18,15 @@ two states that survive, J before period t and I after it. Where J and I
 are intervals and even their dearest pair fits the bound, every pair fits,
 so the supported production values are the allowed ones in one interval and
 the period is settled by interval arithmetic, with no per-state work.
-Elsewhere the production rule (``_support``) reads pairs of surviving
-states only, cheapest first, by rows or along the diagonal of each
-undecided value, and stops once the domain is decided: its cost follows the
-pairs it must read, at most |J| x |I|, and its temporaries are capped at a
-fixed size. The setup rule reuses the production verdicts plus one O(S)
-diagonal.
+Every other period whose |J| x |I| fits one chunk of ``_PAIR_CHUNK`` pairs
+is settled by one batched pass (``_pair_pass``) that reads all pairs of
+those periods at once, laid end to end in chunks, and gives the supported
+production values and the idle-setup test together. A larger period goes
+to ``_support``, which reads pairs of surviving states only, cheapest
+first, by rows or along the diagonal of each undecided value, and stops
+once the domain is decided: its cost follows the pairs it must read, at
+most |J| x |I|, and its temporaries are capped at a fixed size. There the
+setup rule reuses the production verdicts plus one O(S) diagonal.
 
 Windowed tables (for the interval-decomposition bound) deliberately relax
 production holes and treat end-of-window stock as zero; the complementary
@@ -33,9 +36,13 @@ relaxed view the rows of window (u, v) are the low states of the rows of
 any longer window (u, v'), so one forward table per start period bounds all
 windows of that start.
 
-A step takes the minimum over a range of production values for every
-state, a sliding-window minimum over the previous row; ``_window_min``
-computes it with numpy in time linear in the row, whatever the range.
+A step takes, for every state, the minimum over each run of allowed
+production values, a sliding-window minimum over the previous row per run,
+and adds one linear term shared by all runs. ``_runs_min`` computes it:
+with one run, ``_window_min`` runs in time linear in the row, whatever the
+range; with several (production holes), one padded row and its doubling
+levels (a sparse table up to the widest run) serve every run with two
+slice reads each.
 """
 
 from __future__ import annotations
@@ -275,24 +282,63 @@ def _window_min(vals: np.ndarray, m: int, lo0: int, hi0: int) -> np.ndarray:
     return out
 
 
+def _runs_min(vals: np.ndarray, m: int, spans: list[tuple[int, int]]) -> np.ndarray:
+    """out[i] = min over spans (lo, hi) of min(vals[lo+i .. hi+i]), clipped
+    to range; inf if empty.
+
+    One span is ``_window_min``. Several share one padded copy of ``vals``
+    and its doubling levels (a sparse table): level k holds the minima of
+    2**k consecutive entries, and a span of width w reads two overlapping
+    windows of the highest level with 2**k <= w. Spans are served narrowest
+    first, and a level replaces the one before it, so at most two are
+    alive. A span is first clipped to the entries any of its m windows can
+    reach, which bounds the padding by m on either side.
+    O((len(vals) + m) log w).
+    """
+    if len(spans) == 1:
+        return _window_min(vals, m, *spans[0])
+    n = len(vals)
+    out = np.full(m, INF)
+    clipped = sorted(
+        (hi - lo, lo, hi)
+        for lo, hi in ((max(lo, 1 - m), min(hi, n - 1)) for lo, hi in spans)
+        if lo <= hi
+    )
+    if not clipped:
+        return out
+    pad = max(max(-lo for _, lo, _ in clipped), 0)
+    level = np.full(max(n, max(hi for _, _, hi in clipped) + m) + pad, INF)
+    level[pad : pad + n] = vals
+    half = 1  # level[j] = min of entries j .. j + half - 1 of the padded row
+    for gap, lo, hi in clipped:
+        while 2 * half <= gap + 1:
+            level = np.minimum(level[:-half], level[half:])
+            half *= 2
+        a, b = lo + pad, hi + pad - half + 1
+        np.minimum(out, level[a : a + m], out=out)
+        np.minimum(out, level[b : b + m], out=out)
+    return out
+
+
 def _forward_step(view: CostView, t: int, prev: np.ndarray) -> np.ndarray:
     k = t - view.u
     d, p, h, sc = view.d[k], view.p[k], view.h[k], view.s_charge[k]
     m = view.cap(t + 1) + 1
     m_prev = len(prev)
     iarr = np.arange(m)
-    row = np.full(m, INF)
     x0_ok, runs = view.x_runs(t)
+    if runs:
+        # x = i + d - j costs p x + h i + sc: min_j (f(j) - p j) over each
+        # run's window of j, plus one linear term in i shared by the runs.
+        g = prev - p * np.arange(m_prev)
+        row = _runs_min(g, m, [(d - xb, d - xa) for xa, xb in runs])
+        row += (p + h) * iarr + (p * d + sc)
+    else:
+        row = np.full(m, INF)
     if x0_ok:
         k0 = min(m, m_prev - d)  # states i with i + d inside the previous row
         if k0 > 0:
-            row[:k0] = prev[d : d + k0] + h * iarr[:k0]
-    if runs:
-        g = prev - p * np.arange(m_prev)
-        for xa, xb in runs:
-            wm = _window_min(g, m, d - xb, d - xa)
-            cand = wm + p * (iarr + d) + h * iarr + sc
-            np.minimum(row, cand, out=row)
+            np.minimum(row[:k0], prev[d : d + k0] + h * iarr[:k0], out=row[:k0])
     mask = view.i_mask_at(t + 1)
     if mask is not None:
         row[~mask] = INF
@@ -305,18 +351,19 @@ def _backward_step(view: CostView, t: int, nxt: np.ndarray) -> np.ndarray:
     m = view.cap(t) + 1
     m_next = len(nxt)
     iarr = np.arange(m)
-    row = np.full(m, INF)
     x0_ok, runs = view.x_runs(t)
+    if runs:
+        # x = j + d - i costs p x + h j + sc: min_j (g(j) + (p + h) j) over
+        # each run's window of j, plus one linear term in i shared by the runs.
+        g = nxt + (p + h) * np.arange(m_next)
+        row = _runs_min(g, m, [(xa - d, xb - d) for xa, xb in runs])
+        row += (p * d + sc) - p * iarr
+    else:
+        row = np.full(m, INF)
     if x0_ok:
         k0 = min(m, d + m_next)  # states i with i - d inside the next row
         if k0 > d:
-            row[d:k0] = nxt[: k0 - d] + h * np.arange(k0 - d)
-    if runs:
-        g = nxt + (p + h) * np.arange(m_next)
-        for xa, xb in runs:
-            wm = _window_min(g, m, xa - d, xb - d)
-            cand = wm + p * (d - iarr) + sc
-            np.minimum(row, cand, out=row)
+            np.minimum(row[d:k0], nxt[: k0 - d] + h * np.arange(k0 - d), out=row[d:k0])
     mask = view.i_mask_at(t)
     if mask is not None:
         row[~mask] = INF
@@ -418,6 +465,7 @@ def window_tables(
 
 
 _BLOCK = 1 << 18  # entries in any temporary array of the support kernel
+_PAIR_CHUNK = 1 << 14  # pairs in any temporary array of the batched survivor-pair pass
 _TABLE_CAP = 1 << 20  # states of one table (8 MiB of float64) up to which `auto` runs the DP
 
 
@@ -580,6 +628,60 @@ def _fit_range(surv: _Survivors, k: int, d: int, sc: int, ub: float) -> tuple[in
     return surv.first[k + 1] - surv.last[k] + d, surv.last[k + 1] - surv.first[k] + d
 
 
+def _pair_pass(fwd: DpTable, bwd: DpTable, surv: _Survivors, ks: list[int], ub: float) -> dict:
+    """Every survivor pair of the periods ``ks`` at once. Returns, per
+    period k (between boundaries k and k + 1): a bool array over x = 0..x_cap
+    marking the production values that some pair (j, i), x = i - j + d, fits
+    within ``ub`` (x > 0 pays the setup charge), and whether an x = 0 pair
+    plus the charge fits (the idle-setup test). A = f - p j and C = g +
+    (p + h) i + p d are gathered at the survivors only. Periods are laid end
+    to end in chunks of at most ``_PAIR_CHUNK`` pairs, so each period's
+    |J| x |I| must fit one chunk."""
+    view = fwd.view
+    f_rows, g_rows = fwd._rows(), bwd._rows()
+    out = {}
+    chunk, size = [], 0
+    for pos, k in enumerate(ks):
+        p, h, d = view.p[k], view.h[k], view.d[k]
+        j = np.flatnonzero(surv.alive[surv.start[k] : surv.start[k + 1]])
+        i = np.flatnonzero(surv.alive[surv.start[k + 1] : surv.start[k + 2]])
+        chunk.append((k, j, f_rows[k][j] - p * j, i, g_rows[k + 1][i] + (p + h) * i + p * d))
+        size += len(j) * len(i)
+        nxt = ks[pos + 1] if pos + 1 < len(ks) else None
+        if nxt is None or size + surv.count[nxt] * surv.count[nxt + 1] > _PAIR_CHUNK:
+            out.update(_pair_chunk(view, chunk, ub))
+            chunk, size = [], 0
+    return out
+
+
+def _pair_chunk(view: CostView, chunk: list, ub: float) -> dict:
+    """``_pair_pass`` on one chunk of (k, J, A, I, C) periods. A pair is
+    laid out by its row, the survivor j of its period, and its column, the
+    index of its i among the chunk's I survivors."""
+    ks, j, a, i, c = zip(*chunk)
+    n_j, n_i = np.array([len(v) for v in j]), np.array([len(v) for v in i])
+    x_cap = np.array([view.x_cap[k] for k in ks])
+    x_head = np.cumsum(x_cap + 1) - x_cap - 1
+    d = np.array([view.d[k] for k in ks])
+    sc = np.repeat([view.s_charge[k] for k in ks], n_j)
+    j, i = np.concatenate(j), np.concatenate(i)
+    a, c = np.concatenate(a), np.concatenate(c)
+    period = np.repeat(np.arange(len(ks)), n_j)  # per row
+    run = n_i[period]
+    row = np.repeat(np.arange(len(j)), run)  # per pair
+    head = np.cumsum(run) - run - np.repeat(np.cumsum(n_i) - n_i, n_j)
+    col = np.arange(len(row)) - head[row]
+    x = i[col] + (d[period] - j)[row]
+    cost = a[row] + c[col]
+    fits = cost + sc[row] * (x > 0) <= ub
+    fits &= (x >= 0) & (x <= x_cap[period][row])
+    sup = np.zeros(int(x_head[-1] + x_cap[-1] + 1), dtype=bool)
+    sup[(x + x_head[period][row])[fits]] = True
+    idle = np.zeros(len(ks), dtype=bool)
+    idle[period[row[(x == 0) & (cost + sc[row] <= ub)]]] = True
+    return {k: (sup[x_head[q] : x_head[q] + x_cap[q] + 1], bool(idle[q])) for q, k in enumerate(ks)}
+
+
 def filter_with_dp(
     fwd: DpTable,
     bwd: DpTable,
@@ -607,13 +709,14 @@ def filter_with_dp(
     boundary t, I at t + 1), because each table step minimizes over the same
     transitions. When J and I are intervals and even their dearest pair fits
     (``_fit_range``), the supported values are an interval and the period is
-    settled by interval arithmetic. Otherwise ``_support`` decides the
-    domain's values from pairs of J x I, scanning rows cheapest first or the
-    diagonals of the undecided values, whichever reads fewer pairs, and
-    stops once every value is decided. Its cost follows the pairs it reads,
-    at most |J| x |I| per step; its memory is fixed. The setup value Y_t = 1
-    survives if some x > 0 survives or the x = 0 diagonal plus the setup
-    charge stays within the bound.
+    settled by interval arithmetic. The other periods whose J x I fits one
+    chunk read all their pairs in one batched pass (``_pair_pass``).
+    Otherwise ``_support`` decides the domain's values from pairs of J x I,
+    scanning rows cheapest first or the diagonals of the undecided values,
+    whichever reads fewer pairs, and stops once every value is decided. Its
+    cost follows the pairs it reads, at most |J| x |I| per step; its memory
+    is fixed. The setup value Y_t = 1 survives if some x > 0 survives or the
+    x = 0 diagonal plus the setup charge stays within the bound.
     """
     view = fwd.view
     ub_eff = cost_ub - before - after - view.sunk
@@ -638,6 +741,10 @@ def filter_with_dp(
             return Status.FAILED
         status = merge(status, st)
 
+    fits = [_fit_range(surv, k, view.d[k], view.s_charge[k], ub_eff) for k in range(view.v - view.u + 1)]
+    pairs = _pair_pass(fwd, bwd, surv, [
+        k for k, fit in enumerate(fits) if fit is None and 0 < surv.count[k] * surv.count[k + 1] <= _PAIR_CHUNK
+    ], ub_eff)
     for t in range(view.u, view.v + 1):
         k = t - view.u
         d, sc = view.d[k], view.s_charge[k]
@@ -646,7 +753,7 @@ def filter_with_dp(
         xcap = view.x_cap[k]
         width = max(dom[-1][1] - x_off, xcap) + 1
         thr = view.tail[k + 1] if windowed else width
-        fit = _fit_range(surv, k, d, sc, ub_eff)
+        fit = fits[k]
         if fit is not None:
             x0, runs = view.x_runs(t)
             allowed = iv_intersect(iv_shift(dom, -x_off), (((0, 0),) if x0 else ()) + tuple(runs))
@@ -655,13 +762,16 @@ def filter_with_dp(
                 return Status.FAILED
             keep = iv_normalize(sup_ivs + ((thr, width - 1),))
         else:
-            p, h = view.p[k], view.h[k]
-            s0, s1, s2 = surv.start[k : k + 3]
-            A = np.where(surv.alive[s0:s1], fwd.row(t) - p * np.arange(s1 - s0), INF)
-            C = np.where(surv.alive[s1:s2], bwd.row(t + 1) + (p + h) * np.arange(s2 - s1) + p * d, INF)
             cand = view.x_allow_mask(t) & iv_mask(iv_shift(dom, -x_off), 0, xcap)
             cand[thr:] = False
-            sup, _ = _support(A, C, d, sc, cand, ub_eff)
+            if k in pairs:
+                sup = pairs[k][0] & cand
+            else:
+                p, h = view.p[k], view.h[k]
+                s0, s1, s2 = surv.start[k : k + 3]
+                A = np.where(surv.alive[s0:s1], fwd.row(t) - p * np.arange(s1 - s0), INF)
+                C = np.where(surv.alive[s1:s2], bwd.row(t + 1) + (p + h) * np.arange(s2 - s1) + p * d, INF)
+                sup, _ = _support(A, C, d, sc, cand, ub_eff)
             supported = np.zeros(width, dtype=bool)
             supported[: xcap + 1] = sup
             supported[thr:] = True
@@ -683,8 +793,11 @@ def filter_with_dp(
                 idle = x0 and fit[0] <= 0 <= fit[1]
             else:
                 producing = bool(sup[1:].any())
-                n = min(len(C), len(A) - d)
-                idle = view.x_runs(t)[0] and n > 0 and bool((A[d : d + n] + C[:n] + sc <= ub_eff).any())
+                if k in pairs:
+                    idle = view.x_runs(t)[0] and pairs[k][1]
+                else:
+                    n = min(len(C), len(A) - d)
+                    idle = view.x_runs(t)[0] and n > 0 and bool((A[d : d + n] + C[:n] + sc <= ub_eff).any())
             if not producing and not idle:
                 st = store.set_max(("Y", t), 0)
                 if st is Status.FAILED:

@@ -26,15 +26,26 @@ gates it (the DP does not know Q/R) and keeps it as its incumbent. When an
 accepted plan costs the node's lower bound, nothing in the subtree is
 cheaper: propagation stops there and reports the node ``CLOSED``.
 
+One pass runs: BC and the strip; the completion of fully set plans; then,
+on a node the whole-horizon DP serves, the C-mode table and its plan offer
+(the closing test), the four flow relaxations only if the node stays open,
+the C-mode filter, and the Cs-mode table and filter; elsewhere the flow
+relaxations, then the WISP stage under ``wisp`` (nothing more above the
+cap under ``auto``); last the cost identity C = Cp + Ch + Cs. Closing first
+changes no answer: the DP optimum dominates the FULL flow bound, and the
+offer's cap check reads only cost maxima, which the flows never lower.
+
 A stage reruns only when what it reads has changed. ``propagate`` iterates
 until a pass leaves ``mod_count`` alone, but across passes, calls and
 backtracks the constraint remembers the store's ``plan_epoch`` (X/I/Y
-changes and restoring pops) at which BC, the strip and the four flow
-relaxations last ran, and reruns all three only once it has moved: with the
-plan variables unchanged BC is at its fixpoint, the strip is the same, and
-the cost minima the flows raised can only have risen since. The DP (or
-WISP) stage reruns when the epoch, min C or one of the four cost maxima has
-moved. The cost identity C = Cp + Ch + Cs and the completion of fully set
+changes and restoring pops) at which BC and the strip last ran, and
+separately the flow relaxations, and reruns them only once it has moved:
+with the plan variables unchanged BC is at its fixpoint, the strip is the
+same, and the cost minima the flows raised can only have risen since. The
+DP (or WISP) stage reruns when the epoch, min C or one of the four cost
+maxima has moved; within it, a cost mode whose plan epoch, strip and bound
+(max C or max Cs, less the strip's baseline) are those of its last filter is
+skipped, table and all. The cost identity and the completion of fully set
 plans run on every pass.
 """
 
@@ -209,11 +220,15 @@ class LotSizingConstraint:
         if self.filter_mode not in FILTER_MODES:
             raise ValueError(f"unknown filter_mode {self.filter_mode!r}; known: {', '.join(FILTER_MODES)}")
         # Store readings at which the stages last ran: the plan epoch for
-        # BC, the strip and the flow bounds; that and the cost bounds the
-        # cost-filter stage reads for the DP or WISP stage.
+        # BC and the strip, and separately for the flow bounds (a node the
+        # DP closes skips them); that and the cost bounds the cost-filter
+        # stage reads for the DP or WISP stage; per DP cost mode, the plan
+        # epoch, strip epoch and bound of its last filter.
+        self._bc_epoch: int | None = None
         self._flow_epoch: int | None = None
         self._stripped: StrippedInstance | None = None
         self._filter_key: tuple | None = None
+        self._mode_keys: dict[bool, tuple] = {}
         self._wisp_ran = False
         self._closed: Solution | None = None
         self._trivial_caps = self.instance.max_cost_bounds()
@@ -290,11 +305,11 @@ class LotSizingConstraint:
         self._closed = None
         while True:
             before = store.mod_count
-            fresh = store.plan_epoch != self._flow_epoch
-            if fresh:
+            if store.plan_epoch != self._bc_epoch:
                 if bc_feasibility(store, self.instance)[0] is Status.FAILED:
                     return PropagateResult.FAILED, None
                 self._stripped = _strip(self.instance, store)
+                self._bc_epoch = store.plan_epoch
             stripped = self._stripped
 
             if self._all_y_fixed():
@@ -302,12 +317,13 @@ class LotSizingConstraint:
                 if res is not None:
                     return res
 
-            if fresh:
-                if self._flow_bounds(stripped) is Status.FAILED:
-                    return PropagateResult.FAILED, None
-                self._flow_epoch = store.plan_epoch
+            # A node the whole-horizon DP serves tries its closing test
+            # first and runs the flows inside the DP stage, only if open.
+            dp = self.filter_mode == "dp" or (self.filter_mode == "auto" and table_fits(stripped))
+            if not dp and self._flow_stage(stripped) is Status.FAILED:
+                return PropagateResult.FAILED, None
 
-            if self._cost_filter_stage(stripped) is Status.FAILED:
+            if self._cost_filter_stage(stripped, dp) is Status.FAILED:
                 return PropagateResult.FAILED, None
             if self._closed is not None:
                 return PropagateResult.CLOSED, self._closed
@@ -369,6 +385,15 @@ class LotSizingConstraint:
             return PropagateResult.FAILED, None
         return PropagateResult.COMPLETED, sol
 
+    def _flow_stage(self, stripped: StrippedInstance) -> Status:
+        """The flow bounds, once per plan epoch."""
+        if self._flow_epoch == self.store.plan_epoch:
+            return Status.UNCHANGED
+        status = self._flow_bounds(stripped)
+        if status is not Status.FAILED:
+            self._flow_epoch = self.store.plan_epoch
+        return status
+
     def _flow_bounds(self, stripped: StrippedInstance) -> Status:
         """Raise the cost minima from the four flow relaxations: one network
         build, four cost vectors."""
@@ -389,17 +414,17 @@ class LotSizingConstraint:
                 return status
         return status
 
-    def _cost_filter_stage(self, stripped: StrippedInstance) -> Status:
-        store = self.store
+    def _cost_filter_stage(self, stripped: StrippedInstance, dp: bool) -> Status:
+        """The DP stage where the whole-horizon DP serves the node (``dp``),
+        else the WISP stage under ``wisp``. Above the table cap, ``auto``
+        keeps the flow bounds alone: on the registry's over-cap classes the
+        decomposition bound equals them."""
         if self._filter_key == self._cost_filter_key():
             return Status.UNCHANGED
-        mode = self.filter_mode
-        if mode == "auto" and not table_fits(stripped):
-            # Above the table cap the node keeps its flow bounds: on the
-            # registry's over-cap classes the decomposition bound equals them.
-            return Status.UNCHANGED
-        if mode != "wisp":
+        if dp:
             status = self._dp_stage(stripped)
+        elif self.filter_mode == "auto":
+            return Status.UNCHANGED
         elif self._wisp_ran:
             # The decomposition pass runs once per propagation call (the
             # filtering algorithm is single-pass); the cheap stages still
@@ -408,7 +433,7 @@ class LotSizingConstraint:
         else:
             status = self._wisp_stage(stripped)
             self._wisp_ran = True
-        if status is not Status.FAILED:
+        if status is not Status.FAILED and self._closed is None:
             self._filter_key = self._cost_filter_key()
         return status
 
@@ -426,22 +451,37 @@ class LotSizingConstraint:
         )
 
     def _dp_stage(self, stripped: StrippedInstance) -> Status:
+        """Per cost mode (C, then Cs): build the table, raise the mode's
+        minimum, and filter against its maximum. The C table's argmin plan is
+        offered first; if it closes the node, nothing else runs. Otherwise
+        the flow bounds run before the C filter. A mode whose plan epoch,
+        strip and bound are those of its last filter is skipped: its table
+        and filter would repeat that no-op."""
         store = self.store
         status = Status.UNCHANGED
         for cs_mode, var, base in ((False, "C", stripped.c_min), (True, "Cs", stripped.cs_min)):
-            fwd, bwd = window_tables(stripped, store, None, cs_mode=cs_mode)
-            opt = fwd.optimum()
-            if math.isinf(opt):
-                return Status.FAILED
-            status = merge(status, store.set_min((var, 0), int(opt) + fwd.sunk + base))
-            if status is Status.FAILED:
-                return status
-            if not cs_mode and self._offer_plan(fwd, stripped):
-                return status
             ub = store.max((var, 0)) - base
-            status = merge(status, filter_with_dp(fwd, bwd, store, stripped, ub))
-            if status is Status.FAILED:
-                return status
+            key = (store.plan_epoch, self._bc_epoch, ub)
+            skip = self._mode_keys.get(cs_mode) == key
+            if not skip:
+                fwd, bwd = window_tables(stripped, store, None, cs_mode=cs_mode)
+                opt = fwd.optimum()
+                if math.isinf(opt):
+                    return Status.FAILED
+                status = merge(status, store.set_min((var, 0), int(opt) + fwd.sunk + base))
+                if status is Status.FAILED:
+                    return status
+                if not cs_mode and self._offer_plan(fwd, stripped):
+                    return status
+            if not cs_mode:
+                status = merge(status, self._flow_stage(stripped))
+                if status is Status.FAILED:
+                    return status
+            if not skip:
+                status = merge(status, filter_with_dp(fwd, bwd, store, stripped, ub))
+                if status is Status.FAILED:
+                    return status
+                self._mode_keys[cs_mode] = key
         return status
 
     def _offer_plan(self, fwd: DpTable, stripped: StrippedInstance) -> bool:

@@ -11,8 +11,10 @@ import pytest
 
 from lotsizing import (
     INSTANCE_CLASSES,
+    DisjunctiveSpec,
     DomainStore,
     Status,
+    apply_disjunctions,
     bc_feasibility,
     filter_with_dp,
     generate,
@@ -24,7 +26,7 @@ from lotsizing import (
 )
 from lotsizing import dp as dp_mod
 from lotsizing.domains import iv_from_mask, iv_intersect, iv_mask, iv_shift, iv_values, merge
-from lotsizing.dp import _window_min
+from lotsizing.dp import _backward_step, _forward_step, _runs_min, _window_min, make_cost_view
 from conftest import plan_costs, rand_normalized, store_plans
 from test_bc import reference_setup
 
@@ -297,6 +299,141 @@ class TestWindowMin:
             got = _window_min(vals, m, lo0, hi0)
             want = [min(vals[max(lo0 + i, 0) : max(hi0 + i + 1, 0)], default=INF) for i in range(m)]
             assert list(got) == want, (list(vals), m, lo0, hi0)
+
+
+class TestRunsMin:
+    def test_matches_naive_minimum_over_spans(self):
+        """One to four spans per call: widths 1 and powers of two among
+        random ones, spans past either end of the row or wholly outside it,
+        empty spans, more outputs than inputs, inf entries."""
+        rng = random.Random(53)
+        multi = 0
+        for _ in range(20_000):
+            n = rng.randint(0, 24)
+            m = rng.randint(1, 30)
+            vals = np.array([INF if rng.random() < 0.2 else float(rng.randint(0, 99)) for _ in range(n)])
+            spans = []
+            for _ in range(rng.randint(1, 4)):
+                lo = rng.randint(-40, 30)
+                width = rng.choice([1, 2, 4, 8, 16, 32, rng.randint(-1, 40)])
+                spans.append((lo, lo + width - 1))
+            multi += len(spans) > 1
+            got = _runs_min(vals, m, spans)
+            want = [
+                min((min(vals[max(lo + i, 0) : max(hi + i + 1, 0)], default=INF) for lo, hi in spans), default=INF)
+                for i in range(m)
+            ]
+            assert list(got) == want, (list(vals), m, spans)
+        assert multi > 10_000
+
+
+# The DP steps before ``_runs_min``: one ``_window_min`` and one linear term
+# per production run, kept as the reference the shared range minimum must
+# reproduce bit for bit.
+
+
+def _reference_forward_step(view, t: int, prev: np.ndarray) -> np.ndarray:
+    k = t - view.u
+    d, p, h, sc = view.d[k], view.p[k], view.h[k], view.s_charge[k]
+    m = view.cap(t + 1) + 1
+    m_prev = len(prev)
+    iarr = np.arange(m)
+    row = np.full(m, INF)
+    x0_ok, runs = view.x_runs(t)
+    if x0_ok:
+        k0 = min(m, m_prev - d)
+        if k0 > 0:
+            row[:k0] = prev[d : d + k0] + h * iarr[:k0]
+    if runs:
+        g = prev - p * np.arange(m_prev)
+        for xa, xb in runs:
+            wm = _window_min(g, m, d - xb, d - xa)
+            np.minimum(row, wm + p * (iarr + d) + h * iarr + sc, out=row)
+    mask = view.i_mask_at(t + 1)
+    if mask is not None:
+        row[~mask] = INF
+    return row
+
+
+def _reference_backward_step(view, t: int, nxt: np.ndarray) -> np.ndarray:
+    k = t - view.u
+    d, p, h, sc = view.d[k], view.p[k], view.h[k], view.s_charge[k]
+    m = view.cap(t) + 1
+    m_next = len(nxt)
+    iarr = np.arange(m)
+    row = np.full(m, INF)
+    x0_ok, runs = view.x_runs(t)
+    if x0_ok:
+        k0 = min(m, d + m_next)
+        if k0 > d:
+            row[d:k0] = nxt[: k0 - d] + h * np.arange(k0 - d)
+    if runs:
+        g = nxt + (p + h) * np.arange(m_next)
+        for xa, xb in runs:
+            wm = _window_min(g, m, xa - d, xb - d)
+            np.minimum(row, wm + p * (d - iarr) + sc, out=row)
+    mask = view.i_mask_at(t)
+    if mask is not None:
+        row[~mask] = INF
+    return row
+
+
+def _check_steps(view, init_row) -> int:
+    """Both steps against their references along every row of the view's
+    tables, each fed the reference's previous row; returns the number of
+    steps over more than one production run."""
+    multi = 0
+    for forward, step, ref in ((True, _forward_step, _reference_forward_step),
+                               (False, _backward_step, _reference_backward_step)):
+        row = init_row if forward else np.array([0.0])
+        periods = range(view.u, view.v + 1) if forward else range(view.v, view.u - 1, -1)
+        for t in periods:
+            want = ref(view, t, row)
+            got = step(view, t, row)
+            assert got.tobytes() == want.tobytes(), (forward, t)
+            multi += len(view.x_runs(t)[1]) > 1
+            row = want
+    return multi
+
+
+class TestStepReference:
+    def test_registry_roots(self):
+        """Every registry class, seeds 1-3: Disj roots step over three
+        production runs, the rest over one. Both cost modes, except on the
+        Peaks roots (2.9M states each, 40x the others), which take the
+        cost mode only."""
+        roots = multi = 0
+        for cls, template in INSTANCE_CLASSES.items():
+            for seed in (1, 2, 3):
+                params = dataclasses.replace(template.params, seed=seed)
+                inst = validate_and_normalize(generate(params))
+                store = DomainStore.for_instance(inst)
+                if template.disjunction:
+                    apply_disjunctions(store, DisjunctiveSpec.uniform(params.T, template.disjunction))
+                store, stripped = setup_problem(inst, store)
+                assert stripped is not None, (cls, seed)
+                for cs_mode in (False,) if "Peaks" in cls else (False, True):
+                    multi += _check_steps(make_cost_view(stripped, store, None, cs_mode=cs_mode), np.array([0.0]))
+                roots += 1
+        assert roots == 120 and multi >= 4000, (roots, multi)
+
+    def test_fuzz_stores(self):
+        """Holed random roots on suffix and sub-windows, both cost modes;
+        windows after period 0 start from the pre-stock row."""
+        rng = random.Random(59)
+        cases = multi = 0
+        for _ in range(3000):
+            root = _holed_root(rng)
+            if root is None:
+                continue
+            inst, store, stripped = root
+            u = rng.randint(0, inst.T - 1)
+            window = rng.choice([None, (u, inst.T - 1), (u, rng.randint(u, inst.T - 1))])
+            view = make_cost_view(stripped, store, window, cs_mode=rng.random() < 0.3)
+            fwd, _ = window_tables(stripped, store, window, cs_mode=view.cs_mode)
+            multi += _check_steps(view, fwd.row(view.u))
+            cases += 1
+        assert cases >= 900 and multi >= 1000, (cases, multi)
 
 
 def _prefix_plans(stripped, u, q):
@@ -591,7 +728,12 @@ class TestSupportEquivalence:
     """``filter_with_dp`` gives the pair-matrix reference's status and
     domains on suffix and windowed views, in both cost modes."""
 
+    # Each test counts the general scan's endings, which the batched pair
+    # pass would take over: ``_PAIR_CHUNK`` = 0 sends every period the
+    # shortcut leaves to the scan. ``TestPairPass`` covers the batched pass.
+
     def test_matches_pair_matrix_reference(self, monkeypatch):
+        monkeypatch.setattr(dp_mod, "_PAIR_CHUNK", 0)
         rec = _ScanRecorder(monkeypatch)
         rng = random.Random(2027)
         cases = failed = y_removals = 0
@@ -639,6 +781,7 @@ class TestSupportEquivalence:
         times the default block does."""
         if block is not None:
             monkeypatch.setattr(dp_mod, "_BLOCK", block)
+        monkeypatch.setattr(dp_mod, "_PAIR_CHUNK", 0)
         rec = _ScanRecorder(monkeypatch)
         rng = random.Random(8)
         cases = holed = 0
@@ -668,6 +811,7 @@ class TestSupportEquivalence:
     def test_trivial_cap_on_registry_roots(self, monkeypatch):
         """No incumbent: on the C3QR root every period takes the shortcut,
         and the domains match the reference."""
+        monkeypatch.setattr(dp_mod, "_PAIR_CHUNK", 0)
         rec = _ScanRecorder(monkeypatch)
         params = dataclasses.replace(INSTANCE_CLASSES["C3QR"].params, seed=1)
         inst = validate_and_normalize(generate(params))
@@ -680,6 +824,55 @@ class TestSupportEquivalence:
         assert filter_with_dp(fwd, bwd, store, stripped, ub) is want
         assert store.snapshot() == ref.snapshot()
         assert (rec.shortcuts, rec.scans) == (inst.T, 0)
+
+
+class TestPairPass:
+    """Periods the shortcut leaves, with survivors on both sides and few
+    enough pairs, are settled by one batched pass over their pairs."""
+
+    @pytest.mark.parametrize("chunk", [None, 64])
+    def test_matches_pair_matrix_reference(self, monkeypatch, chunk):
+        """Holed roots, suffix and sub-windows, both cost modes, tight to
+        loose bounds. A chunk of 64 pairs splits most calls' periods over
+        several chunks and sends the larger periods to the general scan."""
+        if chunk is not None:
+            monkeypatch.setattr(dp_mod, "_PAIR_CHUNK", chunk)
+        chunks, batched = [], [0]
+        original = dp_mod._pair_chunk
+
+        def recording(view, periods, ub):
+            batched[0] += len(periods)
+            chunks[-1] += 1
+            return original(view, periods, ub)
+
+        monkeypatch.setattr(dp_mod, "_pair_chunk", recording)
+        rng = random.Random(61)
+        cases = y_removals = 0
+        for _ in range(3000):
+            root = _holed_root(rng)
+            if root is None:
+                continue
+            inst, store, stripped = root
+            T = inst.T
+            u = rng.randint(0, T - 1)
+            window = rng.choice([None, (u, T - 1), (u, rng.randint(u, T - 1))])
+            fwd, bwd = window_tables(stripped, store, window, cs_mode=rng.random() < 0.3)
+            opt = fwd.optimum()
+            if math.isinf(opt):
+                continue
+            ub = int(opt) + fwd.sunk + rng.choice([-1, 0, 0, 1, 5, 20, 100])
+            ref = copy.deepcopy(store)
+            open_y = [t for t in range(T) if store.intervals(("Y", t)) == ((0, 1),)]
+            want = _reference_filter(fwd, bwd, ref, stripped, ub)
+            chunks.append(0)
+            assert filter_with_dp(fwd, bwd, store, stripped, ub) is want
+            assert store.snapshot() == ref.snapshot()
+            y_removals += sum(store.max(("Y", t)) == 0 for t in open_y)
+            cases += 1
+        assert cases >= 900 and y_removals >= 200, (cases, y_removals)
+        assert batched[0] >= 1200, batched[0]
+        if chunk is not None:
+            assert sum(n > 1 for n in chunks) >= 40, sum(n > 1 for n in chunks)
 
 
 class TestSupportMemory:

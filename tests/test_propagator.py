@@ -35,6 +35,7 @@ from lotsizing.domains import iv_values
 from lotsizing.instance import PEAK_PERIODS_1BASED
 from lotsizing.search import _propagate_all, build_model
 import lotsizing.dp as dp_mod
+import lotsizing.propagator as propagator_mod
 from lotsizing.dp import window_tables
 from lotsizing.flow import FlowMode, build_network, min_cost_flow
 from lotsizing.propagator import _strip
@@ -629,6 +630,94 @@ class TestStageSkip:
         store.pop_level()
         assert _plan_and_cost_domains(store, inst.T) == cheap
         assert ls.propagate()[0] is PropagateResult.FIXPOINT
+        assert _plan_and_cost_domains(store, inst.T) == want
+
+    def test_fixpoint_is_fixed_on_random_instances(self, monkeypatch):
+        """Small random instances with and without side constraints, bounds
+        at and above the optimum and none, plan offers turned down: the
+        cost bounds move within a plan epoch, and no fixpoint may leave a
+        filter that a fresh constraint would still run."""
+        rng = random.Random(4211)
+        optima = []
+        for _ in range(600):
+            inst, side = suite_instance_small(rng)
+            sol, _ = solve(inst, side, SearchConfig())
+            optima.append((inst, side, None if sol is None else sol.c))
+        original = LotSizingConstraint.propagate
+        checked = []
+
+        def propagate_and_recheck(self):
+            res, sol = original(self)
+            if res is PropagateResult.FIXPOINT:
+                before = self.store.mod_count
+                fresh = LotSizingConstraint(self.instance, self.store, self.filter_mode)
+                assert original(fresh) == (PropagateResult.FIXPOINT, None)
+                assert self.store.mod_count == before
+                checked.append(self.store.level)
+            return res, sol
+
+        monkeypatch.setattr(LotSizingConstraint, "propagate", propagate_and_recheck)
+        monkeypatch.setattr(LotSizingConstraint, "_offer_plan", lambda self, fwd, stripped: False)
+        for inst, side, opt in optima:
+            for ub in dict.fromkeys((None, opt, None if opt is None else opt + rng.randint(1, 8))):
+                solve(inst, side, SearchConfig(ub=ub, node_limit=30))
+        assert len(checked) >= 600 and max(checked) > 0, len(checked)
+
+    @pytest.mark.parametrize("name", ["C1LS", "C1Disj"])
+    def test_node_the_dp_closes_runs_no_flow_relaxation(self, monkeypatch, name):
+        """The DP plan closes these roots without a bound, before any flow
+        relaxation; with plan offers turned down the same root runs all
+        four."""
+        calls = []
+        original = propagator_mod.min_cost_flow
+        monkeypatch.setattr(propagator_mod, "min_cost_flow", lambda net: calls.append(net) or original(net))
+        inst, side = registry_instance(name)
+        store, ls, _, _ = build_model(inst, side, SearchConfig())
+        ls.offer = lambda plan: True
+        assert ls.propagate()[0] is PropagateResult.CLOSED
+        assert calls == []
+        store, ls, _, _ = build_model(inst, side, SearchConfig())
+        assert ls.propagate()[0] is PropagateResult.FIXPOINT
+        assert len(calls) == 4
+        _, stats = solve(inst, side, SearchConfig())
+        assert stats.status == "OPT" and stats.nodes == 1 and len(calls) == 4
+
+    @pytest.mark.parametrize("name", ["C1QR", "C1Disj"])
+    def test_mode_with_unchanged_inputs_builds_no_table(self, monkeypatch, name):
+        """At a DP fixpoint, lower max C: the plan epoch has not moved, but
+        the C mode's bound has, so its table is built again and the store
+        ends as a fresh constraint leaves it. Then raise min C: the
+        cost-filter key moves, but neither mode's plan epoch, strip or bound
+        has, so no table is built. The bound is 5 % above the optimum, then
+        2 %, so the root neither fixes nor closes."""
+        inst, side = registry_instance(name)
+        store, ls, _, _ = build_model(inst, side, SearchConfig())
+        opt = _reference_optimum(name, 1)
+        store.set_max(("C", 0), opt + opt // 20)
+        assert ls.propagate()[0] is PropagateResult.FIXPOINT
+        built = []
+        original = propagator_mod.window_tables
+        monkeypatch.setattr(propagator_mod, "window_tables", lambda *a, **k: built.append(k) or original(*a, **k))
+
+        def fresh_domains():
+            want = copy.deepcopy(store)
+            assert LotSizingConstraint(inst, want).propagate()[0] is PropagateResult.FIXPOINT
+            return _plan_and_cost_domains(want, inst.T)
+
+        epoch = store.plan_epoch
+        assert store.set_max(("C", 0), opt + opt // 50) is Status.CHANGED
+        want = fresh_domains()
+        assert ls.propagate()[0] is PropagateResult.FIXPOINT
+        assert built and built[0]["cs_mode"] is False
+        assert _plan_and_cost_domains(store, inst.T) == want
+        assert store.plan_epoch > epoch
+
+        assert store.min(("C", 0)) < store.max(("C", 0))
+        store.set_min(("C", 0), store.min(("C", 0)) + 1)
+        want = fresh_domains()
+        built.clear()
+        assert ls.propagate()[0] is PropagateResult.FIXPOINT
+        assert built == []
         assert _plan_and_cost_domains(store, inst.T) == want
 
 
