@@ -20,6 +20,7 @@ from lotsizing import (
     DisjunctiveSpec,
     DomainStore,
     LotSizingConstraint,
+    PropagateResult,
     Status,
     apply_disjunctions,
     bc_feasibility,
@@ -154,6 +155,22 @@ def test_trace_plan(benchmark, cls):
     ls = LotSizingConstraint(inst, store)
     plan = benchmark(ls._trace_plan, fwd, stripped)
     assert plan.c == int(fwd.optimum()) + fwd.sunk + stripped.c_min
+
+
+@pytest.mark.parametrize("cls", ["C3QR", "C1Disj"])
+def test_open_node_propagate(benchmark, cls):
+    """One root ``propagate()`` against the stored HiGHS optimum plus 2 %,
+    with no plan offers, so the node stays open: BC, the C table, the flow
+    relaxations, the C filter and the Cs table all run."""
+    inst, store = _fresh(cls)
+    opt = json.loads(REFERENCES.read_text())["optima"][cls]["1"]
+    store.set_max(("C", 0), opt + opt // 50)
+    res, _ = benchmark.pedantic(
+        LotSizingConstraint.propagate,
+        setup=lambda: ((LotSizingConstraint(inst, copy.deepcopy(store)),), {}),
+        rounds=20,
+    )
+    assert res is PropagateResult.FIXPOINT
 
 
 @pytest.mark.parametrize("cls", ["C3LS", "C1Peaks"])

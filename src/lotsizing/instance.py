@@ -38,9 +38,6 @@ class Instance:
     beta_lo: tuple[int, ...]
     beta_hi: tuple[int, ...]
 
-    def total_demand(self) -> int:
-        return sum(self.d)
-
     def max_cost_bounds(self) -> tuple[int, int, int, int]:
         """Safe upper bounds (Cp, Ch, Cs, C) used to seed cost domains."""
         cp = sum(pt * at for pt, at in zip(self.p, self.alpha_hi))

@@ -27,26 +27,30 @@ accepted plan costs the node's lower bound, nothing in the subtree is
 cheaper: propagation stops there and reports the node ``CLOSED``.
 
 One pass runs: BC and the strip; the completion of fully set plans; then,
-on a node the whole-horizon DP serves, the C-mode table and its plan offer
-(the closing test), the four flow relaxations only if the node stays open,
-the C-mode filter, and the Cs-mode table and filter; elsewhere the flow
-relaxations, then the WISP stage under ``wisp`` (nothing more above the
-cap under ``auto``); last the cost identity C = Cp + Ch + Cs. Closing first
-changes no answer: the DP optimum dominates the FULL flow bound, and the
-offer's cap check reads only cost maxima, which the flows never lower.
+on a node the whole-horizon DP serves, the C table and its plan offer (the
+closing test), the four flow relaxations only if the node stays open, the C
+filter, and the Cs table; elsewhere the flow relaxations, then the WISP
+stage under ``wisp`` (nothing more above the cap under ``auto``); last the
+cost identity C = Cp + Ch + Cs. Closing first changes no answer: the DP
+optimum dominates the FULL flow bound, and the offer's cap check reads only
+cost maxima, which the flows never lower. The flows run before the C filter
+so that they read the strip of the epoch at which BC last ran. The Cs table
+only raises min Cs (the setup-only bound): its filter would keep every plan
+that the C filter keeps (see ``_dp_stage``).
 
 A stage reruns only when what it reads has changed. ``propagate`` iterates
 until a pass leaves ``mod_count`` alone, but across passes, calls and
-backtracks the constraint remembers the store's ``plan_epoch`` (X/I/Y
-changes and restoring pops) at which BC and the strip last ran, and
-separately the flow relaxations, and reruns them only once it has moved:
-with the plan variables unchanged BC is at its fixpoint, the strip is the
-same, and the cost minima the flows raised can only have risen since. The
-DP (or WISP) stage reruns when the epoch, min C or one of the four cost
-maxima has moved; within it, a cost mode whose plan epoch, strip and bound
-(max C or max Cs, less the strip's baseline) are those of its last filter is
-skipped, table and all. The cost identity and the completion of fully set
-plans run on every pass.
+backtracks the constraint keeps, per stage, the store reading at which it
+last ran (``_keys``), keyed on the store's ``plan_epoch`` (X/I/Y changes
+and restoring pops). BC and the strip, the flow relaxations and the Cs
+table rerun when the epoch has moved: with the plan variables unchanged BC
+is at its fixpoint, the strip is the same, and the cost minima the flows
+and the table raised can only have risen since. The C table, its offer and
+the C filter rerun when the epoch or max C has moved; the offer's closing
+test also reads min C, but the table has just raised it to the plan's cost.
+The WISP stage reruns when the epoch, max Cs or max C has moved since the
+end of its last pass, and at most once per call. The cost identity and the
+completion of fully set plans run on every pass.
 """
 
 from __future__ import annotations
@@ -219,16 +223,10 @@ class LotSizingConstraint:
     def __post_init__(self):
         if self.filter_mode not in FILTER_MODES:
             raise ValueError(f"unknown filter_mode {self.filter_mode!r}; known: {', '.join(FILTER_MODES)}")
-        # Store readings at which the stages last ran: the plan epoch for
-        # BC and the strip, and separately for the flow bounds (a node the
-        # DP closes skips them); that and the cost bounds the cost-filter
-        # stage reads for the DP or WISP stage; per DP cost mode, the plan
-        # epoch, strip epoch and bound of its last filter.
-        self._bc_epoch: int | None = None
-        self._flow_epoch: int | None = None
+        # Per stage, the store reading at which it last ran (see the module
+        # docstring); BC's entry also dates the cached strip.
+        self._keys: dict[str, object] = {}
         self._stripped: StrippedInstance | None = None
-        self._filter_key: tuple | None = None
-        self._mode_keys: dict[bool, tuple] = {}
         self._wisp_ran = False
         self._closed: Solution | None = None
         self._trivial_caps = self.instance.max_cost_bounds()
@@ -305,11 +303,11 @@ class LotSizingConstraint:
         self._closed = None
         while True:
             before = store.mod_count
-            if store.plan_epoch != self._bc_epoch:
+            if store.plan_epoch != self._keys.get("bc"):
                 if bc_feasibility(store, self.instance)[0] is Status.FAILED:
                     return PropagateResult.FAILED, None
                 self._stripped = _strip(self.instance, store)
-                self._bc_epoch = store.plan_epoch
+                self._keys["bc"] = store.plan_epoch
             stripped = self._stripped
 
             if self._all_y_fixed():
@@ -319,11 +317,16 @@ class LotSizingConstraint:
 
             # A node the whole-horizon DP serves tries its closing test
             # first and runs the flows inside the DP stage, only if open.
-            dp = self.filter_mode == "dp" or (self.filter_mode == "auto" and table_fits(stripped))
-            if not dp and self._flow_stage(stripped) is Status.FAILED:
-                return PropagateResult.FAILED, None
-
-            if self._cost_filter_stage(stripped, dp) is Status.FAILED:
+            # Above the table cap, ``auto`` keeps the flow bounds alone: on
+            # the registry's over-cap classes the decomposition bound equals
+            # them.
+            if self.filter_mode == "dp" or (self.filter_mode == "auto" and table_fits(stripped)):
+                status = self._dp_stage(stripped)
+            else:
+                status = self._flow_stage(stripped)
+                if self.filter_mode == "wisp" and status is not Status.FAILED:
+                    status = self._wisp_stage(stripped)
+            if status is Status.FAILED:
                 return PropagateResult.FAILED, None
             if self._closed is not None:
                 return PropagateResult.CLOSED, self._closed
@@ -387,11 +390,11 @@ class LotSizingConstraint:
 
     def _flow_stage(self, stripped: StrippedInstance) -> Status:
         """The flow bounds, once per plan epoch."""
-        if self._flow_epoch == self.store.plan_epoch:
+        if self._keys.get("flows") == self.store.plan_epoch:
             return Status.UNCHANGED
         status = self._flow_bounds(stripped)
         if status is not Status.FAILED:
-            self._flow_epoch = self.store.plan_epoch
+            self._keys["flows"] = self.store.plan_epoch
         return status
 
     def _flow_bounds(self, stripped: StrippedInstance) -> Status:
@@ -414,75 +417,52 @@ class LotSizingConstraint:
                 return status
         return status
 
-    def _cost_filter_stage(self, stripped: StrippedInstance, dp: bool) -> Status:
-        """The DP stage where the whole-horizon DP serves the node (``dp``),
-        else the WISP stage under ``wisp``. Above the table cap, ``auto``
-        keeps the flow bounds alone: on the registry's over-cap classes the
-        decomposition bound equals them."""
-        if self._filter_key == self._cost_filter_key():
-            return Status.UNCHANGED
-        if dp:
-            status = self._dp_stage(stripped)
-        elif self.filter_mode == "auto":
-            return Status.UNCHANGED
-        elif self._wisp_ran:
-            # The decomposition pass runs once per propagation call (the
-            # filtering algorithm is single-pass); the cheap stages still
-            # iterate to their joint fixpoint.
-            return Status.UNCHANGED
-        else:
-            status = self._wisp_stage(stripped)
-            self._wisp_ran = True
-        if status is not Status.FAILED and self._closed is None:
-            self._filter_key = self._cost_filter_key()
-        return status
-
-    def _cost_filter_key(self) -> tuple:
-        """What the DP and WISP stages read: the plan variables, min C (the
-        plan offer's closing test) and the four cost maxima (bounds and caps)."""
-        s = self.store
-        return (
-            s.plan_epoch,
-            s.min(("C", 0)),
-            s.max(("Cp", 0)),
-            s.max(("Ch", 0)),
-            s.max(("Cs", 0)),
-            s.max(("C", 0)),
-        )
-
     def _dp_stage(self, stripped: StrippedInstance) -> Status:
-        """Per cost mode (C, then Cs): build the table, raise the mode's
-        minimum, and filter against its maximum. The C table's argmin plan is
-        offered first; if it closes the node, nothing else runs. Otherwise
-        the flow bounds run before the C filter. A mode whose plan epoch,
-        strip and bound are those of its last filter is skipped: its table
-        and filter would repeat that no-op."""
+        """The whole-horizon DP, each table keyed on what it reads.
+
+        The C table, its plan offer and the C filter rerun when the plan
+        epoch or max C has moved. The table raises min C and its argmin plan
+        is offered; if the plan closes the node, nothing else runs.
+        Otherwise the flow bounds run, on the strip of the epoch at which BC
+        last ran, before the filter narrows X/I/Y against max C. The Cs
+        (setup-only) table reruns when the plan epoch has moved and only
+        raises min Cs, the paper's knapsack bound: it reads no cost maximum,
+        and a filter against max Cs would remove nothing. A plan the C
+        filter keeps costs at most max C, so its Cs is at most max C less
+        the other components' minima, and no rule on this route lowers max
+        Cs below that."""
         store = self.store
         status = Status.UNCHANGED
-        for cs_mode, var, base in ((False, "C", stripped.c_min), (True, "Cs", stripped.cs_min)):
-            ub = store.max((var, 0)) - base
-            key = (store.plan_epoch, self._bc_epoch, ub)
-            skip = self._mode_keys.get(cs_mode) == key
-            if not skip:
-                fwd, bwd = window_tables(stripped, store, None, cs_mode=cs_mode)
-                opt = fwd.optimum()
-                if math.isinf(opt):
-                    return Status.FAILED
-                status = merge(status, store.set_min((var, 0), int(opt) + fwd.sunk + base))
-                if status is Status.FAILED:
-                    return status
-                if not cs_mode and self._offer_plan(fwd, stripped):
-                    return status
-            if not cs_mode:
-                status = merge(status, self._flow_stage(stripped))
-                if status is Status.FAILED:
-                    return status
-            if not skip:
-                status = merge(status, filter_with_dp(fwd, bwd, store, stripped, ub))
-                if status is Status.FAILED:
-                    return status
-                self._mode_keys[cs_mode] = key
+        c_max = store.max(("C", 0))
+        c_key = (store.plan_epoch, c_max)
+        rerun = self._keys.get("C") != c_key
+        if rerun:
+            fwd, bwd = window_tables(stripped, store, None, cs_mode=False)
+            status = self._raise_to_optimum(fwd, "C", stripped.c_min)
+            if status is Status.FAILED or self._offer_plan(fwd, stripped):
+                return status
+        status = merge(status, self._flow_stage(stripped))
+        if status is Status.FAILED:
+            return status
+        if rerun:
+            status = merge(status, filter_with_dp(fwd, bwd, store, stripped, c_max - stripped.c_min))
+            if status is Status.FAILED:
+                return status
+            self._keys["C"] = c_key
+        if self._keys.get("Cs") != store.plan_epoch:
+            fwd, _ = window_tables(stripped, store, None, cs_mode=True)
+            status = merge(status, self._raise_to_optimum(fwd, "Cs", stripped.cs_min))
+            if status is Status.FAILED:
+                return status
+            self._keys["Cs"] = store.plan_epoch
         return status
+
+    def _raise_to_optimum(self, fwd: DpTable, var: str, base: int) -> Status:
+        """Raise the cost variable's minimum to the table's optimum."""
+        opt = fwd.optimum()
+        if math.isinf(opt):
+            return Status.FAILED
+        return self.store.set_min((var, 0), int(opt) + fwd.sunk + base)
 
     def _offer_plan(self, fwd: DpTable, stripped: StrippedInstance) -> bool:
         """Offer the cost table's argmin plan within the cost caps to the
@@ -498,7 +478,15 @@ class LotSizingConstraint:
         return True
 
     def _wisp_stage(self, stripped: StrippedInstance) -> Status:
+        """The decomposition bound and support filter for C, then Cs. It
+        reruns when the plan epoch, max Cs or max C has moved since the end
+        of its last pass, and at most once per propagation call (the
+        filtering algorithm is single-pass); the cheap stages still iterate
+        to their joint fixpoint."""
         store = self.store
+        if self._wisp_ran or self._keys.get("wisp") == self._wisp_key():
+            return Status.UNCHANGED
+        self._wisp_ran = True
         status = Status.UNCHANGED
         for mode, var, base, trivial in (
             (wisp_mod.COST_C, "C", stripped.c_min, self._trivial_caps[3]),
@@ -526,7 +514,12 @@ class LotSizingConstraint:
                 status = merge(status, wisp_mod.wisp_support_filter(decomp, stripped, store, ub, mode=mode))
                 if status is Status.FAILED:
                     return status
+        self._keys["wisp"] = self._wisp_key()
         return status
+
+    def _wisp_key(self) -> tuple:
+        s = self.store
+        return (s.plan_epoch, s.max(("Cs", 0)), s.max(("C", 0)))
 
     def _cost_identity(self) -> Status:
         """Propagate C = Cp + Ch + Cs as interval sums, both directions."""

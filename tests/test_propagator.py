@@ -24,6 +24,7 @@ from lotsizing import (
     Solution,
     bc_feasibility,
     enumerate_plans,
+    filter_with_dp,
     generate,
     make_instance,
     solve,
@@ -636,7 +637,10 @@ class TestStageSkip:
         """Small random instances with and without side constraints, bounds
         at and above the optimum and none, plan offers turned down: the
         cost bounds move within a plan epoch, and no fixpoint may leave a
-        filter that a fresh constraint would still run."""
+        filter that a fresh constraint would still run. At every fixpoint
+        of the DP route, filtering with the Cs (setup-only) tables against
+        max Cs removes nothing, which is why the DP stage builds only the
+        forward Cs table and never its backward mirror."""
         rng = random.Random(4211)
         optima = []
         for _ in range(600):
@@ -645,6 +649,8 @@ class TestStageSkip:
             optima.append((inst, side, None if sol is None else sol.c))
         original = LotSizingConstraint.propagate
         checked = []
+        cs_checked = []
+        cs_backward = []
 
         def propagate_and_recheck(self):
             res, sol = original(self)
@@ -654,14 +660,32 @@ class TestStageSkip:
                 assert original(fresh) == (PropagateResult.FIXPOINT, None)
                 assert self.store.mod_count == before
                 checked.append(self.store.level)
+                stripped = _strip(self.instance, self.store)
+                if dp_mod.table_fits(stripped):
+                    fwd, bwd = window_tables(stripped, self.store, None, cs_mode=True)
+                    probe = copy.deepcopy(self.store)
+                    ub = probe.max(("Cs", 0)) - stripped.cs_min
+                    assert filter_with_dp(fwd, bwd, probe, stripped, ub) is Status.UNCHANGED
+                    T = self.instance.T
+                    assert _plan_and_cost_domains(probe, T) == _plan_and_cost_domains(self.store, T)
+                    cs_checked.append(self.store.level)
             return res, sol
+
+        def tables(*args, **kwargs):
+            fwd, bwd = window_tables(*args, **kwargs)
+            if kwargs["cs_mode"]:
+                cs_backward.append(bwd)
+            return fwd, bwd
 
         monkeypatch.setattr(LotSizingConstraint, "propagate", propagate_and_recheck)
         monkeypatch.setattr(LotSizingConstraint, "_offer_plan", lambda self, fwd, stripped: False)
+        monkeypatch.setattr(propagator_mod, "window_tables", tables)
         for inst, side, opt in optima:
             for ub in dict.fromkeys((None, opt, None if opt is None else opt + rng.randint(1, 8))):
                 solve(inst, side, SearchConfig(ub=ub, node_limit=30))
         assert len(checked) >= 600 and max(checked) > 0, len(checked)
+        assert len(cs_checked) >= 600 and max(cs_checked) > 0, len(cs_checked)
+        assert cs_backward and all(bwd.build is not None for bwd in cs_backward)
 
     @pytest.mark.parametrize("name", ["C1LS", "C1Disj"])
     def test_node_the_dp_closes_runs_no_flow_relaxation(self, monkeypatch, name):
@@ -685,11 +709,11 @@ class TestStageSkip:
     @pytest.mark.parametrize("name", ["C1QR", "C1Disj"])
     def test_mode_with_unchanged_inputs_builds_no_table(self, monkeypatch, name):
         """At a DP fixpoint, lower max C: the plan epoch has not moved, but
-        the C mode's bound has, so its table is built again and the store
-        ends as a fresh constraint leaves it. Then raise min C: the
-        cost-filter key moves, but neither mode's plan epoch, strip or bound
-        has, so no table is built. The bound is 5 % above the optimum, then
-        2 %, so the root neither fixes nor closes."""
+        max C has, so the C table is built again and the store ends as a
+        fresh constraint leaves it. Then raise min C: no table reads it, and
+        neither the plan epoch nor max C has moved, so no table is built.
+        The bound is 5 % above the optimum, then 2 %, so the root neither
+        fixes nor closes."""
         inst, side = registry_instance(name)
         store, ls, _, _ = build_model(inst, side, SearchConfig())
         opt = _reference_optimum(name, 1)
