@@ -9,17 +9,18 @@ sweeps).
 
 ``LotSizingConstraint.propagate`` runs the full filtering pipeline to a
 fixpoint: when every setup variable is fixed the plan is completed by the
-exact path-network flow, or by the DP when the flow plan lands in a
-production hole; otherwise lower bounds are pulled from the four
-cost-restricted flow relaxations and the whole-horizon DP. Under
+exact path-network flow; otherwise, and when the flow plan lands in a
+production hole or busts a component cap, lower bounds are pulled from the
+four cost-restricted flow relaxations and the whole-horizon DP. Under
 ``filter_mode="auto"`` the DP runs when one of its tables holds at most
 2**20 states (``dp.table_fits``); above that, the node keeps the flow bounds
-alone. The same test gates the DP completion. The paper's
-interval-decomposition bound and windowed filtering run only under
-``filter_mode="wisp"``, where the fixed threshold ``wisp._WINDOW_BUDGET``
-decides which of their windows are exact. Inventory domains are filtered to
-bounds, the paper's contract; production domains keep the holes the DP's
-support test punches.
+alone. A node with every setup fixed takes the DP whenever its table fits,
+under either mode, so a plan in a hole is closed by the DP plan's offer.
+The paper's interval-decomposition bound and windowed filtering run only
+under ``filter_mode="wisp"``, where the fixed threshold
+``wisp._WINDOW_BUDGET`` decides which of their windows are exact. Inventory
+domains are filtered to bounds, the paper's contract; production domains
+keep the holes the DP's support test punches.
 
 The argmin plan of the DP's cost table is offered to the search, which
 gates it (the DP does not know Q/R) and keeps it as its incumbent. When an
@@ -208,7 +209,7 @@ def complete_when_setups_fixed(inst: Instance, store: DomainStore) -> Solution |
     return Solution.from_plan(inst, x, y)
 
 
-FILTER_MODES = ("auto", "dp", "wisp")
+FILTER_MODES = ("auto", "wisp")
 
 
 @dataclass
@@ -285,14 +286,6 @@ class LotSizingConstraint:
         y = [1 if x[t] > 0 or self.store.min(("Y", t)) == 1 else 0 for t in range(T)]
         return Solution.from_plan(self.instance, x, y)
 
-    def _dp_complete(self, stripped: StrippedInstance) -> Solution | None:
-        """A cheapest plan of the exact whole-horizon DP, or None when it is
-        infeasible; backs completion when the flow cannot."""
-        fwd, _ = window_tables(stripped, self.store, None, cs_mode=False)
-        if math.isinf(fwd.optimum()):
-            return None
-        return self._trace_plan(fwd, stripped)
-
     # -- main entry -----------------------------------------------------------
 
     def propagate(self) -> tuple[PropagateResult, Solution | None]:
@@ -310,8 +303,9 @@ class LotSizingConstraint:
                 self._keys["bc"] = store.plan_epoch
             stripped = self._stripped
 
-            if self._all_y_fixed():
-                res = self._try_complete(stripped)
+            all_y_fixed = self._all_y_fixed()
+            if all_y_fixed:
+                res = self._try_complete()
                 if res is not None:
                     return res
 
@@ -319,8 +313,9 @@ class LotSizingConstraint:
             # first and runs the flows inside the DP stage, only if open.
             # Above the table cap, ``auto`` keeps the flow bounds alone: on
             # the registry's over-cap classes the decomposition bound equals
-            # them.
-            if self.filter_mode == "dp" or (self.filter_mode == "auto" and table_fits(stripped)):
+            # them. Under ``wisp`` only a node with every setup fixed takes
+            # the DP: its offer closes a flow plan that lands in a hole.
+            if (self.filter_mode == "auto" or all_y_fixed) and table_fits(stripped):
                 status = self._dp_stage(stripped)
             else:
                 status = self._flow_stage(stripped)
@@ -346,28 +341,20 @@ class LotSizingConstraint:
             for t in range(self.instance.T)
         )
 
-    def _try_complete(self, stripped: StrippedInstance) -> tuple[PropagateResult, Solution | None] | None:
-        """All Y fixed: instantiate the rest, or report failure.
+    def _try_complete(self) -> tuple[PropagateResult, Solution | None] | None:
+        """All Y fixed: instantiate the rest by the exact flow completion, or
+        report failure.
 
-        The exact flow completion goes first; it solves the interval hull of
-        the domains, so no plan, or one that busts the C cap, proves the
-        subtree dead, and its plan is kept when it lies inside the domains.
-        A plan in a production hole, or one that busts a per-component cap,
-        proves nothing and falls through to the whole-horizon DP, which
-        honors holes; above the DP's table cap the node is left to the
-        search (None).
+        The flow solves the interval hull of the domains, so no plan, or one
+        that busts the C cap, proves the subtree dead, and its plan is kept
+        when it lies inside the domains. A plan in a production hole, or one
+        that busts a per-component cap, proves nothing (None): the node goes
+        on to the DP stage when its table fits, whose argmin plan honors
+        holes and closes the node once the search accepts it, and otherwise
+        to the flow relaxations. With every X fixed, a plan that busts a
+        component cap fails there.
         """
         store = self.store
-        T = self.instance.T
-        if all(store.is_fixed(("X", t)) for t in range(T)):
-            x = [store.value(("X", t)) for t in range(T)]
-            y = [store.value(("Y", t)) for t in range(T)]
-            sol = Solution.from_plan(self.instance, x, y)
-            if not self._check_cost_caps(sol):
-                return PropagateResult.FAILED, None
-            if self._assign_solution(sol) is Status.FAILED:
-                return PropagateResult.FAILED, None
-            return PropagateResult.COMPLETED, sol
         sol = complete_when_setups_fixed(self.instance, store)
         if sol is None or sol.c > store.max(("C", 0)):
             return PropagateResult.FAILED, None
@@ -375,18 +362,7 @@ class LotSizingConstraint:
             if self._assign_solution(sol) is Status.FAILED:
                 return PropagateResult.FAILED, None
             return PropagateResult.COMPLETED, sol
-        if not table_fits(stripped):
-            return None
-        sol = self._dp_complete(stripped)
-        if sol is None:
-            return PropagateResult.FAILED, None
-        if sol.c > store.max(("C", 0)):
-            return PropagateResult.FAILED, None
-        if not self._check_cost_caps(sol):
-            return None
-        if self._assign_solution(sol) is Status.FAILED:
-            return PropagateResult.FAILED, None
-        return PropagateResult.COMPLETED, sol
+        return None
 
     def _flow_stage(self, stripped: StrippedInstance) -> Status:
         """The flow bounds, once per plan epoch."""

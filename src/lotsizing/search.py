@@ -2,11 +2,12 @@
 
 Each node runs the global-constraint propagator (and the Q/R sequence
 propagator when posted) to a joint fixpoint; once every setup variable is
-fixed the propagator completes the plan exactly (the path-network flow
-first, the DP when the flow plan lands in a production hole), so branching
-is normally restricted to the Y's; the search splits a production domain
-only when neither completion settles the node. Value order tries "no setup" first; variable order is
-lexicographic or peak-demand-first. Incumbents come from completions and
+fixed the propagator completes the plan exactly through the path-network
+flow, and a flow plan that lands in a production hole is closed by the
+DP's plan offer, so branching is normally restricted to the Y's; the search
+splits a production domain only when neither settles the node. Value order
+tries "no setup" first; variable order is lexicographic or
+peak-demand-first. Incumbents come from completions and
 from the argmin plans of the whole-horizon DP, which the search accepts only
 when ``verify`` does; a node whose lower bound an accepted plan meets is
 closed. With a user-supplied cost upper bound known to be optimal, the first
@@ -46,7 +47,7 @@ class SearchConfig:
     branching: str = "lex"  # lex | peak
     time_limit: float | None = None
     node_limit: int | None = None
-    filter_mode: str = "auto"  # auto | dp | wisp
+    filter_mode: str = "auto"  # auto | wisp (propagator.FILTER_MODES)
 
 
 @dataclass
@@ -171,13 +172,9 @@ def solve(
         if res is PropagateResult.FAILED:
             stats.backtracks += 1
             return
-        if res is PropagateResult.CLOSED:
-            # The offer already made the plan the incumbent; nothing in this
-            # subtree is cheaper.
-            if config.ub is not None:
-                raise _Stop("OPT", "bound_met")
-            return
-        if res is PropagateResult.COMPLETED:
+        if res in (PropagateResult.CLOSED, PropagateResult.COMPLETED):
+            # Nothing in this subtree is cheaper. A CLOSED plan is already
+            # the incumbent (the offer kept it), so the update is a no-op.
             if best[0] is None or sol.c < best[0].c:
                 best[0] = sol
             if config.ub is not None:
@@ -194,8 +191,9 @@ def solve(
                     stats.backtracks += 1
                 store.pop_level()
             return
-        # All setups fixed but no completion applied (production holes with a
-        # DP table over the state cap): fall back to splitting a production domain.
+        # All setups fixed but the node neither completed nor closed (a flow
+        # plan in a production hole with a DP table over the state cap, or a
+        # DP plan the offer declines): split a production domain.
         tx = next((v for v in range(inst.T) if not store.is_fixed(("X", v))), None)
         if tx is None:
             return

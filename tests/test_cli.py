@@ -221,6 +221,15 @@ class TestBadInputs:
         assert err == solve_err == "error: disjunction for period 99, outside the horizon\n"
 
 
+    def test_unknown_filter_mode(self, tmp_path, capsys):
+        """``--filter`` offers ``auto`` and ``wisp`` only."""
+        inst = write_two_period(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            run("solve", "--instance", str(inst), "--filter", "dp")
+        assert exc.value.code == 2
+        assert "invalid choice: 'dp'" in capsys.readouterr().err
+
+
 class TestExportLp:
     def test_structure(self, tmp_path, capsys):
         inst = write_two_period(tmp_path)

@@ -144,6 +144,32 @@ class TestPropagate:
         assert sol.c == 13 and sol.x == (5, 0)
         assert store.value(("C", 0)) == 13
 
+    @pytest.mark.parametrize("route", ["dp", "over_cap"])
+    @pytest.mark.parametrize("cap", ["Cp", "Ch", "Cs", "C", "C_at_cost"])
+    def test_fully_fixed_plan_against_cost_caps(self, monkeypatch, route, cap):
+        """Every X and Y fixed to one plan: a cap one below any of its cost
+        components fails the node, and C capped at the plan's cost completes
+        it, on the DP route and above the table cap."""
+        inst = make_instance(d=[2, 3, 1], p=[1, 2, 1], h=[1, 1, 1], s=[3, 4, 2],
+                             alpha_hi=[6, 6, 6], beta_hi=[6, 6, 6])
+        plan = Solution.from_plan(inst, [5, 0, 1], [1, 0, 1])
+        assert min(plan.cp, plan.ch, plan.cs) > 0
+        if route == "over_cap":
+            monkeypatch.setattr(dp_mod, "_TABLE_CAP", 0)
+        store = DomainStore.for_instance(inst)
+        for t in range(inst.T):
+            store.assign(("X", t), plan.x[t])
+            store.assign(("Y", t), plan.y[t])
+        var = cap.split("_")[0]
+        value = getattr(plan, var.lower())
+        store.set_max((var, 0), value if cap == "C_at_cost" else value - 1)
+        assert not store.failed
+        res, sol = LotSizingConstraint(inst, store).propagate()
+        if cap == "C_at_cost":
+            assert res is PropagateResult.COMPLETED and sol == plan
+        else:
+            assert res is PropagateResult.FAILED
+
     def test_idempotent_at_fixpoint(self):
         rng = random.Random(91)
         for _ in range(60):
@@ -277,7 +303,7 @@ class TestPropagate:
 
 def _scan_complete(stripped, store):
     """Production plan read off the forward table by a scan over j from 0:
-    the predecessor search ``LotSizingConstraint._dp_complete`` vectorizes."""
+    the predecessor search ``LotSizingConstraint._trace_plan`` vectorizes."""
     fwd, _ = window_tables(stripped, store, None, cs_mode=False)
     if math.isinf(fwd.optimum()):
         return None
@@ -344,7 +370,8 @@ class TestDpComplete:
                 continue
             stripped = _strip(inst, store)
             ls = LotSizingConstraint(inst, store)
-            sol = ls._dp_complete(stripped)
+            fwd, _ = window_tables(stripped, store, None, cs_mode=False)
+            sol = None if math.isinf(fwd.optimum()) else ls._trace_plan(fwd, stripped)
             want = _scan_complete(stripped, store)
             assert (sol and sol.x) == want
             compared += want is not None
@@ -382,11 +409,13 @@ class TestDpComplete:
 
 
 def _fixed_setup_disj(intervals, y, **data):
-    """A Disj instance built as ``solve`` builds it, then every setup fixed
-    to y; None when that fails."""
+    """A Disj instance built as ``solve`` builds it, with an offer that
+    gates DP plans by ``verify``, then every setup fixed to y; None when
+    that fails."""
     inst = validate_and_normalize(make_instance(**data))
     side = SideSpecs(disjunction=DisjunctiveSpec(intervals))
     store, ls, _, root_ok = build_model(inst, side, SearchConfig())
+    ls.offer = lambda plan: verify(inst, side, plan)[0]
     if not root_ok or any(store.assign(("Y", t), val) is Status.FAILED for t, val in enumerate(y)):
         return None
     return inst, side, store, ls
@@ -401,26 +430,27 @@ def _fixed_setup_optimum(inst, side, y):
 
 
 @pytest.fixture
-def dp_completions(monkeypatch):
-    """Records every ``_dp_complete`` call's result."""
+def dp_closes(monkeypatch):
+    """Records the plan of every DP offer that closes a node."""
     calls = []
-    original = LotSizingConstraint._dp_complete
+    original = LotSizingConstraint._offer_plan
 
-    def counted(self, stripped):
-        sol = original(self, stripped)
-        calls.append(sol)
-        return sol
+    def counted(self, fwd, stripped):
+        closed = original(self, fwd, stripped)
+        if closed:
+            calls.append(self._closed)
+        return closed
 
-    monkeypatch.setattr(LotSizingConstraint, "_dp_complete", counted)
+    monkeypatch.setattr(LotSizingConstraint, "_offer_plan", counted)
     return calls
 
 
 class TestCompletionOrder:
     """With every setup fixed the exact flow completion goes first under
-    disjunctions too; the DP completes only a flow plan that lands in a
-    production hole."""
+    disjunctions too; only a flow plan that lands in a production hole is
+    left to the DP stage, whose offered argmin plan closes the node."""
 
-    def test_flow_plan_inside_domains_completes_without_dp(self, dp_completions):
+    def test_flow_plan_inside_domains_completes_without_dp(self, dp_closes):
         y = [1, 1]
         inst, side, store, ls = _fixed_setup_disj(
             {1: ((2, 2), (6, 7))}, y,
@@ -430,9 +460,9 @@ class TestCompletionOrder:
         res, sol = ls.propagate()
         assert res is PropagateResult.COMPLETED
         assert sol.c == _fixed_setup_optimum(inst, side, y) == 18
-        assert dp_completions == []
+        assert dp_closes == []
 
-    def test_flow_plan_in_a_hole_falls_back_to_dp(self, dp_completions):
+    def test_flow_plan_in_a_hole_falls_back_to_dp(self, dp_closes):
         y = [1, 1, 1, 1]
         inst, side, store, ls = _fixed_setup_disj(
             {1: ((2, 2), (6, 6)), 2: ((2, 3), (5, 6)), 3: ((3, 4), (8, 8))}, y,
@@ -442,11 +472,11 @@ class TestCompletionOrder:
         flow = complete_at_bc(inst, store)
         assert not all(store.contains(("X", t), flow.x[t]) for t in range(inst.T))
         res, sol = ls.propagate()
-        assert res is PropagateResult.COMPLETED
-        assert len(dp_completions) == 1 and dp_completions[0] == sol
+        assert res is PropagateResult.CLOSED
+        assert len(dp_closes) == 1 and dp_closes[0] == sol
         assert sol.c == _fixed_setup_optimum(inst, side, y) == 33
 
-    def test_completion_matches_brute_force_under_holes(self, dp_completions):
+    def test_completion_matches_brute_force_under_holes(self, dp_closes):
         rng = random.Random(4409)
         by_flow = by_dp = failed = 0
         for _ in range(2_000):
@@ -468,17 +498,17 @@ class TestCompletionOrder:
             if model is None:
                 continue
             inst, side, store, ls = model
-            dp_completions.clear()
+            dp_closes.clear()
             res, sol = ls.propagate()
             want = _fixed_setup_optimum(inst, side, y)
             if res is PropagateResult.FAILED:
                 assert want is None
                 failed += 1
                 continue
-            assert res is PropagateResult.COMPLETED
+            assert res is (PropagateResult.CLOSED if dp_closes else PropagateResult.COMPLETED)
             assert sol.c == want and verify(inst, side, sol)[0]
-            by_dp += bool(dp_completions)
-            by_flow += not dp_completions
+            by_dp += bool(dp_closes)
+            by_flow += not dp_closes
         assert by_flow >= 600 and by_dp >= 30 and failed >= 600
 
 

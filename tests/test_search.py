@@ -39,7 +39,7 @@ def rand_side(rng, inst) -> SideSpecs | None:
 
 
 class TestSolve:
-    @pytest.mark.parametrize("field, value", [("filter_mode", "dpp"), ("branching", "peaks")])
+    @pytest.mark.parametrize("field, value", [("filter_mode", "dpp"), ("filter_mode", "dp"), ("branching", "peaks")])
     def test_unknown_option_value_rejected(self, field, value):
         config = SearchConfig(**{field: value})
         with pytest.raises(ValueError, match=f"unknown {field} '{value}'"):
