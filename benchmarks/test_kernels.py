@@ -21,6 +21,7 @@ from lotsizing import (
     DomainStore,
     LotSizingConstraint,
     PropagateResult,
+    SideSpecs,
     Status,
     apply_disjunctions,
     bc_feasibility,
@@ -28,6 +29,7 @@ from lotsizing import (
     generate,
     post_qr,
     validate_and_normalize,
+    verify,
     window_tables,
 )
 from lotsizing.dp import (
@@ -95,6 +97,16 @@ def test_forward_step(benchmark, cls):
     prev = fwd.row(t)
     row = benchmark(_forward_step, view, t, prev)
     assert np.array_equal(row, fwd.row(t + 1))
+
+
+@pytest.mark.parametrize("cls", ["C1LS", "C3LS", "C1Disj", "C3QR", "C1Peaks"])
+def test_build_forward(benchmark, cls):
+    """The whole-horizon C table of a root, every row: what a closing node
+    builds before it traces its plan."""
+    _, store, stripped = _root(cls)
+    view = make_cost_view(stripped, store, None)
+    fwd = benchmark(_build_forward, view, stripped, store)
+    assert len(fwd.rows) == stripped.T + 1
 
 
 @pytest.mark.parametrize("cls", ["C1LS", "C1Disj"])
@@ -178,6 +190,24 @@ def test_open_node_propagate(benchmark, cls):
         rounds=20,
     )
     assert res is PropagateResult.FIXPOINT
+
+
+@pytest.mark.parametrize("cls", ["C1LS", "C1Disj"])
+def test_closing_root_propagate(benchmark, cls):
+    """One root ``propagate()`` against the stored HiGHS optimum, with an
+    offer gated by ``verify``, as a search given the optimum makes it: BC,
+    the C table and its plan, which closes the node."""
+    inst, store = _fresh(cls)
+    template = INSTANCE_CLASSES[cls]
+    side = SideSpecs(disjunction=DisjunctiveSpec.uniform(inst.T, template.disjunction) if template.disjunction else None)
+    store.set_max(("C", 0), json.loads(REFERENCES.read_text())["optima"][cls]["1"])
+    offer = lambda plan: verify(inst, side, plan)[0]
+    res, _ = benchmark.pedantic(
+        LotSizingConstraint.propagate,
+        setup=lambda: ((LotSizingConstraint(inst, copy.deepcopy(store), offer=offer),), {}),
+        rounds=20,
+    )
+    assert res is PropagateResult.CLOSED
 
 
 @pytest.mark.parametrize("cls", ["C3LS", "C1Peaks"])

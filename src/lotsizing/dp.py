@@ -36,10 +36,13 @@ relaxed view the rows of window (u, v) are the low states of the rows of
 any longer window (u, v'), so one forward table per start period bounds all
 windows of that start.
 
-A step takes, for every state, the minimum over each run of allowed
-production values, a sliding-window minimum over the previous row per run,
-and adds one linear term shared by all runs. ``_runs_min`` computes it:
-with one run, ``_window_min`` runs in time linear in the row, whatever the
+A step reads the previous row less its cost's linear term in the previous
+state: for every new state it takes the minimum over each run of allowed
+production values, a sliding-window minimum per run, and the x = 0
+transition, one shifted slice, and then adds one linear term in the new
+state shared by the runs and x = 0. ``_runs_min`` computes the runs' part:
+with one run, ``_window_min`` makes one reduction over the row and running
+minimum scans over about as many entries as the new row has, whatever the
 range; with several (production holes), one padded row and its doubling
 levels (a sparse table up to the widest run) serve every run with two
 slice reads each.
@@ -49,6 +52,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -95,6 +99,12 @@ class CostView:
 
     def i_mask_at(self, b: int) -> np.ndarray | None:
         return self.i_masks[b - self.u]
+
+    @cached_property
+    def index(self) -> np.ndarray:
+        """0, 1, 2, ... as floats, as long as the longest row: the state
+        indices every step of the view's tables multiplies by a cost."""
+        return np.arange(max(self.row_cap) + 1, dtype=float)
 
     def x_runs(self, t: int) -> tuple[bool, list[tuple[int, int]]]:
         """(is x=0 allowed, list of maximal allowed runs with x >= 1)."""
@@ -246,39 +256,69 @@ class DpTable:
 def _window_min(vals: np.ndarray, m: int, lo0: int, hi0: int) -> np.ndarray:
     """out[i] = min(vals[lo0+i .. hi0+i]), clipped to range; inf if empty.
 
-    Windows cut by the left end of the row are prefix minima, windows cut by
-    the right end suffix minima, and the interior windows (width w) come from
-    van Herk / Gil-Werman blocks of w: each is the suffix minimum of its start
-    within a block joined with the prefix minimum of its end within the next.
-    Every buffer is sized by the row, not by w, so a window far wider than
-    the row costs one prefix and one suffix scan. O(len(vals) + m).
+    A running minimum costs several times a reduction per entry, so it only
+    walks the entries that move an output. The windows cut by the left end
+    of the row share the minimum of the first one, a reduction, and then
+    extend it one entry per output; those cut by the right end mirror it.
+    Interior windows (width w): k <= w of them all cover one core, the
+    entries from the last start to the first end, so each is the core's
+    minimum joined with the suffix minimum of its start and the prefix
+    minimum of its end, two scans of k. More than w come from van Herk /
+    Gil-Werman blocks of w: each is the suffix minimum of its start within a
+    block joined with the prefix minimum of its end within the next. So a
+    row costs one reduction over its entries plus scans over O(m) of them,
+    whatever w. The scans use ``np.fmin``, which equals ``np.minimum`` off
+    NaN (rows hold integers and inf) and runs about a third faster.
     """
     n = len(vals)
-    out = np.full(m, INF)
     w = hi0 - lo0 + 1
     if w <= 0 or n == 0:
-        return out
+        return np.full(m, INF)
     # Output ranges: [0, z) empty, [z, a) cut on the left (or on both
     # ends), [a, b) interior, [b, c) cut on the right only, [c, m) empty.
-    z = max(-hi0, 0)  # first i whose window reaches index 0
+    z = min(max(-hi0, 0), m)  # first i whose window reaches index 0
     a = min(max(1 - lo0, z), m)
     b = min(max(n - hi0 - 1, a), m)
     c = min(max(n - lo0, b), m)
+    out = np.empty(m)
+    out[:z] = INF
+    out[c:] = INF
     if z < a:
-        pre = np.minimum.accumulate(vals[: min(hi0 + a - 1, n - 1) + 1])
-        out[z:a] = pre[np.minimum(np.arange(hi0 + z, hi0 + a), n - 1)]
+        # out[i] = min(vals[: hi0 + i + 1]): the whole row from i = n - hi0 on.
+        e = min(max(n - hi0, z), a)
+        if z < e:
+            seg = out[z:e]
+            seg[0] = vals[: hi0 + z + 1].min()
+            seg[1:] = vals[hi0 + z + 1 : hi0 + e]
+            np.fmin.accumulate(seg, out=seg)
+        out[e:a] = vals.min() if e == z else out[e - 1]
     if b < c:
-        suf = np.minimum.accumulate(vals[lo0 + b :][::-1])[::-1]
-        out[b:c] = suf[: c - b]
-    if a < b:
+        # out[i] = min(vals[lo0 + i :]), scanned from the last output back.
+        seg = out[b:c]
+        seg[:-1] = vals[lo0 + b : lo0 + c - 1]
+        seg[-1] = vals[lo0 + c - 1 :].min()
+        np.fmin.accumulate(seg[::-1], out=seg[::-1])
+    k = b - a
+    if 0 < k <= w:
+        core = vals[lo0 + b - 1 : hi0 + a + 1].min()
+        left = out[a:b]
+        left[:-1] = vals[lo0 + a : lo0 + b - 1]
+        left[-1] = core
+        np.fmin.accumulate(left[::-1], out=left[::-1])
+        right = np.empty(k)
+        right[0] = core
+        right[1:] = vals[hi0 + a + 1 : hi0 + b]
+        np.fmin.accumulate(right, out=right)
+        np.minimum(left, right, out=left)
+    elif k > w:
         seg = vals[lo0 + a : hi0 + b]
         nb = -(-len(seg) // w)
         blocks = np.full(nb * w, INF)
         blocks[: len(seg)] = seg
         blocks = blocks.reshape(nb, w)
-        head = np.minimum.accumulate(blocks, axis=1).ravel()
-        tail = np.minimum.accumulate(blocks[:, ::-1], axis=1)[:, ::-1].ravel()
-        np.minimum(tail[: b - a], head[w - 1 : w - 1 + b - a], out=out[a:b])
+        head = np.fmin.accumulate(blocks, axis=1).ravel()
+        tail = np.fmin.accumulate(blocks[:, ::-1], axis=1)[:, ::-1].ravel()
+        np.minimum(tail[:k], head[w - 1 : w - 1 + k], out=out[a:b])
     return out
 
 
@@ -325,20 +365,22 @@ def _forward_step(view: CostView, t: int, prev: np.ndarray) -> np.ndarray:
     d, p, h, sc = view.d[k], view.p[k], view.h[k], view.s_charge[k]
     m = view.cap(t + 1) + 1
     m_prev = len(prev)
-    iarr = np.arange(m)
+    idx = view.index
     x0_ok, runs = view.x_runs(t)
+    # x = i + d - j costs p x + h i, plus sc when x > 0: with g(j) = f(j) -
+    # p j that is g(i + d - x) + (p + h) i + p d, so the minimum over each
+    # run's window of j and over x = 0 share one linear term in i.
+    g = prev - p * idx[:m_prev]
     if runs:
-        # x = i + d - j costs p x + h i + sc: min_j (f(j) - p j) over each
-        # run's window of j, plus one linear term in i shared by the runs.
-        g = prev - p * np.arange(m_prev)
         row = _runs_min(g, m, [(d - xb, d - xa) for xa, xb in runs])
-        row += (p + h) * iarr + (p * d + sc)
+        row += sc
     else:
         row = np.full(m, INF)
     if x0_ok:
         k0 = min(m, m_prev - d)  # states i with i + d inside the previous row
         if k0 > 0:
-            np.minimum(row[:k0], prev[d : d + k0] + h * iarr[:k0], out=row[:k0])
+            np.minimum(row[:k0], g[d : d + k0], out=row[:k0])
+    row += (p + h) * idx[:m] + p * d
     mask = view.i_mask_at(t + 1)
     if mask is not None:
         row[~mask] = INF
@@ -350,20 +392,22 @@ def _backward_step(view: CostView, t: int, nxt: np.ndarray) -> np.ndarray:
     d, p, h, sc = view.d[k], view.p[k], view.h[k], view.s_charge[k]
     m = view.cap(t) + 1
     m_next = len(nxt)
-    iarr = np.arange(m)
+    idx = view.index
     x0_ok, runs = view.x_runs(t)
+    # x = j + d - i costs p x + h j, plus sc when x > 0: with g(j) = f_r(j)
+    # + (p + h) j that is g(i - d + x) + p d - p i, so the minimum over each
+    # run's window of j and over x = 0 share one linear term in i.
+    g = nxt + (p + h) * idx[:m_next]
     if runs:
-        # x = j + d - i costs p x + h j + sc: min_j (g(j) + (p + h) j) over
-        # each run's window of j, plus one linear term in i shared by the runs.
-        g = nxt + (p + h) * np.arange(m_next)
         row = _runs_min(g, m, [(xa - d, xb - d) for xa, xb in runs])
-        row += (p * d + sc) - p * iarr
+        row += sc
     else:
         row = np.full(m, INF)
     if x0_ok:
         k0 = min(m, d + m_next)  # states i with i - d inside the next row
         if k0 > d:
-            np.minimum(row[d:k0], nxt[: k0 - d] + h * np.arange(k0 - d), out=row[d:k0])
+            np.minimum(row[d:k0], g[: k0 - d], out=row[d:k0])
+    row += p * d - p * idx[:m]
     mask = view.i_mask_at(t)
     if mask is not None:
         row[~mask] = INF

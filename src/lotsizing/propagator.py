@@ -225,9 +225,11 @@ class LotSizingConstraint:
         if self.filter_mode not in FILTER_MODES:
             raise ValueError(f"unknown filter_mode {self.filter_mode!r}; known: {', '.join(FILTER_MODES)}")
         # Per stage, the store reading at which it last ran (see the module
-        # docstring); BC's entry also dates the cached strip.
+        # docstring); BC's entry also dates the cached strip and whether its
+        # whole-horizon table fits.
         self._keys: dict[str, object] = {}
         self._stripped: StrippedInstance | None = None
+        self._fits = False
         self._wisp_ran = False
         self._closed: Solution | None = None
         self._trivial_caps = self.instance.max_cost_bounds()
@@ -262,10 +264,17 @@ class LotSizingConstraint:
     def _trace_plan(self, fwd: DpTable, stripped: StrippedInstance) -> Solution:
         """The cheapest plan of a feasible whole-horizon cost table, taking
         the lowest predecessor at every step, with a setup wherever it
-        produces or Y is fixed to 1. Honors production holes. State i of
-        boundary t + 1 can only come from states i + d - x_cap .. i + d of
-        boundary t, so only that window of each row is read."""
+        produces or Y is fixed to 1. Honors production holes.
+
+        State i of boundary t + 1 comes from state j = i + d - x of boundary
+        t by a production x of an allowed run at cost p x + h i + sc, so j
+        is its predecessor when f_t(j) - p j equals f_{t+1}(i) - p (i + d) -
+        h i - sc. That is one slice test per run, over the run's own window
+        of j. The runs are searched from the largest x down, so the first
+        hit is the lowest predecessor; x = 0, the highest, is one scalar
+        test last."""
         view = fwd.view
+        idx = view.index
         T = self.instance.T
         x = [0] * T
         i_state = 0
@@ -274,15 +283,23 @@ class LotSizingConstraint:
             target = fwd.row(t + 1)[i_state]
             k = t - view.u
             d, p, h, sc = view.d[k], view.p[k], view.h[k], view.s_charge[k]
-            allow = view.x_allow_mask(t)
-            lo = max(i_state + d - (len(allow) - 1), 0)
-            xv = i_state + d - np.arange(lo, min(i_state + d, len(row_prev) - 1) + 1)
-            cost = p * xv + h * i_state + np.where(xv > 0, sc, 0)
-            hits = np.flatnonzero(allow[xv] & (row_prev[lo : lo + len(xv)] + cost == target))
-            if len(hits) == 0:
-                raise AssertionError("DP path extraction lost the optimal trace")
-            i_state = lo + int(hits[0])
-            x[t] = int(xv[hits[0]]) + stripped.x_off[t]
+            x0_ok, runs = view.x_runs(t)
+            top = i_state + d  # the predecessor of x = 0
+            want = target - p * top - h * i_state - sc
+            j = None
+            for xa, xb in reversed(runs):
+                lo, hi = max(top - xb, 0), min(top - xa, len(row_prev) - 1)
+                if lo <= hi:
+                    hits = np.flatnonzero(row_prev[lo : hi + 1] - p * idx[lo : hi + 1] == want)
+                    if len(hits):
+                        j = lo + int(hits[0])
+                        break
+            if j is None:
+                if not (x0_ok and top < len(row_prev) and row_prev[top] + h * i_state == target):
+                    raise AssertionError("DP path extraction lost the optimal trace")
+                j = top
+            x[t] = top - j + stripped.x_off[t]
+            i_state = j
         y = [1 if x[t] > 0 or self.store.min(("Y", t)) == 1 else 0 for t in range(T)]
         return Solution.from_plan(self.instance, x, y)
 
@@ -300,6 +317,7 @@ class LotSizingConstraint:
                 if bc_feasibility(store, self.instance)[0] is Status.FAILED:
                     return PropagateResult.FAILED, None
                 self._stripped = _strip(self.instance, store)
+                self._fits = table_fits(self._stripped)
                 self._keys["bc"] = store.plan_epoch
             stripped = self._stripped
 
@@ -315,7 +333,7 @@ class LotSizingConstraint:
             # the registry's over-cap classes the decomposition bound equals
             # them. Under ``wisp`` only a node with every setup fixed takes
             # the DP: its offer closes a flow plan that lands in a hole.
-            if (self.filter_mode == "auto" or all_y_fixed) and table_fits(stripped):
+            if (self.filter_mode == "auto" or all_y_fixed) and self._fits:
                 status = self._dp_stage(stripped)
             else:
                 status = self._flow_stage(stripped)

@@ -300,6 +300,33 @@ class TestWindowMin:
             want = [min(vals[max(lo0 + i, 0) : max(hi0 + i + 1, 0)], default=INF) for i in range(m)]
             assert list(got) == want, (list(vals), m, lo0, hi0)
 
+    def test_long_rows_every_regime(self):
+        """Rows of up to 64 entries, with windows near the row length in
+        half the calls and narrower ones in the rest. Each call is counted
+        in every regime one of its outputs falls in: cut on the left, on the
+        right or at both ends, and interior, narrow when there are at most w
+        interior outputs (w the window width), wide otherwise."""
+        rng = random.Random(59)
+        seen = dict.fromkeys(("left", "right", "both", "narrow", "wide"), 0)
+        for _ in range(6_000):
+            n = rng.randint(1, 64)
+            m = rng.randint(1, 80)
+            w = n + rng.randint(-6, 6) if rng.random() < 0.5 else rng.randint(1, n)
+            lo0 = rng.randint(-n - 8, n)
+            hi0 = lo0 + w - 1
+            vals = np.array([INF if rng.random() < 0.1 else float(rng.randint(0, 999)) for _ in range(n)])
+            got = _window_min(vals, m, lo0, hi0)
+            want = [min(vals[max(lo0 + i, 0) : max(hi0 + i + 1, 0)], default=INF) for i in range(m)]
+            assert list(got) == want, (list(vals), m, lo0, hi0)
+            ends = [(lo0 + i, hi0 + i) for i in range(m) if lo0 + i < n and hi0 + i >= 0]
+            seen["left"] += any(s <= 0 and e < n - 1 for s, e in ends)
+            seen["right"] += any(s > 0 and e >= n - 1 for s, e in ends)
+            seen["both"] += any(s <= 0 and e >= n - 1 for s, e in ends)
+            k = sum(s > 0 and e < n - 1 for s, e in ends)
+            seen["narrow" if k <= w else "wide"] += k > 0
+        floor = {"left": 2500, "right": 3500, "both": 700, "narrow": 1100, "wide": 550}
+        assert all(seen[r] >= floor[r] for r in floor), seen
+
 
 class TestRunsMin:
     def test_matches_naive_minimum_over_spans(self):

@@ -380,9 +380,20 @@ class TestDpComplete:
     def test_windowed_trace_matches_full_row_reference(self):
         """Random roots with holes and fixed setups whose rows are wider
         than a period's production range, plus registry roots: the trace
-        that reads only the predecessor window gives the reference's plan."""
+        that reads one slice per production run gives the reference's plan.
+        Counted over the traced plans: periods with several runs (the search
+        must take the runs from the largest x down) and steps with x = 0
+        (the last test of a step)."""
         rng = random.Random(41)
-        compared = narrow = 0
+        compared = narrow = multi = idle = 0
+
+        def check(ls, fwd, stripped):
+            nonlocal multi, idle
+            plan = ls._trace_plan(fwd, stripped)
+            assert plan == _reference_trace_plan(ls, fwd, stripped)
+            multi += sum(len(fwd.view.x_runs(t)[1]) > 1 for t in range(stripped.T))
+            idle += sum(plan.x[t] == stripped.x_off[t] for t in range(stripped.T))
+
         for _ in range(2500):
             root = _holed_root(rng)
             if root is None:
@@ -391,12 +402,11 @@ class TestDpComplete:
             fwd, _ = window_tables(stripped, store, None, cs_mode=False)
             if math.isinf(fwd.optimum()):
                 continue
-            ls = LotSizingConstraint(inst, store)
-            assert ls._trace_plan(fwd, stripped) == _reference_trace_plan(ls, fwd, stripped)
+            check(LotSizingConstraint(inst, store), fwd, stripped)
             compared += 1
             narrow += any(len(fwd.row(t)) > fwd.view.x_cap[t] + 1 for t in range(inst.T))
         assert compared >= 700 and narrow >= 400, (compared, narrow)
-        for cls in ("C1LS", "C1Disj", "C3QR"):
+        for cls in ("C1LS", "C3LS", "C1Disj", "C3Disj", "C3QR"):
             template = INSTANCE_CLASSES[cls]
             inst = validate_and_normalize(generate(dataclasses.replace(template.params, seed=1)))
             disj = DisjunctiveSpec.uniform(inst.T, template.disjunction) if template.disjunction else None
@@ -405,7 +415,8 @@ class TestDpComplete:
             bc_feasibility(store, inst)
             stripped = _strip(ls.instance, store)
             fwd, _ = window_tables(stripped, store, None, cs_mode=False)
-            assert ls._trace_plan(fwd, stripped) == _reference_trace_plan(ls, fwd, stripped)
+            check(ls, fwd, stripped)
+        assert multi >= 800 and idle >= 2000, (multi, idle)
 
 
 def _fixed_setup_disj(intervals, y, **data):
