@@ -38,11 +38,11 @@ from lotsizing.dp import (
     _build_forward,
     _forward_step,
     _window_min,
-    greedy_prestock,
     make_cost_view,
 )
-from lotsizing.flow import window_flow_bounds
+from lotsizing.flow import pre_stock, window_flow_bounds
 from lotsizing.propagator import _strip
+from lotsizing.wisp import compute_decomposition
 
 REFERENCES = Path(__file__).resolve().parents[1] / "perfbench" / "references.json"
 
@@ -92,7 +92,7 @@ def test_forward_step(benchmark, cls):
     three production runs, the others over one."""
     _, store, stripped = _root(cls)
     view = make_cost_view(stripped, store, None)
-    fwd = _build_forward(view, stripped, store)
+    fwd = _build_forward(view, np.zeros(1))
     t = max(range(view.u, view.v + 1), key=lambda b: len(fwd.row(b)) + len(fwd.row(b + 1)))
     prev = fwd.row(t)
     row = benchmark(_forward_step, view, t, prev)
@@ -105,7 +105,7 @@ def test_build_forward(benchmark, cls):
     builds before it traces its plan."""
     _, store, stripped = _root(cls)
     view = make_cost_view(stripped, store, None)
-    fwd = benchmark(_build_forward, view, stripped, store)
+    fwd = benchmark(_build_forward, view, np.zeros(1))
     assert len(fwd.rows) == stripped.T + 1
 
 
@@ -122,11 +122,13 @@ def test_backward_step(benchmark, cls):
 
 @pytest.mark.parametrize("cls", ["C3LS", "C1Peaks"])
 def test_greedy_prestock(benchmark, cls):
-    """Pre-stock row entering the middle period, sized by its state cap."""
+    """Pre-stock row entering the middle period, sized by its state cap:
+    one zero-demand ``path_greedy`` run over the periods before it, on the
+    network that ``pre_stock`` builds once for all starts."""
     _, store, stripped = _root(cls)
     u = stripped.T // 2
     view = make_cost_view(stripped, store, (u, stripped.T - 2))
-    init = benchmark(greedy_prestock, stripped, store, u, view.cap(u))
+    init = benchmark(pre_stock(stripped, store, cs_mode=False), u, view.cap(u))
     assert len(init) == view.cap(u) + 1
 
 
@@ -137,6 +139,15 @@ def test_path_greedy(benchmark, cls):
     bounds = window_flow_bounds(stripped, store, cs_mode=False)
     out = benchmark(bounds, 1)
     assert len(out) == stripped.T
+
+
+@pytest.mark.parametrize("cls", ["C1LS", "C1Peaks"])
+def test_compute_decomposition(benchmark, cls):
+    """One root decomposition: every window bound (exact DP or flow pass)
+    and the scheduling recurrence, what each WISP pass starts with."""
+    _, store, stripped = _root(cls)
+    decomp = benchmark(compute_decomposition, stripped, store)
+    assert len(decomp.subproblems) == stripped.T * (stripped.T - 1) // 2
 
 
 @pytest.mark.parametrize(

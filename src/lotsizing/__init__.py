@@ -4,7 +4,6 @@ from .domains import DomainStore, Status
 from .dp import (
     DpTable,
     filter_with_dp,
-    greedy_prestock,
     window_tables,
 )
 from .flow import (
@@ -54,10 +53,8 @@ from .solution import Solution
 from .wisp import (
     SubProblem,
     WispDecomposition,
-    bound_subproblem,
     compute_decomposition,
     dpwisp,
-    enumerate_subproblems,
     wisp_support_filter,
 )
 
@@ -66,7 +63,6 @@ __all__ = [
     "Status",
     "DpTable",
     "filter_with_dp",
-    "greedy_prestock",
     "window_tables",
     "FlowMode",
     "FlowNetwork",
@@ -104,9 +100,7 @@ __all__ = [
     "Solution",
     "SubProblem",
     "WispDecomposition",
-    "bound_subproblem",
     "compute_decomposition",
     "dpwisp",
-    "enumerate_subproblems",
     "wisp_support_filter",
 ]

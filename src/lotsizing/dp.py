@@ -34,7 +34,10 @@ guard is that values at or above the remaining in-window demand are never
 filtered, since such stock may serve demands outside the window. On that
 relaxed view the rows of window (u, v) are the low states of the rows of
 any longer window (u, v'), so one forward table per start period bounds all
-windows of that start.
+windows of that start. A window that starts after period 0 may enter with
+stock made before it; its forward table starts from the cheapest such
+pre-stock per level, a row the path-network greedy computes
+(``flow.pre_stock``), which the DP takes as given.
 
 A step reads the previous row less its cost's linear term in the previous
 state: for every new state it takes the minimum over each run of allowed
@@ -58,6 +61,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .domains import DomainStore, Status, iv_from_mask, iv_intersect, iv_mask, iv_normalize, iv_shift, merge
+from .flow import pre_stock
 from .instance import StrippedInstance
 
 INF = math.inf
@@ -414,68 +418,11 @@ def _backward_step(view: CostView, t: int, nxt: np.ndarray) -> np.ndarray:
     return row
 
 
-def greedy_prestock(
-    stripped: StrippedInstance,
-    store: DomainStore,
-    u: int,
-    q_max: int,
-    zero_costs: bool = False,
-) -> np.ndarray:
-    """Cheapest way to have q = 0..q_max units in stock entering period u.
-
-    Production before u pays no setup (setups outside the window are zero in
-    the sub-problem), so each source period tau < u offers units at constant
-    cost p_tau plus holding through u-2, limited by its production capacity
-    and by the inventory caps it must traverse. Successive cheapest-source
-    augmentation on this path network is exact and yields non-decreasing
-    marginal costs. The h_{u-1} charge on the stocked units is added at the
-    end to match the DP state convention.
-    """
-    if u == 0 or q_max < 0:
-        return np.array([0.0])
-    carry = [
-        max(min(stripped.i_cap[k], store.max(("I", k)) - stripped.i_off[k]), 0)
-        for k in range(u - 1)
-    ]
-    sources = []
-    held = 0  # holding from tau through u-2, as a suffix sum
-    for tau in range(u - 1, -1, -1):
-        if not zero_costs and tau < u - 1:
-            held += stripped.h[tau]
-        cap = min(stripped.x_cap[tau], store.max(("X", tau)) - stripped.x_off[tau])
-        if store.max(("Y", tau)) == 0:
-            cap = 0
-        if cap > 0:
-            sources.append((0 if zero_costs else stripped.p[tau] + held, tau, cap))
-    sources.sort()
-    costs, amts = [], []
-    got = 0
-    for cost, tau, cap in sources:
-        if got >= q_max:
-            break
-        amt = min(cap, q_max - got, *carry[tau:])  # carry[tau:] covers I_tau..I_{u-2}
-        if amt <= 0:
-            continue
-        carry[tau:] = [c - amt for c in carry[tau:]]
-        costs.append(cost)
-        amts.append(amt)
-        got += amt
-    h_end = 0 if zero_costs else stripped.h[u - 1]
-    init = np.full(q_max + 1, INF)
-    init[0] = 0.0
-    # integer sums below 2**53, so the float row is exact
-    acc = np.cumsum(np.repeat(np.array(costs, dtype=np.int64), amts))
-    init[1 : got + 1] = acc + h_end * np.arange(1, got + 1)
-    return init
-
-
-def _build_forward(view: CostView, stripped: StrippedInstance, store: DomainStore) -> DpTable:
-    """Forward table of ``view``, seeded with the cheapest pre-stock when the
-    window starts after period 0."""
-    if view.u == 0:
-        init_row = np.array([0.0])
-    else:
-        init_row = greedy_prestock(stripped, store, view.u, view.cap(view.u), zero_costs=view.cs_mode)
+def _build_forward(view: CostView, prestock: np.ndarray) -> DpTable:
+    """Forward table of ``view``, seeded with ``prestock``: the cheapest
+    ways to enter the window with 0, 1, ... units (``flow.pre_stock``),
+    at least as many as its first boundary's states."""
+    init_row = prestock[: view.cap(view.u) + 1].copy()
     mask = view.i_mask_at(view.u)
     if mask is not None:
         init_row[~mask] = INF
@@ -503,7 +450,9 @@ def window_tables(
     table is built on its first read, so callers that stop at the forward
     table never pay for it."""
     view = make_cost_view(stripped, store, window, cs_mode=cs_mode)
-    fwd = _build_forward(view, stripped, store)
+    u = view.u
+    prestock = pre_stock(stripped, store, cs_mode)(u, view.cap(u)) if u else np.zeros(1)
+    fwd = _build_forward(view, prestock)
     bwd = DpTable(forward=False, view=view, build=lambda: _backward_rows(view))
     return fwd, bwd
 
@@ -732,14 +681,13 @@ def filter_with_dp(
     store: DomainStore,
     stripped: StrippedInstance,
     cost_ub: int,
-    before: int = 0,
-    after: int = 0,
 ) -> Status:
     """Remove inventory/production/setup values not supported under the bound.
 
-    ``cost_ub`` is the cap on the stripped cost (variable upper bound minus
-    the mandatory baseline); window offsets ``before``/``after`` and the
-    window's sunk setups are deducted once here. ``fwd`` and ``bwd`` share
+    ``cost_ub`` caps the stripped cost of the window's plan: on the whole
+    horizon the variable's upper bound minus the mandatory baseline, on a
+    window that less what the rest of the plan costs at least. The window's
+    sunk setups are deducted here. ``fwd`` and ``bwd`` share
     one cost view (``window_tables``). In windowed mode values at or above
     the remaining in-window demand are never touched.
 
@@ -763,7 +711,7 @@ def filter_with_dp(
     x = 0 diagonal plus the setup charge stays within the bound.
     """
     view = fwd.view
-    ub_eff = cost_ub - before - after - view.sunk
+    ub_eff = cost_ub - view.sunk
     if math.isinf(ub_eff) and ub_eff > 0:
         return Status.UNCHANGED
     windowed = view.windowed

@@ -14,8 +14,11 @@ three, one build and four cost vectors.
 One integer greedy, ``path_greedy``, solves every instance of this network:
 the whole-horizon relaxations (``min_cost_flow``, rates scaled to integers),
 the flow bounds of all windows (u, v) with one pass per start u
-(``window_flow_bounds``), and the exact completion once every setup is fixed
-(``propagator.complete_when_setups_fixed``, unit costs p and h).
+(``window_flow_bounds``), the pre-stock that seeds a window's DP table, the
+stock a zero-demand pass over the periods before the window holds at its
+end (``pre_stock``, unit costs p and h), and the exact completion once
+every setup is fixed (``propagator.complete_when_setups_fixed``, unit costs
+p and h).
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .domains import DomainStore
 from .instance import StrippedInstance
@@ -43,7 +48,7 @@ OPTIMAL = "OPTIMAL"
 
 @dataclass
 class FlowNetwork:
-    """Arc data of the relaxation network for one (possibly windowed) bound."""
+    """Arc data of the relaxation network under one set of domains."""
 
     n: int
     prod_cap: list[int]
@@ -63,37 +68,26 @@ class FlowResult:
     integer_lower_bound: int
 
 
-def build_network(
-    stripped: StrippedInstance,
-    store: DomainStore,
-    mode: FlowMode,
-    window: tuple[int, int] | None = None,
-) -> FlowNetwork:
-    """Assemble the relaxation network under the current domains.
-
-    With a ``window`` (u, v), demands and setup costs outside u..v are zeroed
-    and periods beyond v are dropped: production after the window can never
-    serve a demand inside it. Setup costs of periods whose Y is already fixed
-    to 1 move into the constant (they are sunk), tightening the relaxation.
+def build_network(stripped: StrippedInstance, store: DomainStore, mode: FlowMode) -> FlowNetwork:
+    """Assemble the relaxation network under the current domains. Setup
+    costs of periods whose Y is already fixed to 1 move into the constant
+    (they are sunk), tightening the relaxation.
     """
-    u, v = (0, stripped.T - 1) if window is None else window
-    n = v + 1
-    prod_cap, prod_cost, demand = [], [], []
+    n = stripped.T
+    prod_cap, prod_cost = [], []
     inv_cap = []
     const = 0
     for t in range(n):
         cap = min(stripped.x_cap[t], store.max(("X", t)) - stripped.x_off[t])
         if store.max(("Y", t)) == 0:
             cap = 0
-        in_window = u <= t <= v
-        s_eff = stripped.s[t] if in_window else 0
+        s_eff = stripped.s[t]
         if store.min(("Y", t)) == 1:
             const += s_eff
             s_eff = 0
         cap = max(cap, 0)
         prod_cap.append(cap)
         prod_cost.append(Fraction(stripped.p[t] * cap + s_eff, cap) if (cap > 0 and s_eff > 0) else stripped.p[t])
-        demand.append(stripped.d[t] if in_window else 0)
         if t < n - 1:
             icap = min(stripped.i_cap[t], store.max(("I", t)) - stripped.i_off[t])
             inv_cap.append(max(icap, 0))
@@ -103,7 +97,7 @@ def build_network(
         prod_cost=prod_cost,
         inv_cap=inv_cap,
         inv_cost=list(stripped.h[: n - 1]),
-        demand=demand,
+        demand=list(stripped.d),
         const=const,
     )
     return derive_network(full, stripped, mode)
@@ -138,7 +132,7 @@ def derive_network(full: FlowNetwork, stripped: StrippedInstance, mode: FlowMode
     )
 
 
-def path_greedy(cap, rate, hold, inv_cap, demand) -> tuple[list[int], list[int]]:
+def path_greedy(cap, rate, hold, inv_cap, demand) -> tuple[list[int], list[int], list[tuple[int, int]]]:
     """Min-cost flow on the path network, one period at a time.
 
     Arc data are integers: production arc t carries ``cap[t]`` units at
@@ -150,9 +144,11 @@ def path_greedy(cap, rate, hold, inv_cap, demand) -> tuple[list[int], list[int]]
     multiset of used source units determines the cost, so the greedy is
     exact, and each period is settled from earlier periods only.
 
-    Returns ``(spent, prod_flow)``. ``spent[t]`` is the optimum of the
-    network cut after period t; the list stops short at the first period
-    whose demand cannot be met.
+    Returns ``(spent, prod_flow, stock)``. ``spent[t]`` is the optimum of
+    the network cut after period t; the list stops short at the first period
+    whose demand cannot be met. ``stock`` lists the units held when the
+    greedy stops (after its last period once every demand is met), per
+    source as (unit cost delivered there, units).
     """
     n = len(cap)
     # heap entries reference units[k]; lazily discarded when emptied
@@ -200,7 +196,8 @@ def path_greedy(cap, rate, hold, inv_cap, demand) -> tuple[list[int], list[int]]
                 units[k] -= drop
                 avail -= drop
             h_prefix += hold[t]
-    return spent, prod_flow
+    stock = [(key + h_prefix, units[k]) for key, k in cheap if units[k]]
+    return spent, prod_flow, stock
 
 
 def _scaled_rates(prod_cost) -> tuple[int, list[int]]:
@@ -213,7 +210,7 @@ def min_cost_flow(net: FlowNetwork) -> FlowResult:
     """Solve the relaxation network exactly (scaled to integers)."""
     scale, rate = _scaled_rates(net.prod_cost)
     hold = [h * scale for h in net.inv_cost]
-    spent, prod_flow = path_greedy(net.prod_cap, rate, hold, net.inv_cap, net.demand)
+    spent, prod_flow, _ = path_greedy(net.prod_cap, rate, hold, net.inv_cap, net.demand)
     if len(spent) < net.n:
         return FlowResult(INFEASIBLE, (), (), Fraction(0), 0)
     inv_flow = []
@@ -251,7 +248,7 @@ def window_flow_bounds(stripped: StrippedInstance, store: DomainStore, cs_mode: 
     def bounds(u: int) -> list[float]:
         rate = rate_out[:u] + rate_in[u:]
         demand = [0] * u + net.demand[u:]
-        spent, _ = path_greedy(net.prod_cap, rate, hold, net.inv_cap, demand)
+        spent, _, _ = path_greedy(net.prod_cap, rate, hold, net.inv_cap, demand)
         out = [math.inf] * T
         paid = 0
         for v in range(u, len(spent)):
@@ -260,3 +257,40 @@ def window_flow_bounds(stripped: StrippedInstance, store: DomainStore, cs_mode: 
         return out
 
     return bounds
+
+
+def pre_stock(stripped: StrippedInstance, store: DomainStore, cs_mode: bool):
+    """Cheapest ways to enter a window with stock, one greedy pass per start.
+
+    Returns ``row(u, q_max)``, whose entry q = 0..q_max is the cheapest way
+    to hold q units entering period u (inf past what can be held), with the
+    DP's state convention of paying h_{u-1} on them. Before its window a
+    sub-problem has no demand and no setups, so the stock is what
+    ``path_greedy`` holds after a zero-demand run over periods 0..u-1 of
+    the network's capacities at unit costs p and h (0 in ``cs_mode``):
+    eviction at each inventory arc keeps the cheapest units that fit, so
+    its cheapest q units are the cheapest q that can reach u.
+    """
+    net = build_network(stripped, store, FlowMode.FULL)
+    zeros = [0] * stripped.T
+    rate, hold = (zeros, zeros) if cs_mode else (stripped.p, stripped.h)
+
+    def row(u: int, q_max: int) -> np.ndarray:
+        out = np.full(q_max + 1, math.inf)
+        out[0] = 0.0
+        _, _, stock = path_greedy(net.prod_cap[:u], rate, hold, net.inv_cap, zeros)
+        costs, amts = [], []
+        got = 0
+        for cost, units in sorted(stock):
+            if got == q_max:
+                break
+            take = min(units, q_max - got)
+            costs.append(cost)
+            amts.append(take)
+            got += take
+        # integer sums below 2**53, so the float row is exact
+        acc = np.cumsum(np.repeat(np.array(costs, dtype=np.int64), amts))
+        out[1 : got + 1] = acc + hold[u - 1] * np.arange(1, got + 1)
+        return out
+
+    return row

@@ -201,7 +201,7 @@ def complete_when_setups_fixed(inst: Instance, store: DomainStore) -> Solution |
     """
     stripped = _strip(inst, store)
     net = build_network(stripped, store, FlowMode.FULL)
-    spent, prod_flow = path_greedy(net.prod_cap, net.prod_cost, net.inv_cost, net.inv_cap, net.demand)
+    spent, prod_flow, _ = path_greedy(net.prod_cap, net.prod_cost, net.inv_cost, net.inv_cap, net.demand)
     if len(spent) < inst.T:
         return None
     x = [stripped.x_off[t] + prod_flow[t] for t in range(inst.T)]
@@ -482,19 +482,18 @@ class LotSizingConstraint:
             return Status.UNCHANGED
         self._wisp_ran = True
         status = Status.UNCHANGED
-        for mode, var, base, trivial in (
-            (wisp_mod.COST_C, "C", stripped.c_min, self._trivial_caps[3]),
-            (wisp_mod.COST_CS, "Cs", stripped.cs_min, self._trivial_caps[2]),
+        for cs_mode, var, base, trivial in (
+            (False, "C", stripped.c_min, self._trivial_caps[3]),
+            (True, "Cs", stripped.cs_min, self._trivial_caps[2]),
         ):
-            decomp = wisp_mod.compute_decomposition(stripped, store, mode=mode)
+            decomp = wisp_mod.compute_decomposition(stripped, store, cs_mode=cs_mode)
             if any(math.isinf(s.w) for s in decomp.subproblems):
                 return Status.FAILED
             # Setups already sunk outside every support window are paid on
             # top of the disjoint window bounds.
             covered = set()
-            for idx in decomp.support:
-                s = decomp.subproblems[idx - 1]
-                covered.update(range(s.u, s.v + 1))
+            for u, v in decomp.support:
+                covered.update(range(u, v + 1))
             extra = sum(
                 stripped.s[t]
                 for t in range(self.instance.T)
@@ -505,7 +504,7 @@ class LotSizingConstraint:
                 return status
             ub = store.max((var, 0)) - base
             if store.max((var, 0)) < trivial:
-                status = merge(status, wisp_mod.wisp_support_filter(decomp, stripped, store, ub, mode=mode))
+                status = merge(status, wisp_mod.wisp_support_filter(decomp, stripped, store, ub, cs_mode=cs_mode))
                 if status is Status.FAILED:
                     return status
         self._keys["wisp"] = self._wisp_key()

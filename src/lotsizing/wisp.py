@@ -4,9 +4,10 @@ Every pair of periods u < v defines a sub-problem: the original instance with
 demands and setup costs zeroed outside u..v. Its optimum lower-bounds the
 cost any plan pays to serve the demands of u..v, and sums of such bounds over
 pairwise disjoint windows lower-bound the total cost. Picking the best
-disjoint combination is weighted interval scheduling over the n = T(T-1)/2
-windows, which arrive pre-sorted (by end period, then start period), so the
-DP is linear in n.
+disjoint combination is weighted interval scheduling (Kleinberg & Tardos),
+which over the windows of a path is one recurrence over period boundaries:
+the best combination inside periods 0..b-1 either leaves period b-1 out or
+ends a window there (``dpwisp``), O(T^2) in all.
 
 Per-window bounds come from the windowed DP when the window's state proxy
 fits ``_WINDOW_BUDGET`` and from the flow relaxation otherwise. Both take one
@@ -14,14 +15,13 @@ pass per start period u: one forward table gives the exact bounds of all
 windows (u, v) that fit (``_window_bounder``), and one greedy pass over the
 path network (``flow.window_flow_bounds``) gives the flow bounds of the rest.
 Bounds are recomputed on every call; nothing is memoized across calls.
-Prefix/suffix variants of the scheduling DP give lower bounds on the cost
-spent strictly before or after a window; these offsets let the windowed DP
-tables filter domains against the global cost bound.
+The same recurrence run from either end bounds the cost spent strictly
+before or after a window; these offsets let the windowed DP tables filter
+domains against the global cost bound.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -29,14 +29,11 @@ import numpy as np
 
 from .domains import DomainStore, Status, merge
 from .dp import _build_forward, filter_with_dp, make_cost_view, window_tables
-from .flow import window_flow_bounds
+from .flow import pre_stock, window_flow_bounds
 from .instance import StrippedInstance
 
 DP_EXACT = "DP_EXACT"
 FLOW_RELAX = "FLOW_RELAX"
-
-COST_C = "COST_C"
-COST_CS = "COST_CS"
 
 # Transition proxy (periods x (max states + 1)^2, ``_last_exact_ends``) up to
 # which a window gets the exact DP. Read at call time: ``math.inf`` makes
@@ -46,58 +43,13 @@ _WINDOW_BUDGET = 20_000_000
 
 @dataclass
 class SubProblem:
-    """Window [u, v] (0-based periods) with its bound and scheduling links.
+    """Window [u, v] (0-based periods, u < v) with its bound and the kind of
+    bound (``DP_EXACT`` or ``FLOW_RELAX``)."""
 
-    ``index`` is the 1-based position in the canonical ordering (increasing
-    end, then increasing start). ``prec`` is the largest smaller index whose
-    window is disjoint (0 if none); ``succ`` the smallest larger disjoint
-    index (n+1 if none).
-    """
-
-    index: int
     u: int
     v: int
-    prec: int
-    succ: int
-    w: float | None = None
+    w: float
     bound_kind: str = ""
-
-
-def subproblem_index(u1: int, v1: int) -> int:
-    """1-based index of the window with 1-based endpoints u1 < v1."""
-    return (v1 - 1) * (v1 - 2) // 2 + u1
-
-
-@functools.lru_cache(maxsize=8)
-def _layout(T: int) -> tuple[tuple[tuple[int, int, int, int, int], ...], tuple[tuple[int, int], ...]]:
-    """The windows of horizon T in canonical order as (index, u, v, prec,
-    succ) rows, and the mirror order of the reverse scheduling DP as
-    (index, pred) pairs. Immutable, so one copy serves every call."""
-    n = T * (T - 1) // 2
-    rows = tuple(
-        (
-            subproblem_index(u1, v1),
-            u1 - 1,
-            v1 - 1,
-            (u1 - 1) * (u1 - 2) // 2,
-            subproblem_index(v1 + 1, v1 + 2) if v1 + 2 <= T else n + 1,
-        )
-        for v1 in range(2, T + 1)
-        for u1 in range(1, v1)
-    )
-    mirror = tuple(
-        (subproblem_index(u + 1, v + 1), (T - v - 2) * (T - v - 1) // 2)
-        for u in range(T - 2, -1, -1)
-        for v in range(T - 1, u, -1)
-    )
-    return rows, mirror
-
-
-def enumerate_subproblems(T: int) -> list[SubProblem]:
-    """Fresh, unbounded sub-problems of horizon T in canonical order."""
-    if T < 2:
-        return []
-    return [SubProblem(*row) for row in _layout(T)[0]]
 
 
 INF_BOUND = math.inf
@@ -129,134 +81,128 @@ def _last_exact_ends(stripped: StrippedInstance, store: DomainStore) -> list[int
     return (starts - 1 + fits.sum(axis=1)).tolist()
 
 
-def _window_bounder(stripped: StrippedInstance, store: DomainStore, mode: str):
-    """``bounds(u, v_last) -> [(w, kind) for v = u..v_last]`` under current domains.
+def _window_bounder(stripped: StrippedInstance, store: DomainStore, cs_mode: bool):
+    """``bounds(u) -> [(w, kind) for v = u+1..T-1]`` under current domains.
 
     Windows whose state proxy fits ``_WINDOW_BUDGET`` get the exact windowed DP
     (pre-stock seeded, zero end inventory): one forward table per start u on
     the relaxed view of (u, min(v*, T-2)) gives them all, since the rows of a
     shorter window are the low states of a longer one's, so f(v+1, 0) is the
     optimum of window (u, v). The suffix window (u, T-1) honors domain holes
-    and gets its own table. The other windows take the flow relaxation, read
-    from the greedy pass of start u. Each bound includes the setups already
-    sunk inside its window; it is inf when even the relaxation is
-    infeasible, which means the whole problem is.
+    and gets its own table. Entry q of a pre-stock row does not depend on
+    how many states it is cut to, so one row serves both tables. The other
+    windows take the flow relaxation, read from the greedy pass of start u.
+    Each bound includes the setups already sunk inside its window; it is inf
+    when even the relaxation is infeasible, which means the whole problem is.
     """
-    cs = mode == COST_CS
     T = stripped.T
     last_exact = _last_exact_ends(stripped, store)
     sunk = [stripped.s[t] if store.min(("Y", t)) == 1 else 0 for t in range(T)]
-    flow_pass = window_flow_bounds(stripped, store, cs)
+    flow_pass = window_flow_bounds(stripped, store, cs_mode)
+    prestock = pre_stock(stripped, store, cs_mode)
 
-    def bounds(u: int, v_last: int) -> list[tuple[float, str]]:
+    def bounds(u: int) -> list[tuple[float, str]]:
         out = []
-        end = min(last_exact[u], v_last)
+        end = last_exact[u]
         sweep_end = min(end, T - 2)
-        if sweep_end >= u:
-            view = make_cost_view(stripped, store, (u, sweep_end), cs_mode=cs)
-            rows = _build_forward(view, stripped, store).rows
-            paid = 0
-            for v in range(u, sweep_end + 1):
+        sweep = make_cost_view(stripped, store, (u, sweep_end), cs_mode=cs_mode) if sweep_end > u else None
+        suffix = make_cost_view(stripped, store, (u, T - 1), cs_mode=cs_mode) if end == T - 1 else None
+        caps = [view.cap(u) for view in (sweep, suffix) if view is not None]
+        row = prestock(u, max(caps)) if caps else None
+        if sweep is not None:
+            rows = _build_forward(sweep, row).rows
+            paid = sunk[u]
+            for v in range(u + 1, sweep_end + 1):
                 paid += sunk[v]
                 opt = float(rows[v + 1 - u][0])
                 out.append((INF_BOUND if math.isinf(opt) else opt + paid, DP_EXACT))
-        if end == T - 1:
-            view = make_cost_view(stripped, store, (u, T - 1), cs_mode=cs)
-            opt = _build_forward(view, stripped, store).optimum()
-            out.append((INF_BOUND if math.isinf(opt) else opt + view.sunk, DP_EXACT))
-        if v_last > end:
+        if suffix is not None:
+            opt = _build_forward(suffix, row).optimum()
+            out.append((INF_BOUND if math.isinf(opt) else opt + suffix.sunk, DP_EXACT))
+        if end < T - 1:
             flow = flow_pass(u)
-            out.extend((flow[v], FLOW_RELAX) for v in range(end + 1, v_last + 1))
+            out.extend((flow[v], FLOW_RELAX) for v in range(max(end, u) + 1, T))
         return out
 
     return bounds
 
 
-def bound_subproblem(
-    stripped: StrippedInstance,
-    store: DomainStore,
-    sub: SubProblem,
-    mode: str = COST_C,
-) -> tuple[float, str]:
-    """Lower bound on the window's cost contribution under current domains."""
-    return _window_bounder(stripped, store, mode)(sub.u, sub.v)[-1]
-
-
 @dataclass
 class WispDecomposition:
-    """All sub-problems with bounds, the scheduling tables and the support."""
+    """The bounded windows, the scheduling tables and the support.
+
+    ``best[b]`` is the best disjoint combination of windows inside periods
+    0..b-1, ``rbest[b]`` inside periods b..T-1, and ``support`` the (u, v)
+    windows of a best combination over the horizon, in period order.
+    """
 
     T: int
     subproblems: list[SubProblem]
-    wisp: list[float]
-    wisp_r: list[float]
-    support: list[int]
+    best: list[float]
+    rbest: list[float]
+    support: list[tuple[int, int]]
 
     @property
     def value(self) -> float:
-        return self.wisp[-1]
+        return self.best[self.T]
 
     def lb_before(self, b: int) -> float:
         """Best disjoint combination among windows fully inside periods 0..b-1."""
-        return self.wisp[b * (b - 1) // 2]
+        return self.best[b]
 
     def lb_after(self, b: int) -> float:
         """Best disjoint combination among windows fully inside periods b..T-1."""
-        m = self.T - b
-        return self.wisp_r[m * (m - 1) // 2] if m >= 0 else 0.0
+        return self.rbest[b] if b < self.T else 0.0
 
 
 def dpwisp(subproblems: list[SubProblem], T: int) -> WispDecomposition:
-    """Forward and reverse scheduling DPs plus support extraction.
+    """Weighted interval scheduling over the windows, one boundary at a time.
 
-    Forward: wisp[i] = max(wisp[i-1], wisp[prec_i] + w_i). The reverse table
-    runs over the mirror ordering (decreasing start, then decreasing end), in
-    which the windows disjoint from and after a given one again form a
-    prefix; its prefix of size (T-b)(T-b-1)/2 covers exactly the windows
-    inside periods b..T-1.
+    The best combination inside periods 0..b-1 leaves period b-1 out or ends
+    a window (u, b-1) there: best[b] = max(best[b-1], max over u < b-1 of
+    best[u] + w(u, b-1)). Mirrored, rbest[b] = max(rbest[b+1], max over
+    v > b of w(b, v) + rbest[v+1]). The support is traced back from b = T:
+    where best[b] beats best[b-1], it takes the window (u, b-1) of the
+    smallest u whose sum attains best[b] and jumps to b = u; elsewhere it
+    steps to b-1. A window that only ties with leaving its end out is never
+    taken.
     """
-    n = len(subproblems)
-    w = [0.0] * (n + 1)
+    w = np.zeros((T, T))
     for sub in subproblems:
-        if sub.w is None:
-            raise ValueError(f"sub-problem {sub.index} has no bound")
-        w[sub.index] = sub.w
-    wisp = [0.0] * (n + 1)
-    for i in range(1, n + 1):
-        take = wisp[subproblems[i - 1].prec] + w[i]
-        wisp[i] = max(wisp[i - 1], take)
+        w[sub.u, sub.v] = sub.w
+    best = np.zeros(T + 1)
+    for v in range(1, T):
+        best[v + 1] = max(best[v], (best[:v] + w[:v, v]).max())
+    rbest = np.zeros(T + 1)
+    for u in range(T - 2, -1, -1):
+        rbest[u] = max(rbest[u + 1], (w[u, u + 1 :] + rbest[u + 2 :]).max())
 
     support = []
-    i = n
-    while i > 0:
-        sub = subproblems[i - 1]
-        if wisp[i] > wisp[i - 1]:
-            support.append(i)
-            i = sub.prec
+    b = T
+    while b > 1:
+        if best[b] > best[b - 1]:
+            u = int(np.flatnonzero(best[: b - 1] + w[: b - 1, b - 1] == best[b])[0])
+            support.append((u, b - 1))
+            b = u
         else:
-            i -= 1
+            b -= 1
     support.reverse()
-
-    wisp_r = [0.0] * (n + 1)
-    for m, (index, pred) in enumerate(_layout(T)[1], start=1):
-        wisp_r[m] = max(wisp_r[m - 1], w[index] + wisp_r[pred])
-
-    return WispDecomposition(T=T, subproblems=subproblems, wisp=wisp, wisp_r=wisp_r, support=support)
+    return WispDecomposition(T=T, subproblems=subproblems, best=best.tolist(), rbest=rbest.tolist(), support=support)
 
 
 def compute_decomposition(
     stripped: StrippedInstance,
     store: DomainStore,
-    mode: str = COST_C,
+    cs_mode: bool = False,
 ) -> WispDecomposition:
-    """Bound every sub-problem, one start period at a time, and run the DPs."""
+    """Bound every window, one start period at a time, and schedule them."""
     T = stripped.T
-    subs = enumerate_subproblems(T)
-    bounds = _window_bounder(stripped, store, mode)
-    for u in range(T - 1):
-        for v, (w, kind) in enumerate(bounds(u, T - 1)[1:], start=u + 1):
-            sub = subs[subproblem_index(u + 1, v + 1) - 1]
-            sub.w, sub.bound_kind = w, kind
+    bounds = _window_bounder(stripped, store, cs_mode)
+    subs = [
+        SubProblem(u, v, w, kind)
+        for u in range(T - 1)
+        for v, (w, kind) in enumerate(bounds(u), start=u + 1)
+    ]
     return dpwisp(subs, T)
 
 
@@ -265,7 +211,7 @@ def wisp_support_filter(
     stripped: StrippedInstance,
     store: DomainStore,
     cost_ub: int,
-    mode: str = COST_C,
+    cs_mode: bool = False,
 ) -> Status:
     """Windowed DP filtering on every support window whose DP fits
     ``_WINDOW_BUDGET`` under the current domains (``_last_exact_ends``,
@@ -277,15 +223,13 @@ def wisp_support_filter(
     cost_ub - before - after.
     """
     status = Status.UNCHANGED
-    cs = mode == COST_CS
-    for idx in decomp.support:
-        sub = decomp.subproblems[idx - 1]
-        if sub.v > _last_exact_ends(stripped, store)[sub.u]:
+    for u, v in decomp.support:
+        if v > _last_exact_ends(stripped, store)[u]:
             continue
-        fwd, bwd = window_tables(stripped, store, (sub.u, sub.v), cs_mode=cs)
-        before = decomp.lb_before(sub.u)
-        after = decomp.lb_after(sub.v + 1)
-        st = filter_with_dp(fwd, bwd, store, stripped, cost_ub, before=int(before), after=int(after))
+        fwd, bwd = window_tables(stripped, store, (u, v), cs_mode=cs_mode)
+        before = int(decomp.lb_before(u))
+        after = int(decomp.lb_after(v + 1))
+        st = filter_with_dp(fwd, bwd, store, stripped, cost_ub - before - after)
         if st is Status.FAILED:
             return Status.FAILED
         status = merge(status, st)

@@ -21,7 +21,6 @@ from lotsizing import (
     Status,
     bc_feasibility,
     brute_force_oracle,
-    enumerate_subproblems,
     generate,
     make_instance,
     solve,
@@ -33,7 +32,7 @@ from lotsizing.dp import make_cost_view, window_tables
 from lotsizing.flow import FlowMode, build_network, min_cost_flow
 from lotsizing import wisp as wisp_mod
 from lotsizing.instance import PEAK_PERIODS_1BASED
-from lotsizing.wisp import COST_C, bound_subproblem, compute_decomposition
+from lotsizing.wisp import compute_decomposition
 from conftest import rand_instance, state_budget, store_plans
 
 PASS = "ACCEPTANCE {n} {name}: PASS"
@@ -141,11 +140,9 @@ class TestCriterion3:
                 continue
             full = min_cost_flow(build_network(stripped, store, FlowMode.FULL))
             assert full.integer_lower_bound + stripped.c_min <= want.c
-            subs = enumerate_subproblems(inst.T)
-            for sub in subs:
-                sub.w, sub.bound_kind = bound_subproblem(stripped, store, sub, COST_C)
-            decomp = compute_decomposition(stripped, store, COST_C)
+            decomp = compute_decomposition(stripped, store)
             assert decomp.value + stripped.c_min <= want.c
+            subs = decomp.subproblems
 
             def disjoint_subsets(idx, chosen, total):
                 yield total

@@ -18,7 +18,6 @@ from lotsizing import (
     bc_feasibility,
     filter_with_dp,
     generate,
-    greedy_prestock,
     make_instance,
     strip_lower_bounds,
     validate_and_normalize,
@@ -27,6 +26,7 @@ from lotsizing import (
 from lotsizing import dp as dp_mod
 from lotsizing.domains import iv_from_mask, iv_intersect, iv_mask, iv_shift, iv_values, merge
 from lotsizing.dp import _backward_step, _forward_step, _runs_min, _window_min, make_cost_view
+from lotsizing.flow import pre_stock
 from conftest import plan_costs, rand_normalized, store_plans
 from test_bc import reference_setup
 
@@ -179,18 +179,20 @@ class TestPrestock:
     def test_single_source(self):
         inst = make_instance(d=[0, 5], p=[1, 9], h=[1, 1], s=[0, 0], alpha_hi=[5, 5], beta_hi=[9, 9])
         store, stripped = setup_problem(inst, bc=False)
-        init = greedy_prestock(stripped, store, 1, 5)
+        init = pre_stock(stripped, store, False)(1, 5)
         assert list(init) == [0, 2, 4, 6, 8, 10]
 
     def test_start_of_horizon(self):
         store, stripped = setup_problem(two_period(), bc=False)
-        assert list(greedy_prestock(stripped, store, 0, 4)) == [0.0]
+        row = pre_stock(stripped, store, False)
+        assert list(row(0, 0)) == [0.0]
+        assert list(row(0, 4)) == [0.0] + [INF] * 4  # the initial stock is 0
 
     def test_two_sources_allocation(self):
         inst = make_instance(d=[0, 0, 9], p=[1, 4, 9], h=[1, 1, 1], s=[0, 0, 0],
                              alpha_hi=[2, 2, 9], beta_hi=[9, 9, 9])
         store, stripped = setup_problem(inst, bc=False)
-        init = greedy_prestock(stripped, store, 2, 4)
+        init = pre_stock(stripped, store, False)(2, 4)
         # unit from t0 costs 1+1 (+1 at the boundary), from t1 costs 4 (+1)
         assert init[3] == (1 + 1 + 1) * 2 + (4 + 1) * 1
         assert init[4] == (1 + 1 + 1) * 2 + (4 + 1) * 2
@@ -198,7 +200,7 @@ class TestPrestock:
     def test_unreachable_is_inf(self):
         inst = make_instance(d=[0, 3], p=[1, 1], h=[0, 0], s=[0, 0], alpha_hi=[2, 3], beta_hi=[5, 5])
         store, stripped = setup_problem(inst, bc=False)
-        init = greedy_prestock(stripped, store, 1, 3)
+        init = pre_stock(stripped, store, False)(1, 3)
         assert math.isinf(init[3])
 
     def test_matches_windowed_brute_force(self):
@@ -212,7 +214,7 @@ class TestPrestock:
             if u == 0:
                 continue
             q_max = min(stripped.i_cap[u - 1], sum(stripped.d[u:]))
-            init = greedy_prestock(stripped, store, u, q_max)
+            init = pre_stock(stripped, store, False)(u, q_max)
             for q in range(q_max + 1):
                 best = INF
                 for pre in _prefix_plans(stripped, u, q):
@@ -226,7 +228,7 @@ class TestPrestock:
 
 
 class TestPrestockReference:
-    """The greedy pre-stock row against a DP over (period, stock level),
+    """The pre-stock row (``flow.pre_stock``) against a DP over (period, stock level),
     one unit of stock per state, under random caps and inventory limits."""
 
     @staticmethod
@@ -278,7 +280,7 @@ class TestPrestockReference:
             u = rng.randint(1, min(T - 1, 6))
             q_max = rng.randint(0, 14)
             for zero_costs in (False, True):
-                got = list(greedy_prestock(stripped, store, u, q_max, zero_costs=zero_costs))
+                got = list(pre_stock(stripped, store, zero_costs)(u, q_max))
                 assert got == self._reference(stripped, store, u, q_max, zero_costs)
                 checked += 1
         assert checked == 800
@@ -784,7 +786,7 @@ class TestSupportEquivalence:
             open_y = [t for t in range(T) if store.intervals(("Y", t)) == ((0, 1),)]
             want = _reference_filter(fwd, bwd, ref, stripped, ub, before, after)
             rec.case = (fwd, bwd, store, stripped)
-            got = filter_with_dp(fwd, bwd, store, stripped, ub, before, after)
+            got = filter_with_dp(fwd, bwd, store, stripped, ub - before - after)
             assert got is want, (window, cs_mode, slack)
             assert store.snapshot() == ref.snapshot(), (window, cs_mode, slack)
             if slack < 0 and not fwd.view.windowed:

@@ -411,7 +411,9 @@ def _fuzz_states(rng: random.Random, count: int):
 def reference_network(stripped, store, mode, window=None) -> FlowNetwork:
     """Each mode's network built on its own, period by period: the per-mode
     builder that one FULL build plus ``derive_network`` replaced, kept as
-    the reference the derivation must reproduce exactly."""
+    the reference the derivation must reproduce exactly. With a ``window``
+    (u, v), demands and setup costs outside u..v are zeroed and periods past
+    v dropped: the network whose optimum the window flow bounds must reach."""
     u, v = (0, stripped.T - 1) if window is None else window
     n = v + 1
     prod_cap, prod_cost, demand = [], [], []
@@ -453,11 +455,11 @@ class TestDerivedNetworks:
     it; ``dp.table_fits`` sizes the whole-horizon table from the strip alone.
     Both must match what they replace exactly."""
 
-    def _check(self, store, stripped, window=None):
-        full = build_network(stripped, store, FlowMode.FULL, window)
+    def _check(self, store, stripped):
+        full = build_network(stripped, store, FlowMode.FULL)
         for mode in FlowMode:
-            ref = reference_network(stripped, store, mode, window)
-            assert build_network(stripped, store, mode, window) == ref, mode
+            ref = reference_network(stripped, store, mode)
+            assert build_network(stripped, store, mode) == ref, mode
             assert derive_network(full, stripped, mode) == ref, mode
 
     def test_registry_roots(self, monkeypatch):
@@ -477,14 +479,12 @@ class TestDerivedNetworks:
                 roots += 1
         assert roots >= 100
 
-    def test_fuzz_states_and_windows(self, monkeypatch):
+    def test_fuzz_states(self, monkeypatch):
         rng = random.Random(29)
         sunk = 0
         for store, stripped in _fuzz_states(rng, 600):
             T = stripped.T
             self._check(store, stripped)
-            u = rng.randrange(T)
-            self._check(store, stripped, (u, rng.randrange(u, T)))
             view = make_cost_view(stripped, store, None)
             monkeypatch.setattr(dp_mod, "_TABLE_CAP", rng.randint(T, 4 * T + sum(view.row_cap)))
             assert dp_mod.table_fits(stripped) == (sum(view.row_cap) + len(view.row_cap) <= dp_mod._TABLE_CAP)

@@ -1,4 +1,4 @@
-"""Sub-problem enumeration, bounds, the scheduling DP, windowed filtering."""
+"""Window bounds, the scheduling recurrence, windowed filtering."""
 
 import dataclasses
 import math
@@ -11,12 +11,11 @@ from lotsizing import (
     DomainStore,
     FlowMode,
     Status,
+    SubProblem,
     bc_feasibility,
     build_network,
-    bound_subproblem,
     compute_decomposition,
     dpwisp,
-    enumerate_subproblems,
     filter_with_dp,
     generate,
     min_cost_flow,
@@ -27,46 +26,22 @@ from lotsizing import (
 from lotsizing import wisp as wisp_mod
 from lotsizing.domains import iv_values
 from lotsizing.propagator import _strip
-from lotsizing.wisp import COST_C, COST_CS
 from test_dp import setup_problem, two_period
 from conftest import plan_costs, rand_normalized, state_budget, store_plans
-from test_flow import _reference_solve
+from test_flow import _reference_solve, reference_network
 
 
-class TestEnumeration:
-    def test_canonical_indexing(self):
-        subs = enumerate_subproblems(4)
-        assert len(subs) == 6
-        by_index = {s.index: s for s in subs}
-        assert (by_index[1].u, by_index[1].v) == (0, 1)  # periods 1..2
-        assert (by_index[6].u, by_index[6].v) == (2, 3)  # periods 3..4
-        assert by_index[6].prec == 1
-        assert by_index[1].prec == 0
-        assert by_index[1].succ == 6
-
-    def test_links_match_naive_scan(self):
-        for T in range(2, 8):
-            subs = enumerate_subproblems(T)
-            n = len(subs)
-            assert n == T * (T - 1) // 2
-            for i, sub in enumerate(subs):
-                assert sub.index == i + 1
-            for sub in subs:
-                disjoint_before = [
-                    o.index for o in subs if o.index < sub.index and (o.v < sub.u or o.u > sub.v)
-                ]
-                disjoint_after = [
-                    o.index for o in subs if o.index > sub.index and (o.v < sub.u or o.u > sub.v)
-                ]
-                assert sub.prec == (max(disjoint_before) if disjoint_before else 0)
-                assert sub.succ == (min(disjoint_after) if disjoint_after else n + 1)
+def _windows(T):
+    """Every window (u, v), u < v, of horizon T."""
+    return [(u, v) for v in range(1, T) for u in range(v)]
 
 
 class TestBounds:
     def test_whole_horizon_window_is_the_problem_itself(self):
         store, stripped = setup_problem(two_period(), bc=False)
-        subs = {(s.u, s.v): s for s in enumerate_subproblems(2)}
-        w, kind = bound_subproblem(stripped, store, subs[(0, 1)], COST_C)
+        (sub,) = compute_decomposition(stripped, store).subproblems
+        w, kind = sub.w, sub.bound_kind
+        assert (sub.u, sub.v) == (0, 1)
         assert kind == "DP_EXACT"
         assert w == window_tables(stripped, store, None, cs_mode=False)[0].optimum() == 13
 
@@ -77,10 +52,11 @@ class TestBounds:
             store, stripped = setup_problem(inst)
             if stripped is None:
                 continue
-            for sub in enumerate_subproblems(inst.T):
-                wc, _ = bound_subproblem(stripped, store, sub, COST_C)
-                ws, _ = bound_subproblem(stripped, store, sub, COST_CS)
-                assert ws <= wc
+            subs_c = compute_decomposition(stripped, store, cs_mode=False).subproblems
+            subs_cs = compute_decomposition(stripped, store, cs_mode=True).subproblems
+            for sub_c, sub_cs in zip(subs_c, subs_cs, strict=True):
+                assert (sub_c.u, sub_c.v) == (sub_cs.u, sub_cs.v)
+                assert sub_cs.w <= sub_c.w
 
     def test_flow_fallback_agrees_direction(self, monkeypatch):
         rng = random.Random(53)
@@ -89,11 +65,13 @@ class TestBounds:
             store, stripped = setup_problem(inst)
             if stripped is None:
                 continue
-            for sub in enumerate_subproblems(inst.T):
-                monkeypatch.setattr(wisp_mod, "_WINDOW_BUDGET", math.inf)
-                w_dp, k1 = bound_subproblem(stripped, store, sub, COST_C)
-                monkeypatch.setattr(wisp_mod, "_WINDOW_BUDGET", 0)
-                w_fl, k2 = bound_subproblem(stripped, store, sub, COST_C)
+            monkeypatch.setattr(wisp_mod, "_WINDOW_BUDGET", math.inf)
+            exact = compute_decomposition(stripped, store).subproblems
+            monkeypatch.setattr(wisp_mod, "_WINDOW_BUDGET", 0)
+            relaxed = compute_decomposition(stripped, store).subproblems
+            for sub_dp, sub_fl in zip(exact, relaxed, strict=True):
+                (w_dp, k1), (w_fl, k2) = (sub_dp.w, sub_dp.bound_kind), (sub_fl.w, sub_fl.bound_kind)
+                assert (sub_dp.u, sub_dp.v) == (sub_fl.u, sub_fl.v)
                 assert k1 == "DP_EXACT" and k2 == "FLOW_RELAX"
                 if math.isinf(w_dp):
                     continue
@@ -111,9 +89,7 @@ class TestBounds:
             if not plans:
                 continue
             opt = min(plans)
-            subs = enumerate_subproblems(inst.T)
-            for sub in subs:
-                sub.w, sub.bound_kind = bound_subproblem(stripped, store, sub, COST_C)
+            subs = compute_decomposition(stripped, store).subproblems
 
             def disjoint_subsets(idx, chosen):
                 if idx == len(subs):
@@ -138,7 +114,7 @@ class TestSweepEquivalence:
         kind of a table built for that window alone: the exact DP when the
         window's state proxy fits the budget, else the flow pass."""
         from lotsizing.dp import _build_forward, make_cost_view
-        from lotsizing.flow import window_flow_bounds
+        from lotsizing.flow import pre_stock, window_flow_bounds
 
         rng = random.Random(83)
         checked = {"DP_EXACT": 0, "FLOW_RELAX": 0, "split": 0}
@@ -157,23 +133,23 @@ class TestSweepEquivalence:
             store, stripped = setup_problem(inst, store)
             if stripped is None:
                 continue
-            for mode in (COST_C, COST_CS):
-                cs = mode == COST_CS
+            for cs in (False, True):
                 flow_pass = window_flow_bounds(stripped, store, cs)
                 for budget in (None, 0, rng.choice([20, 60, 200, 800])):
                     monkeypatch.setattr(wisp_mod, "_WINDOW_BUDGET", math.inf if budget is None else budget)
-                    decomp = compute_decomposition(stripped, store, mode)
+                    decomp = compute_decomposition(stripped, store, cs)
                     kinds = {(s.u, s.bound_kind) for s in decomp.subproblems}
                     # starts whose windows go partly exact, partly flow
                     checked["split"] += sum((u, "FLOW_RELAX") in kinds for u, k in kinds if k == "DP_EXACT")
                     for sub in decomp.subproblems:
                         view = make_cost_view(stripped, store, (sub.u, sub.v), cs_mode=cs)
                         if budget is None or state_budget(view) <= budget:
-                            opt = _build_forward(view, stripped, store).optimum()
+                            prestock = pre_stock(stripped, store, cs)(sub.u, view.cap(sub.u))
+                            opt = _build_forward(view, prestock).optimum()
                             want = (math.inf if math.isinf(opt) else opt + view.sunk, "DP_EXACT")
                         else:
                             want = (flow_pass(sub.u)[sub.v], "FLOW_RELAX")
-                        assert (sub.w, sub.bound_kind) == want, (sub.u, sub.v, mode, budget)
+                        assert (sub.w, sub.bound_kind) == want, (sub.u, sub.v, cs, budget)
                         checked[want[1]] += 1
         assert checked["DP_EXACT"] >= 2500 and checked["FLOW_RELAX"] >= 1500
         assert checked["split"] >= 50
@@ -191,7 +167,7 @@ class TestWindowThreshold:
         store = DomainStore.for_instance(inst)
         bc_feasibility(store, inst)
         stripped = _strip(inst, store)
-        decomp = compute_decomposition(stripped, store, COST_C)
+        decomp = compute_decomposition(stripped, store)
         kinds = [s.bound_kind for s in decomp.subproblems]
         assert (kinds.count("DP_EXACT"), len(kinds)) == (exact, 780)
         flow = min_cost_flow(build_network(stripped, store, FlowMode.FULL)).integer_lower_bound
@@ -202,8 +178,8 @@ class TestWindowFlowBound:
     def test_matches_windowed_network_solve(self):
         """The greedy pass of start u must reach, after each period v, the
         bound of window (u, v) that successive shortest paths give on the
-        windowed relaxation network."""
-        from lotsizing.flow import FlowMode, build_network, window_flow_bounds
+        windowed relaxation network (``reference_network`` of a window)."""
+        from lotsizing.flow import window_flow_bounds
 
         rng = random.Random(79)
         for _ in range(60):
@@ -217,12 +193,9 @@ class TestWindowFlowBound:
             for cs in (False, True):
                 flow_pass = window_flow_bounds(stripped, store, cs)
                 passes = [flow_pass(u) for u in range(inst.T)]
-                for sub in enumerate_subproblems(inst.T):
-                    got = passes[sub.u][sub.v]
-                    net = build_network(
-                        stripped, store, FlowMode.CS_ONLY if cs else FlowMode.FULL,
-                        window=(sub.u, sub.v),
-                    )
+                for u, v in _windows(inst.T):
+                    got = passes[u][v]
+                    net = reference_network(stripped, store, FlowMode.CS_ONLY if cs else FlowMode.FULL, (u, v))
                     status, cost = _reference_solve(net)
                     if status == "INFEASIBLE":
                         assert math.isinf(got)
@@ -231,21 +204,24 @@ class TestWindowFlowBound:
 
 
 class TestDpWisp:
-    def _crafted(self, weights):
-        subs = enumerate_subproblems(4)
-        for s in subs:
-            s.w = float(weights[s.index - 1])
-        return subs
+    @staticmethod
+    def _crafted(T, weights):
+        """Every window of horizon T, weighted by ``weights[(u, v)]`` (0 if absent)."""
+        return [SubProblem(u, v, float(weights.get((u, v), 0))) for u, v in _windows(T)]
+
+    @staticmethod
+    def _random(rng, T, top):
+        return [SubProblem(u, v, float(rng.randint(0, top))) for u, v in _windows(T)]
 
     def test_all_zero_weights(self):
-        decomp = dpwisp(self._crafted([0, 0, 0, 0, 0, 0]), 4)
+        decomp = dpwisp(self._crafted(4, {}), 4)
         assert decomp.value == 0
         assert decomp.support == []
 
     def test_crafted_support(self):
-        decomp = dpwisp(self._crafted([5, 1, 1, 1, 1, 4]), 4)
+        decomp = dpwisp(self._crafted(4, {(0, 1): 5, (0, 2): 1, (1, 2): 1, (0, 3): 1, (1, 3): 1, (2, 3): 4}), 4)
         assert decomp.value == 9
-        assert decomp.support == [1, 6]
+        assert decomp.support == [(0, 1), (2, 3)]
         # exhaustive over all disjoint subsets
         subs = decomp.subproblems
         best = 0
@@ -257,24 +233,35 @@ class TestDpWisp:
                 best = max(best, sum(s.w for s in chosen))
         assert decomp.value == best
 
+    def test_tie_takes_the_smallest_start(self):
+        """(0, 3) alone and (0, 1) + (2, 3) both sum to 5: among the windows
+        ending at the last period, the smallest start whose sum attains the
+        best is taken."""
+        decomp = dpwisp(self._crafted(4, {(0, 1): 3, (2, 3): 2, (0, 3): 5}), 4)
+        assert decomp.value == 5
+        assert decomp.support == [(0, 3)]
+
+    def test_tie_with_skipping_is_not_taken(self):
+        """(0, 2) only equals leaving period 2 out, which (0, 1) already
+        reaches, so the trace steps past it."""
+        decomp = dpwisp(self._crafted(3, {(0, 1): 4, (0, 2): 4, (1, 2): 4}), 3)
+        assert decomp.value == 4
+        assert decomp.support == [(0, 1)]
+
     def test_forward_equals_reverse_total(self):
         rng = random.Random(61)
         for T in range(2, 9):
-            subs = enumerate_subproblems(T)
-            for s in subs:
-                s.w = float(rng.randint(0, 20))
+            subs = self._random(rng, T, 20)
             decomp = dpwisp(subs, T)
-            assert decomp.wisp[-1] == decomp.wisp_r[-1]
+            weight = {(s.u, s.v): s.w for s in subs}
+            assert decomp.lb_before(T) == decomp.lb_after(0)
             assert decomp.value >= max(s.w for s in subs)
-            assert sum(decomp.subproblems[i - 1].w for i in decomp.support) == decomp.value
+            assert sum(weight[window] for window in decomp.support) == decomp.value
 
     def test_offset_tables_monotone(self):
         rng = random.Random(67)
         for T in range(2, 8):
-            subs = enumerate_subproblems(T)
-            for s in subs:
-                s.w = float(rng.randint(0, 9))
-            decomp = dpwisp(subs, T)
+            decomp = dpwisp(self._random(rng, T, 9), T)
             befores = [decomp.lb_before(b) for b in range(T + 1)]
             afters = [decomp.lb_after(b) for b in range(T + 2)]
             assert befores == sorted(befores)
@@ -284,9 +271,7 @@ class TestDpWisp:
     def test_offsets_match_direct_recomputation(self):
         rng = random.Random(71)
         for T in range(2, 8):
-            subs = enumerate_subproblems(T)
-            for s in subs:
-                s.w = float(rng.randint(0, 9))
+            subs = self._random(rng, T, 9)
             decomp = dpwisp(subs, T)
             for b in range(T + 1):
                 inside_before = [s for s in subs if s.v <= b - 1]
@@ -316,11 +301,9 @@ class TestSupportFilter:
     def test_degenerate_whole_horizon_support(self):
         inst = two_period()
         store_a, stripped = setup_problem(inst, bc=False)
-        subs = enumerate_subproblems(2)
-        subs[0].w, subs[0].bound_kind = bound_subproblem(stripped, store_a, subs[0], COST_C)
-        decomp = dpwisp(subs, 2)
-        assert decomp.support == [1]
-        st = wisp_support_filter(decomp, stripped, store_a, 13, COST_C)
+        decomp = compute_decomposition(stripped, store_a)
+        assert decomp.support == [(0, 1)]
+        st = wisp_support_filter(decomp, stripped, store_a, 13)
         assert st is Status.CHANGED
 
         store_b, stripped_b = setup_problem(inst, bc=False)
@@ -331,8 +314,8 @@ class TestSupportFilter:
     def test_infinite_bound_unchanged(self):
         inst = two_period()
         store, stripped = setup_problem(inst, bc=False)
-        decomp = compute_decomposition(stripped, store, COST_C)
-        assert wisp_support_filter(decomp, stripped, store, math.inf, COST_C) is Status.UNCHANGED
+        decomp = compute_decomposition(stripped, store)
+        assert wisp_support_filter(decomp, stripped, store, math.inf) is Status.UNCHANGED
 
     def test_window_size_test_matches_state_budget(self, monkeypatch):
         """The support filter's size test, ``v <= _last_exact_ends[u]``,
@@ -356,10 +339,10 @@ class TestSupportFilter:
             budget = rng.choice([0, 10, 100, 300, 1_000, 3_000, 10**9])
             monkeypatch.setattr(wisp_mod, "_WINDOW_BUDGET", budget)
             last = wisp_mod._last_exact_ends(stripped, store)
-            for sub in enumerate_subproblems(inst.T):
-                view = make_cost_view(stripped, store, (sub.u, sub.v))
+            for u, v in _windows(inst.T):
+                view = make_cost_view(stripped, store, (u, v))
                 fits = state_budget(view) <= budget
-                assert (sub.v <= last[sub.u]) == fits, (sub.u, sub.v, budget)
+                assert (v <= last[u]) == fits, (u, v, budget)
                 agree[fits] += 1
         assert agree[True] >= 1_200 and agree[False] >= 600
 
@@ -379,12 +362,12 @@ class TestSupportFilter:
             costs = [plan_costs(inst, x, i, y)[3] for x, i, y in plans]
             opt = min(costs)
             ub = opt + rng.choice([0, 1, 2])
-            decomp = compute_decomposition(stripped, store, COST_C)
+            decomp = compute_decomposition(stripped, store)
             if any(math.isinf(s.w) for s in decomp.subproblems):
                 continue
             before = {t: set(iv_values(store.intervals(("X", t)))) for t in range(inst.T)}
             before_i = {t: set(iv_values(store.intervals(("I", t)))) for t in range(inst.T)}
-            st = wisp_support_filter(decomp, stripped, store, ub - stripped.c_min, COST_C)
+            st = wisp_support_filter(decomp, stripped, store, ub - stripped.c_min)
             assert st is not Status.FAILED
             ok_plans = [(x, i) for (x, i, y), c in zip(plans, costs) if c <= ub]
             for t in range(inst.T):
