@@ -40,7 +40,7 @@ from lotsizing.dp import (
     _window_min,
     make_cost_view,
 )
-from lotsizing.flow import pre_stock, window_flow_bounds
+from lotsizing.flow import pre_stock, read_arcs, window_flow_bounds
 from lotsizing.propagator import _strip
 from lotsizing.wisp import compute_decomposition
 
@@ -91,7 +91,7 @@ def test_forward_step(benchmark, cls):
     """The widest step of the whole-horizon forward table; C1Disj steps over
     three production runs, the others over one."""
     _, store, stripped = _root(cls)
-    view = make_cost_view(stripped, store, None)
+    view = make_cost_view(stripped, store, read_arcs(stripped, store))
     fwd = _build_forward(view, np.zeros(1))
     t = max(range(view.u, view.v + 1), key=lambda b: len(fwd.row(b)) + len(fwd.row(b + 1)))
     prev = fwd.row(t)
@@ -104,7 +104,7 @@ def test_build_forward(benchmark, cls):
     """The whole-horizon C table of a root, every row: what a closing node
     builds before it traces its plan."""
     _, store, stripped = _root(cls)
-    view = make_cost_view(stripped, store, None)
+    view = make_cost_view(stripped, store, read_arcs(stripped, store))
     fwd = benchmark(_build_forward, view, np.zeros(1))
     assert len(fwd.rows) == stripped.T + 1
 
@@ -113,7 +113,7 @@ def test_build_forward(benchmark, cls):
 def test_backward_step(benchmark, cls):
     """The widest step of the whole-horizon backward table."""
     _, store, stripped = _root(cls)
-    view = make_cost_view(stripped, store, None)
+    view = make_cost_view(stripped, store, read_arcs(stripped, store))
     rows = _backward_rows(view)
     t = max(range(view.u, view.v + 1), key=lambda b: len(rows[b]) + len(rows[b + 1]))
     row = benchmark(_backward_step, view, t, rows[t + 1])
@@ -124,11 +124,11 @@ def test_backward_step(benchmark, cls):
 def test_greedy_prestock(benchmark, cls):
     """Pre-stock row entering the middle period, sized by its state cap:
     one zero-demand ``path_greedy`` run over the periods before it, on the
-    network that ``pre_stock`` builds once for all starts."""
+    arcs that ``pre_stock`` reads once for all starts."""
     _, store, stripped = _root(cls)
     u = stripped.T // 2
-    view = make_cost_view(stripped, store, (u, stripped.T - 2))
-    init = benchmark(pre_stock(stripped, store, cs_mode=False), u, view.cap(u))
+    view = make_cost_view(stripped, store, read_arcs(stripped, store), (u, stripped.T - 2))
+    init = benchmark(pre_stock(stripped, read_arcs(stripped, store), cs_mode=False), u, view.cap(u))
     assert len(init) == view.cap(u) + 1
 
 
@@ -136,7 +136,7 @@ def test_greedy_prestock(benchmark, cls):
 def test_path_greedy(benchmark, cls):
     """One window-flow pass (``path_greedy`` on the network of start 1)."""
     _, store, stripped = _root(cls)
-    bounds = window_flow_bounds(stripped, store, cs_mode=False)
+    bounds = window_flow_bounds(stripped, read_arcs(stripped, store), cs_mode=False)
     out = benchmark(bounds, 1)
     assert len(out) == stripped.T
 
@@ -233,8 +233,8 @@ def test_bc_feasibility(benchmark, cls):
 
 @pytest.mark.parametrize("cls", ["C3LS", "C1Peaks"])
 def test_flow_bounds(benchmark, cls):
-    """The four flow relaxations of a root: one network build, three derived
-    networks, four greedy passes."""
+    """The four flow relaxations of a root: one reading of the arcs, four
+    greedy passes."""
     inst, store, stripped = _root(cls)
     ls = LotSizingConstraint(inst, store)
     st = benchmark(ls._flow_bounds, stripped)

@@ -7,11 +7,10 @@ from .dp import (
     window_tables,
 )
 from .flow import (
+    Arcs,
     FlowMode,
-    FlowNetwork,
-    FlowResult,
-    build_network,
     min_cost_flow,
+    read_arcs,
 )
 from .instance import (
     INSTANCE_CLASSES,
@@ -64,12 +63,11 @@ __all__ = [
     "DpTable",
     "filter_with_dp",
     "window_tables",
+    "Arcs",
     "FlowMode",
-    "FlowNetwork",
-    "FlowResult",
-    "build_network",
     "complete_when_setups_fixed",
     "min_cost_flow",
+    "read_arcs",
     "INSTANCE_CLASSES",
     "GeneratorParams",
     "Instance",

@@ -61,7 +61,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .domains import DomainStore, Status, iv_from_mask, iv_intersect, iv_mask, iv_normalize, iv_shift, merge
-from .flow import pre_stock
+from .flow import Arcs, pre_stock, read_arcs
 from .instance import StrippedInstance
 
 INF = math.inf
@@ -127,9 +127,14 @@ class CostView:
 def make_cost_view(
     stripped: StrippedInstance,
     store: DomainStore,
+    arcs: Arcs,
     window: tuple[int, int] | None = None,
     cs_mode: bool = False,
 ) -> CostView:
+    """The cost view of ``window`` (the whole horizon when None). Capacities,
+    setup charges and sunk setups come from ``arcs``, the current domains'
+    (``flow.read_arcs``); a suffix window also reads the production and
+    inventory domains for their holes."""
     u, v = (0, stripped.T - 1) if window is None else window
     if not (0 <= u <= v <= stripped.T - 1):
         raise ValueError(f"bad window ({u}, {v}) for horizon {stripped.T}")
@@ -144,30 +149,16 @@ def make_cost_view(
     p = zero if cs_mode else tuple(stripped.p[u : v + 1])
     h = zero if cs_mode else tuple(stripped.h[u : v + 1])
 
-    s_charge, x_cap, x_piece = [], [], []
-    sunk = 0
+    x_piece = []
     for t in range(u, v + 1):
-        cap = min(stripped.x_cap[t], store.max(("X", t)) - stripped.x_off[t])
-        y_lo, y_hi = store.min(("Y", t)), store.max(("Y", t))
-        charge = stripped.s[t]
-        if y_lo == 1:
-            sunk += charge
-            charge = 0
-        if y_hi == 0:
-            cap = 0
-            charge = 0
-        cap = max(cap, 0)
+        cap = arcs.cap[t]
         if full_domains:
             ivs = iv_shift(store.intervals(("X", t)), -stripped.x_off[t])
             x0 = any(lo <= 0 <= hi for lo, hi in ivs)
             runs = [(max(lo, 1), min(hi, cap)) for lo, hi in ivs if min(hi, cap) >= max(lo, 1)]
-            if y_hi == 0:
-                runs = []
         else:
             x0 = True
             runs = [(1, cap)] if cap >= 1 else []
-        s_charge.append(charge)
-        x_cap.append(cap)
         x_piece.append((x0, runs))
 
     row_cap, i_masks = [], []
@@ -176,8 +167,7 @@ def make_cost_view(
             row_cap.append(0)
             i_masks.append(None)
             continue
-        phys = min(stripped.i_cap[b - 1], store.max(("I", b - 1)) - stripped.i_off[b - 1])
-        cap = max(min(phys, tail[b]), 0)
+        cap = min(arcs.inv_cap[b - 1], tail[b])
         row_cap.append(cap)
         mask = None
         if full_domains:
@@ -193,9 +183,9 @@ def make_cost_view(
         d=d,
         p=p,
         h=h,
-        s_charge=tuple(s_charge),
-        sunk=sunk,
-        x_cap=tuple(x_cap),
+        s_charge=tuple(arcs.charge[u : v + 1]),
+        sunk=sum(arcs.sunk[u : v + 1]),
+        x_cap=tuple(arcs.cap[u : v + 1]),
         x_piece=x_piece,
         row_cap=tuple(row_cap),
         i_masks=i_masks,
@@ -446,12 +436,13 @@ def window_tables(
     window: tuple[int, int] | None,
     cs_mode: bool,
 ) -> tuple[DpTable, DpTable]:
-    """Matched forward/backward tables sharing one cost view. The backward
-    table is built on its first read, so callers that stop at the forward
-    table never pay for it."""
-    view = make_cost_view(stripped, store, window, cs_mode=cs_mode)
+    """Matched forward/backward tables sharing one cost view and one reading
+    of the arcs. The backward table is built on its first read, so callers
+    that stop at the forward table never pay for it."""
+    arcs = read_arcs(stripped, store)
+    view = make_cost_view(stripped, store, arcs, window, cs_mode)
     u = view.u
-    prestock = pre_stock(stripped, store, cs_mode)(u, view.cap(u)) if u else np.zeros(1)
+    prestock = pre_stock(stripped, arcs, cs_mode)(u, view.cap(u)) if u else np.zeros(1)
     fwd = _build_forward(view, prestock)
     bwd = DpTable(forward=False, view=view, build=lambda: _backward_rows(view))
     return fwd, bwd

@@ -2,23 +2,24 @@
 
 The linear relaxation of the problem is a min-cost flow on a path-shaped
 network: a source feeds per-period production arcs, inventory arcs chain the
-periods, and each period ships its demand to the sink. Production arc costs
-amortize the setup cost over the capacity (``p_t + s_t / cap_t``), which is
-what makes the relaxation valid. Restricting the cost vector gives dedicated
-lower bounds for the production-cost, holding-cost and setup-cost variables.
-The four networks of one set of domains differ only in their costs:
-``build_network`` assembles the FULL network and ``derive_network`` turns it
-into any other mode's, so the propagator builds once and derives the other
-three, one build and four cost vectors.
+periods, and each period ships its demand to the sink. ``read_arcs`` is the
+one place where the domains become arc data: per period the production
+capacity (0 when Y = 0), the setup charge still payable, the setup sunk once
+Y = 1, and the inventory capacity. Production arcs amortize the payable
+setup over the capacity (``p_t + s_t / cap_t``), which is what makes the
+relaxation valid; the amortized setups are integer rates over one common
+scale, the lcm of the cap_t / gcd(s_t, cap_t). Restricting the cost vector
+gives dedicated lower bounds for the production-cost, holding-cost and
+setup-cost variables (``relaxation``): four cost vectors over one reading
+of the arcs.
 
 One integer greedy, ``path_greedy``, solves every instance of this network:
-the whole-horizon relaxations (``min_cost_flow``, rates scaled to integers),
-the flow bounds of all windows (u, v) with one pass per start u
-(``window_flow_bounds``), the pre-stock that seeds a window's DP table, the
-stock a zero-demand pass over the periods before the window holds at its
-end (``pre_stock``, unit costs p and h), and the exact completion once
-every setup is fixed (``propagator.complete_when_setups_fixed``, unit costs
-p and h).
+the whole-horizon relaxations (``min_cost_flow``), the flow bounds of all
+windows (u, v) with one pass per start u (``window_flow_bounds``), the
+pre-stock that seeds a window's DP table, the stock a zero-demand pass over
+the periods before the window holds at its end (``pre_stock``, unit costs p
+and h), and the exact completion once every setup is fixed
+(``propagator.complete_when_setups_fixed``, unit costs p and h).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import enum
 import heapq
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -42,94 +43,57 @@ class FlowMode(enum.Enum):
     CS_ONLY = "cs_only"
 
 
-INFEASIBLE = "INFEASIBLE"
-OPTIMAL = "OPTIMAL"
-
-
 @dataclass
-class FlowNetwork:
-    """Arc data of the relaxation network under one set of domains."""
+class Arcs:
+    """Arc data of the path network under one set of domains, per period t:
+    the production capacity ``cap`` (the strip's cap cut by max X, 0 when
+    Y = 0), the setup ``charge`` still payable (0 once Y is fixed), the
+    setup ``sunk`` when Y = 1, and the capacity ``inv_cap`` of I_t."""
 
-    n: int
-    prod_cap: list[int]
-    prod_cost: list
+    cap: list[int]
+    charge: list[int]
+    sunk: list[int]
     inv_cap: list[int]
-    inv_cost: list[int]
-    demand: list[int]
-    const: int
+
+    @cached_property
+    def scale(self) -> int:
+        """The least scale that makes every amortized setup an integer."""
+        return math.lcm(*(c // math.gcd(s, c) for c, s in zip(self.cap, self.charge) if c and s))
+
+    @cached_property
+    def amort(self) -> list[int]:
+        """charge / cap (0 without capacity) times ``scale``, per period."""
+        scale = self.scale
+        return [s * scale // c if c else 0 for c, s in zip(self.cap, self.charge)]
 
 
-@dataclass
-class FlowResult:
-    status: str
-    prod_flow: tuple[int, ...]
-    inv_flow: tuple[int, ...]
-    total_cost: Fraction
-    integer_lower_bound: int
+def read_arcs(stripped: StrippedInstance, store: DomainStore) -> Arcs:
+    """The arc data of ``stripped`` under the current domains."""
+    cap, charge, sunk, inv_cap = [], [], [], []
+    for t in range(stripped.T):
+        y_lo, y_hi = store.min(("Y", t)), store.max(("Y", t))
+        s = stripped.s[t]
+        cap.append(max(min(stripped.x_cap[t], store.max(("X", t)) - stripped.x_off[t]), 0) if y_hi else 0)
+        charge.append(s if y_lo < y_hi else 0)
+        sunk.append(s if y_lo else 0)
+        inv_cap.append(max(min(stripped.i_cap[t], store.max(("I", t)) - stripped.i_off[t]), 0))
+    return Arcs(cap, charge, sunk, inv_cap)
 
 
-def build_network(stripped: StrippedInstance, store: DomainStore, mode: FlowMode) -> FlowNetwork:
-    """Assemble the relaxation network under the current domains. Setup
-    costs of periods whose Y is already fixed to 1 move into the constant
-    (they are sunk), tightening the relaxation.
-    """
-    n = stripped.T
-    prod_cap, prod_cost = [], []
-    inv_cap = []
-    const = 0
-    for t in range(n):
-        cap = min(stripped.x_cap[t], store.max(("X", t)) - stripped.x_off[t])
-        if store.max(("Y", t)) == 0:
-            cap = 0
-        s_eff = stripped.s[t]
-        if store.min(("Y", t)) == 1:
-            const += s_eff
-            s_eff = 0
-        cap = max(cap, 0)
-        prod_cap.append(cap)
-        prod_cost.append(Fraction(stripped.p[t] * cap + s_eff, cap) if (cap > 0 and s_eff > 0) else stripped.p[t])
-        if t < n - 1:
-            icap = min(stripped.i_cap[t], store.max(("I", t)) - stripped.i_off[t])
-            inv_cap.append(max(icap, 0))
-    full = FlowNetwork(
-        n=n,
-        prod_cap=prod_cap,
-        prod_cost=prod_cost,
-        inv_cap=inv_cap,
-        inv_cost=list(stripped.h[: n - 1]),
-        demand=list(stripped.d),
-        const=const,
-    )
-    return derive_network(full, stripped, mode)
-
-
-def derive_network(full: FlowNetwork, stripped: StrippedInstance, mode: FlowMode) -> FlowNetwork:
-    """The ``mode`` network of the instance and domains that ``full`` (the
-    FULL network) was built from. The four modes share capacities and
-    demands; CP_ONLY keeps the unit costs p, CH_ONLY the holding costs, and
-    CS_ONLY the amortized setups (FULL's production costs minus p) with the
-    sunk setups as its constant."""
-    if mode is FlowMode.FULL:
-        return full
-    n = full.n
-    p = stripped.p[:n]
-    no_hold = [0] * (n - 1)
+def relaxation(stripped: StrippedInstance, arcs: Arcs, mode: FlowMode) -> tuple[list[int], list[int], int]:
+    """``(rate, hold, scale)``: the integer production rates and holding
+    costs of the ``mode`` network and the scale they are over. CP_ONLY keeps
+    the unit costs p and CH_ONLY the holding costs, over scale 1; CS_ONLY
+    keeps the amortized setups, and FULL adds them to p and h."""
+    zeros = [0] * stripped.T
     if mode is FlowMode.CP_ONLY:
-        prod_cost, inv_cost, const = list(p), no_hold, 0
-    elif mode is FlowMode.CH_ONLY:
-        prod_cost, inv_cost, const = [0] * n, full.inv_cost, 0
-    else:
-        prod_cost = [c - pt for c, pt in zip(full.prod_cost, p)]
-        inv_cost, const = no_hold, full.const
-    return FlowNetwork(
-        n=n,
-        prod_cap=full.prod_cap,
-        prod_cost=prod_cost,
-        inv_cap=full.inv_cap,
-        inv_cost=inv_cost,
-        demand=full.demand,
-        const=const,
-    )
+        return list(stripped.p), zeros, 1
+    if mode is FlowMode.CH_ONLY:
+        return zeros, list(stripped.h), 1
+    if mode is FlowMode.CS_ONLY:
+        return arcs.amort, zeros, arcs.scale
+    scale = arcs.scale
+    return [p * scale + a for p, a in zip(stripped.p, arcs.amort)], [h * scale for h in stripped.h], scale
 
 
 def path_greedy(cap, rate, hold, inv_cap, demand) -> tuple[list[int], list[int], list[tuple[int, int]]]:
@@ -200,35 +164,19 @@ def path_greedy(cap, rate, hold, inv_cap, demand) -> tuple[list[int], list[int],
     return spent, prod_flow, stock
 
 
-def _scaled_rates(prod_cost) -> tuple[int, list[int]]:
-    """Integer rates: the costs times the lcm of their denominators."""
-    scale = math.lcm(*(c.denominator for c in prod_cost))
-    return scale, [c.numerator * (scale // c.denominator) for c in prod_cost]
+def min_cost_flow(stripped: StrippedInstance, arcs: Arcs, mode: FlowMode) -> int | None:
+    """The optimum of the ``mode`` relaxation rounded up, plus the sunk
+    setups under FULL and CS_ONLY: a lower bound on the stripped cost that
+    the mode restricts to. None when the demands cannot be met."""
+    rate, hold, scale = relaxation(stripped, arcs, mode)
+    spent, _, _ = path_greedy(arcs.cap, rate, hold, arcs.inv_cap, stripped.d)
+    if len(spent) < stripped.T:
+        return None
+    sunk = sum(arcs.sunk) if mode in (FlowMode.FULL, FlowMode.CS_ONLY) else 0
+    return -(-spent[-1] // scale) + sunk
 
 
-def min_cost_flow(net: FlowNetwork) -> FlowResult:
-    """Solve the relaxation network exactly (scaled to integers)."""
-    scale, rate = _scaled_rates(net.prod_cost)
-    hold = [h * scale for h in net.inv_cost]
-    spent, prod_flow, _ = path_greedy(net.prod_cap, rate, hold, net.inv_cap, net.demand)
-    if len(spent) < net.n:
-        return FlowResult(INFEASIBLE, (), (), Fraction(0), 0)
-    inv_flow = []
-    carried = 0
-    for t in range(net.n - 1):
-        carried += prod_flow[t] - net.demand[t]
-        inv_flow.append(carried)
-    total = Fraction(spent[-1] if spent else 0, scale) + net.const
-    return FlowResult(
-        status=OPTIMAL,
-        prod_flow=tuple(prod_flow),
-        inv_flow=tuple(inv_flow),
-        total_cost=total,
-        integer_lower_bound=math.ceil(total),
-    )
-
-
-def window_flow_bounds(stripped: StrippedInstance, store: DomainStore, cs_mode: bool):
+def window_flow_bounds(stripped: StrippedInstance, arcs: Arcs, cs_mode: bool):
     """Flow bounds of the windows (u, v), one greedy pass per start u.
 
     The pass for start u runs on the network of window (u, T-1): demands
@@ -239,27 +187,24 @@ def window_flow_bounds(stripped: StrippedInstance, store: DomainStore, cs_mode: 
     once a demand cannot be met); entries before u are unused.
     """
     T = stripped.T
-    net = build_network(stripped, store, FlowMode.CS_ONLY if cs_mode else FlowMode.FULL)
-    scale, rate_in = _scaled_rates(net.prod_cost)
+    rate_in, hold, scale = relaxation(stripped, arcs, FlowMode.CS_ONLY if cs_mode else FlowMode.FULL)
     rate_out = [0 if cs_mode else p * scale for p in stripped.p]
-    hold = [h * scale for h in net.inv_cost]
-    sunk = [stripped.s[t] if store.min(("Y", t)) == 1 else 0 for t in range(T)]
 
     def bounds(u: int) -> list[float]:
         rate = rate_out[:u] + rate_in[u:]
-        demand = [0] * u + net.demand[u:]
-        spent, _, _ = path_greedy(net.prod_cap, rate, hold, net.inv_cap, demand)
+        demand = [0] * u + list(stripped.d[u:])
+        spent, _, _ = path_greedy(arcs.cap, rate, hold, arcs.inv_cap, demand)
         out = [math.inf] * T
         paid = 0
         for v in range(u, len(spent)):
-            paid += sunk[v]
+            paid += arcs.sunk[v]
             out[v] = float(-(-spent[v] // scale) + paid)
         return out
 
     return bounds
 
 
-def pre_stock(stripped: StrippedInstance, store: DomainStore, cs_mode: bool):
+def pre_stock(stripped: StrippedInstance, arcs: Arcs, cs_mode: bool):
     """Cheapest ways to enter a window with stock, one greedy pass per start.
 
     Returns ``row(u, q_max)``, whose entry q = 0..q_max is the cheapest way
@@ -267,18 +212,17 @@ def pre_stock(stripped: StrippedInstance, store: DomainStore, cs_mode: bool):
     DP's state convention of paying h_{u-1} on them. Before its window a
     sub-problem has no demand and no setups, so the stock is what
     ``path_greedy`` holds after a zero-demand run over periods 0..u-1 of
-    the network's capacities at unit costs p and h (0 in ``cs_mode``):
+    the arcs' capacities at unit costs p and h (0 in ``cs_mode``):
     eviction at each inventory arc keeps the cheapest units that fit, so
     its cheapest q units are the cheapest q that can reach u.
     """
-    net = build_network(stripped, store, FlowMode.FULL)
     zeros = [0] * stripped.T
     rate, hold = (zeros, zeros) if cs_mode else (stripped.p, stripped.h)
 
     def row(u: int, q_max: int) -> np.ndarray:
         out = np.full(q_max + 1, math.inf)
         out[0] = 0.0
-        _, _, stock = path_greedy(net.prod_cap[:u], rate, hold, net.inv_cap, zeros)
+        _, _, stock = path_greedy(arcs.cap[:u], rate, hold, arcs.inv_cap, zeros)
         costs, amts = [], []
         got = 0
         for cost, units in sorted(stock):

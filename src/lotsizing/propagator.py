@@ -11,16 +11,18 @@ sweeps).
 fixpoint: when every setup variable is fixed the plan is completed by the
 exact path-network flow; otherwise, and when the flow plan lands in a
 production hole or busts a component cap, lower bounds are pulled from the
-four cost-restricted flow relaxations and the whole-horizon DP. Under
-``filter_mode="auto"`` the DP runs when one of its tables holds at most
-2**20 states (``dp.table_fits``); above that, the node keeps the flow bounds
-alone. A node with every setup fixed takes the DP whenever its table fits,
-under either mode, so a plan in a hole is closed by the DP plan's offer.
-The paper's interval-decomposition bound and windowed filtering run only
-under ``filter_mode="wisp"``, where the fixed threshold
-``wisp._WINDOW_BUDGET`` decides which of their windows are exact. Inventory
-domains are filtered to bounds, the paper's contract; production domains
-keep the holes the DP's support test punches.
+four cost-restricted flow relaxations and the whole-horizon DP. Every stage
+reads the domains' arc data (capacities, payable and sunk setups) through
+``flow.read_arcs``: the four relaxations share one reading, and so do the
+windows of one decomposition. Under ``filter_mode="auto"`` the DP runs when
+one of its tables holds at most 2**20 states (``dp.table_fits``); above
+that, the node keeps the flow bounds alone. A node with every setup fixed
+takes the DP whenever its table fits, under either mode, so a plan in a
+hole is closed by the DP plan's offer. The paper's interval-decomposition
+bound and windowed filtering run only under ``filter_mode="wisp"``, where
+the fixed threshold ``wisp._WINDOW_BUDGET`` decides which of their windows
+are exact. Inventory domains are filtered to bounds, the paper's contract;
+production domains keep the holes the DP's support test punches.
 
 The argmin plan of the DP's cost table is offered to the search, which
 gates it (the DP does not know Q/R) and keeps it as its incumbent. When an
@@ -76,7 +78,7 @@ from .domains import (
     write_back,
 )
 from .dp import DpTable, filter_with_dp, table_fits, window_tables
-from .flow import FlowMode, INFEASIBLE, build_network, derive_network, min_cost_flow, path_greedy
+from .flow import FlowMode, min_cost_flow, path_greedy, read_arcs
 from .instance import Instance, StrippedInstance, strip_lower_bounds
 from .solution import Solution
 
@@ -200,8 +202,8 @@ def complete_when_setups_fixed(inst: Instance, store: DomainStore) -> Solution |
     lower bound, but the plan itself may land in a hole.
     """
     stripped = _strip(inst, store)
-    net = build_network(stripped, store, FlowMode.FULL)
-    spent, prod_flow, _ = path_greedy(net.prod_cap, net.prod_cost, net.inv_cost, net.inv_cap, net.demand)
+    arcs = read_arcs(stripped, store)
+    spent, prod_flow, _ = path_greedy(arcs.cap, stripped.p, stripped.h, arcs.inv_cap, stripped.d)
     if len(spent) < inst.T:
         return None
     x = [stripped.x_off[t] + prod_flow[t] for t in range(inst.T)]
@@ -392,21 +394,21 @@ class LotSizingConstraint:
         return status
 
     def _flow_bounds(self, stripped: StrippedInstance) -> Status:
-        """Raise the cost minima from the four flow relaxations: one network
-        build, four cost vectors."""
+        """Raise the cost minima from the four flow relaxations: one reading
+        of the arcs, four cost vectors."""
         store = self.store
         status = Status.UNCHANGED
-        full = build_network(stripped, store, FlowMode.FULL)
+        arcs = read_arcs(stripped, store)
         for mode, var, base in (
             (FlowMode.CP_ONLY, "Cp", stripped.cp_min),
             (FlowMode.CH_ONLY, "Ch", stripped.ch_min),
             (FlowMode.CS_ONLY, "Cs", stripped.cs_min),
             (FlowMode.FULL, "C", stripped.c_min),
         ):
-            res = min_cost_flow(derive_network(full, stripped, mode))
-            if res.status == INFEASIBLE:
+            bound = min_cost_flow(stripped, arcs, mode)
+            if bound is None:
                 return Status.FAILED
-            status = merge(status, store.set_min((var, 0), res.integer_lower_bound + base))
+            status = merge(status, store.set_min((var, 0), bound + base))
             if status is Status.FAILED:
                 return status
         return status
@@ -494,11 +496,7 @@ class LotSizingConstraint:
             covered = set()
             for u, v in decomp.support:
                 covered.update(range(u, v + 1))
-            extra = sum(
-                stripped.s[t]
-                for t in range(self.instance.T)
-                if t not in covered and store.min(("Y", t)) == 1
-            )
+            extra = sum(s for t, s in enumerate(read_arcs(stripped, store).sunk) if t not in covered)
             status = merge(status, store.set_min((var, 0), int(decomp.value) + extra + base))
             if status is Status.FAILED:
                 return status

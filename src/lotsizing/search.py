@@ -193,14 +193,15 @@ def solve(
             return
         # All setups fixed but the node neither completed nor closed (a flow
         # plan in a production hole with a DP table over the state cap, or a
-        # DP plan the offer declines): split a production domain.
+        # DP plan the offer declines): split a production domain by halves,
+        # so the recursion is as deep as the domain's bit length.
         tx = next((v for v in range(inst.T) if not store.is_fixed(("X", v))), None)
         if tx is None:
             return
-        lo = store.min(("X", tx))
-        for kind in ("assign", "set_min"):
+        mid = (store.min(("X", tx)) + store.max(("X", tx))) // 2
+        for kind, value in (("set_max", mid), ("set_min", mid + 1)):
             store.push_level()
-            st = store.tighten(("X", tx), kind, lo if kind == "assign" else lo + 1)
+            st = store.tighten(("X", tx), kind, value)
             if st is not Status.FAILED:
                 node()
             else:

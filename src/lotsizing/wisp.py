@@ -29,7 +29,7 @@ import numpy as np
 
 from .domains import DomainStore, Status, merge
 from .dp import _build_forward, filter_with_dp, make_cost_view, window_tables
-from .flow import pre_stock, window_flow_bounds
+from .flow import Arcs, pre_stock, read_arcs, window_flow_bounds
 from .instance import StrippedInstance
 
 DP_EXACT = "DP_EXACT"
@@ -55,7 +55,7 @@ class SubProblem:
 INF_BOUND = math.inf
 
 
-def _last_exact_ends(stripped: StrippedInstance, store: DomainStore) -> list[int]:
+def _last_exact_ends(stripped: StrippedInstance, arcs: Arcs) -> list[int]:
     """Per start u, the last end v whose window (u, v) gets the exact DP.
 
     The state proxy of a window is (v - u + 1) * (top + 1)^2, with top the
@@ -66,10 +66,7 @@ def _last_exact_ends(stripped: StrippedInstance, store: DomainStore) -> list[int
     T = stripped.T
     dprefix = np.concatenate(([0], np.cumsum(stripped.d, dtype=np.int64)))
     total = int(dprefix[-1])
-    icap = np.array(
-        [min(max(min(stripped.i_cap[t], store.max(("I", t)) - stripped.i_off[t]), 0), total) for t in range(T)],
-        dtype=np.int64,
-    )
+    icap = np.minimum(np.array(arcs.inv_cap, dtype=np.int64), total)
     # caps[v, b - 1]: cap of boundary b = 1..T in windows ending at v. Caps of
     # boundaries past v + 1 are <= 0 and never raise the maximum.
     caps = np.minimum(icap[None, :], dprefix[1:, None] - dprefix[None, 1:])
@@ -81,7 +78,7 @@ def _last_exact_ends(stripped: StrippedInstance, store: DomainStore) -> list[int
     return (starts - 1 + fits.sum(axis=1)).tolist()
 
 
-def _window_bounder(stripped: StrippedInstance, store: DomainStore, cs_mode: bool):
+def _window_bounder(stripped: StrippedInstance, store: DomainStore, cs_mode: bool, arcs: Arcs):
     """``bounds(u) -> [(w, kind) for v = u+1..T-1]`` under current domains.
 
     Windows whose state proxy fits ``_WINDOW_BUDGET`` get the exact windowed DP
@@ -94,26 +91,26 @@ def _window_bounder(stripped: StrippedInstance, store: DomainStore, cs_mode: boo
     windows take the flow relaxation, read from the greedy pass of start u.
     Each bound includes the setups already sunk inside its window; it is inf
     when even the relaxation is infeasible, which means the whole problem is.
+    Every part reads the same ``arcs`` of the current domains.
     """
     T = stripped.T
-    last_exact = _last_exact_ends(stripped, store)
-    sunk = [stripped.s[t] if store.min(("Y", t)) == 1 else 0 for t in range(T)]
-    flow_pass = window_flow_bounds(stripped, store, cs_mode)
-    prestock = pre_stock(stripped, store, cs_mode)
+    last_exact = _last_exact_ends(stripped, arcs)
+    flow_pass = window_flow_bounds(stripped, arcs, cs_mode)
+    prestock = pre_stock(stripped, arcs, cs_mode)
 
     def bounds(u: int) -> list[tuple[float, str]]:
         out = []
         end = last_exact[u]
         sweep_end = min(end, T - 2)
-        sweep = make_cost_view(stripped, store, (u, sweep_end), cs_mode=cs_mode) if sweep_end > u else None
-        suffix = make_cost_view(stripped, store, (u, T - 1), cs_mode=cs_mode) if end == T - 1 else None
+        sweep = make_cost_view(stripped, store, arcs, (u, sweep_end), cs_mode) if sweep_end > u else None
+        suffix = make_cost_view(stripped, store, arcs, (u, T - 1), cs_mode) if end == T - 1 else None
         caps = [view.cap(u) for view in (sweep, suffix) if view is not None]
         row = prestock(u, max(caps)) if caps else None
         if sweep is not None:
             rows = _build_forward(sweep, row).rows
-            paid = sunk[u]
+            paid = arcs.sunk[u]
             for v in range(u + 1, sweep_end + 1):
-                paid += sunk[v]
+                paid += arcs.sunk[v]
                 opt = float(rows[v + 1 - u][0])
                 out.append((INF_BOUND if math.isinf(opt) else opt + paid, DP_EXACT))
         if suffix is not None:
@@ -195,9 +192,10 @@ def compute_decomposition(
     store: DomainStore,
     cs_mode: bool = False,
 ) -> WispDecomposition:
-    """Bound every window, one start period at a time, and schedule them."""
+    """Bound every window, one start period at a time, and schedule them.
+    The windows share one reading of the arcs."""
     T = stripped.T
-    bounds = _window_bounder(stripped, store, cs_mode)
+    bounds = _window_bounder(stripped, store, cs_mode, read_arcs(stripped, store))
     subs = [
         SubProblem(u, v, w, kind)
         for u in range(T - 1)
@@ -214,8 +212,8 @@ def wisp_support_filter(
     cs_mode: bool = False,
 ) -> Status:
     """Windowed DP filtering on every support window whose DP fits
-    ``_WINDOW_BUDGET`` under the current domains (``_last_exact_ends``,
-    re-read per window since earlier windows narrow the store).
+    ``_WINDOW_BUDGET`` under the current domains (``_last_exact_ends``;
+    the arcs are re-read per window since earlier windows narrow the store).
 
     The cost spent outside the window is lower-bounded by the best disjoint
     combinations strictly before and after it, taken from the scheduling
@@ -224,7 +222,7 @@ def wisp_support_filter(
     """
     status = Status.UNCHANGED
     for u, v in decomp.support:
-        if v > _last_exact_ends(stripped, store)[u]:
+        if v > _last_exact_ends(stripped, read_arcs(stripped, store))[u]:
             continue
         fwd, bwd = window_tables(stripped, store, (u, v), cs_mode=cs_mode)
         before = int(decomp.lb_before(u))

@@ -29,7 +29,7 @@ from lotsizing import (
 )
 from lotsizing.domains import iv_values
 from lotsizing.dp import make_cost_view, window_tables
-from lotsizing.flow import FlowMode, build_network, min_cost_flow
+from lotsizing.flow import FlowMode, min_cost_flow, read_arcs
 from lotsizing import wisp as wisp_mod
 from lotsizing.instance import PEAK_PERIODS_1BASED
 from lotsizing.wisp import compute_decomposition
@@ -138,8 +138,8 @@ class TestCriterion3:
             want = brute_force_oracle(inst)
             if want is None:
                 continue
-            full = min_cost_flow(build_network(stripped, store, FlowMode.FULL))
-            assert full.integer_lower_bound + stripped.c_min <= want.c
+            full = min_cost_flow(stripped, read_arcs(stripped, store), FlowMode.FULL)
+            assert full + stripped.c_min <= want.c
             decomp = compute_decomposition(stripped, store)
             assert decomp.value + stripped.c_min <= want.c
             subs = decomp.subproblems
@@ -244,10 +244,10 @@ class TestCriterion7:
                                      peak_value=5000, peak_periods=peaks)
             inst = validate_and_normalize(generate(params))
             store, stripped = bc_strip(inst)
-            assert state_budget(make_cost_view(stripped, store, None)) > 20_000_000
+            assert state_budget(make_cost_view(stripped, store, read_arcs(stripped, store))) > 20_000_000
             opt = dp_optimum(inst)
             flow_lb = (
-                min_cost_flow(build_network(stripped, store, FlowMode.FULL)).integer_lower_bound
+                min_cost_flow(stripped, read_arcs(stripped, store), FlowMode.FULL)
                 + stripped.c_min
             )
             t0 = time.perf_counter()
@@ -268,10 +268,10 @@ class TestCriterion7:
                                      peak_value=5000, peak_periods=peaks)
             inst = validate_and_normalize(generate(params))
             store, stripped = bc_strip(inst)
-            assert state_budget(make_cost_view(stripped, store, None)) > 20_000_000
+            assert state_budget(make_cost_view(stripped, store, read_arcs(stripped, store))) > 20_000_000
             opt = dp_optimum(inst)
             flow_lb = (
-                min_cost_flow(build_network(stripped, store, FlowMode.FULL)).integer_lower_bound
+                min_cost_flow(stripped, read_arcs(stripped, store), FlowMode.FULL)
                 + stripped.c_min
             )
             t0 = time.perf_counter()

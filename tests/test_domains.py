@@ -3,9 +3,23 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lotsizing import DomainStore, Status, bc_feasibility, make_instance
-from lotsizing.domains import iv_from_mask, iv_intersect, iv_mask, iv_normalize, iv_values
+from lotsizing.domains import (
+    Wipeout,
+    iv_from_mask,
+    iv_intersect,
+    iv_mask,
+    iv_normalize,
+    iv_remove_value,
+    iv_set_max,
+    iv_set_min,
+    iv_values,
+    lower_hi,
+    raise_lo,
+)
 
 
 def small_problem():
@@ -45,6 +59,49 @@ class TestIntervalSets:
         ivs = ((0, 3), (7, 7), (9, 12))
         mask = iv_mask(ivs, 0, 12)
         assert iv_from_mask(mask, 0) == ivs
+
+
+# Non-empty domains of up to four intervals in -5..30: most with holes.
+domains = st.lists(st.tuples(st.integers(-5, 30), st.integers(0, 6)), min_size=1, max_size=4).map(
+    lambda pairs: iv_normalize((lo, lo + w) for lo, w in pairs)
+)
+values = st.integers(-8, 40)
+
+
+class TestIntervalProperties:
+    @given(domains, values)
+    def test_bound_and_removal_match_set_semantics(self, ivs, v):
+        vals = set(iv_values(ivs))
+        for got, want in (
+            (iv_set_min(ivs, v), {x for x in vals if x >= v}),
+            (iv_set_max(ivs, v), {x for x in vals if x <= v}),
+            (iv_remove_value(ivs, v), vals - {v}),
+        ):
+            assert set(iv_values(got)) == want
+            assert iv_normalize(got) == got
+
+    @given(domains, st.lists(st.tuples(st.booleans(), values), min_size=1, max_size=8))
+    def test_sweep_bounds_move_as_the_store_moves_them(self, ivs, requests):
+        """``raise_lo``/``lower_hi`` on plain bound lists, with the domain's
+        holes as read before the sweep, against ``set_min``/``set_max`` on
+        the store: the same bounds after every request, the same moves, and
+        a ``Wipeout`` exactly when the store fails, naming that request."""
+        key = ("X", 0)
+        store = DomainStore()
+        store.add_var(key, ivs[0][0], ivs[-1][1])
+        store.set_intervals(key, ivs)
+        lo, hi, holes = [ivs[0][0]], [ivs[-1][1]], [ivs if len(ivs) > 1 else None]
+        for up, v in requests:
+            sweep, kind, tighten = (raise_lo, "set_min", store.set_min) if up else (lower_hi, "set_max", store.set_max)
+            try:
+                moved = sweep(lo, hi, holes, 0, v, "X")
+            except Wipeout as exc:
+                assert exc.args == ("X", 0, kind, v)
+                assert tighten(key, v) is Status.FAILED and store.failed
+                return
+            status = tighten(key, v)
+            assert status is (Status.CHANGED if moved else Status.UNCHANGED)
+            assert (lo[0], hi[0]) == (store.min(key), store.max(key))
 
 
 class TestTighten:

@@ -26,7 +26,7 @@ from lotsizing import (
 from lotsizing import dp as dp_mod
 from lotsizing.domains import iv_from_mask, iv_intersect, iv_mask, iv_shift, iv_values, merge
 from lotsizing.dp import _backward_step, _forward_step, _runs_min, _window_min, make_cost_view
-from lotsizing.flow import pre_stock
+from lotsizing.flow import pre_stock, read_arcs
 from conftest import plan_costs, rand_normalized, store_plans
 from test_bc import reference_setup
 
@@ -179,12 +179,12 @@ class TestPrestock:
     def test_single_source(self):
         inst = make_instance(d=[0, 5], p=[1, 9], h=[1, 1], s=[0, 0], alpha_hi=[5, 5], beta_hi=[9, 9])
         store, stripped = setup_problem(inst, bc=False)
-        init = pre_stock(stripped, store, False)(1, 5)
+        init = pre_stock(stripped, read_arcs(stripped, store), False)(1, 5)
         assert list(init) == [0, 2, 4, 6, 8, 10]
 
     def test_start_of_horizon(self):
         store, stripped = setup_problem(two_period(), bc=False)
-        row = pre_stock(stripped, store, False)
+        row = pre_stock(stripped, read_arcs(stripped, store), False)
         assert list(row(0, 0)) == [0.0]
         assert list(row(0, 4)) == [0.0] + [INF] * 4  # the initial stock is 0
 
@@ -192,7 +192,7 @@ class TestPrestock:
         inst = make_instance(d=[0, 0, 9], p=[1, 4, 9], h=[1, 1, 1], s=[0, 0, 0],
                              alpha_hi=[2, 2, 9], beta_hi=[9, 9, 9])
         store, stripped = setup_problem(inst, bc=False)
-        init = pre_stock(stripped, store, False)(2, 4)
+        init = pre_stock(stripped, read_arcs(stripped, store), False)(2, 4)
         # unit from t0 costs 1+1 (+1 at the boundary), from t1 costs 4 (+1)
         assert init[3] == (1 + 1 + 1) * 2 + (4 + 1) * 1
         assert init[4] == (1 + 1 + 1) * 2 + (4 + 1) * 2
@@ -200,7 +200,7 @@ class TestPrestock:
     def test_unreachable_is_inf(self):
         inst = make_instance(d=[0, 3], p=[1, 1], h=[0, 0], s=[0, 0], alpha_hi=[2, 3], beta_hi=[5, 5])
         store, stripped = setup_problem(inst, bc=False)
-        init = pre_stock(stripped, store, False)(1, 3)
+        init = pre_stock(stripped, read_arcs(stripped, store), False)(1, 3)
         assert math.isinf(init[3])
 
     def test_matches_windowed_brute_force(self):
@@ -214,7 +214,7 @@ class TestPrestock:
             if u == 0:
                 continue
             q_max = min(stripped.i_cap[u - 1], sum(stripped.d[u:]))
-            init = pre_stock(stripped, store, False)(u, q_max)
+            init = pre_stock(stripped, read_arcs(stripped, store), False)(u, q_max)
             for q in range(q_max + 1):
                 best = INF
                 for pre in _prefix_plans(stripped, u, q):
@@ -280,7 +280,7 @@ class TestPrestockReference:
             u = rng.randint(1, min(T - 1, 6))
             q_max = rng.randint(0, 14)
             for zero_costs in (False, True):
-                got = list(pre_stock(stripped, store, zero_costs)(u, q_max))
+                got = list(pre_stock(stripped, read_arcs(stripped, store), zero_costs)(u, q_max))
                 assert got == self._reference(stripped, store, u, q_max, zero_costs)
                 checked += 1
         assert checked == 800
@@ -441,8 +441,9 @@ class TestStepReference:
                     apply_disjunctions(store, DisjunctiveSpec.uniform(params.T, template.disjunction))
                 store, stripped = setup_problem(inst, store)
                 assert stripped is not None, (cls, seed)
+                arcs = read_arcs(stripped, store)
                 for cs_mode in (False,) if "Peaks" in cls else (False, True):
-                    multi += _check_steps(make_cost_view(stripped, store, None, cs_mode=cs_mode), np.array([0.0]))
+                    multi += _check_steps(make_cost_view(stripped, store, arcs, cs_mode=cs_mode), np.array([0.0]))
                 roots += 1
         assert roots == 120 and multi >= 4000, (roots, multi)
 
@@ -458,7 +459,7 @@ class TestStepReference:
             inst, store, stripped = root
             u = rng.randint(0, inst.T - 1)
             window = rng.choice([None, (u, inst.T - 1), (u, rng.randint(u, inst.T - 1))])
-            view = make_cost_view(stripped, store, window, cs_mode=rng.random() < 0.3)
+            view = make_cost_view(stripped, store, read_arcs(stripped, store), window, cs_mode=rng.random() < 0.3)
             fwd, _ = window_tables(stripped, store, window, cs_mode=view.cs_mode)
             multi += _check_steps(view, fwd.row(view.u))
             cases += 1

@@ -15,7 +15,6 @@ from lotsizing import (
     Status,
     apply_disjunctions,
     bc_feasibility,
-    build_network,
     complete_when_setups_fixed,
     generate,
     make_instance,
@@ -25,7 +24,7 @@ from lotsizing import (
     verify,
 )
 from lotsizing.dp import make_cost_view, window_tables
-from lotsizing.flow import FlowNetwork, derive_network
+from lotsizing.flow import path_greedy, read_arcs, relaxation
 from lotsizing.propagator import _strip
 from conftest import plan_costs, rand_normalized, store_plans
 from test_dp import setup_problem as dp_setup_problem
@@ -52,118 +51,137 @@ def complete_at_bc(inst, store):
         store.pop_level()
 
 
+def scaled_network(stripped, store, mode):
+    """The integer ``mode`` network over the domains' arcs:
+    (arcs, rate, hold, scale)."""
+    arcs = read_arcs(stripped, store)
+    return (arcs, *relaxation(stripped, arcs, mode))
+
+
 class TestBuildNetwork:
+    """The integer network of one mode: the arcs ``read_arcs`` gives and the
+    rates ``relaxation`` puts on them."""
+
     def test_full_costs_amortize_setups(self):
         inst = two_period()
         store, stripped = setup_problem(inst)
-        net = build_network(stripped, store, FlowMode.FULL)
-        assert net.prod_cost == [1 + Fraction(5, 5), 2 + Fraction(4, 5)]
-        assert net.prod_cap == [5, 5]
-        assert net.inv_cost == [1]
+        arcs, rate, hold, scale = scaled_network(stripped, store, FlowMode.FULL)
+        assert [Fraction(r, scale) for r in rate] == [1 + Fraction(5, 5), 2 + Fraction(4, 5)]
+        assert scale == 5 and rate == [10, 14]
+        assert arcs.cap == [5, 5]
+        assert Fraction(hold[0], scale) == 1
 
     def test_y_zero_kills_arc(self):
         inst = two_period()
         store, stripped = setup_problem(inst)
         store.assign(("Y", 0), 0)
-        net = build_network(stripped, store, FlowMode.FULL)
-        assert net.prod_cap[0] == 0
+        arcs = read_arcs(stripped, store)
+        assert arcs.cap[0] == 0 and arcs.charge[0] == 0 and arcs.sunk[0] == 0
 
     def test_cp_only_strips_other_costs(self):
         inst = two_period()
         store, stripped = setup_problem(inst)
-        net = build_network(stripped, store, FlowMode.CP_ONLY)
-        assert net.prod_cost == [1, 2]
-        assert net.inv_cost == [0]
+        _, rate, hold, scale = scaled_network(stripped, store, FlowMode.CP_ONLY)
+        assert (rate, hold[:1], scale) == ([1, 2], [0], 1)
 
     def test_sunk_setup_moves_to_constant(self):
         inst = two_period()
         store, stripped = setup_problem(inst)
         store.assign(("Y", 0), 1)
-        net = build_network(stripped, store, FlowMode.FULL)
-        assert net.const == 5
-        assert net.prod_cost[0] == 1
+        arcs, rate, _, scale = scaled_network(stripped, store, FlowMode.FULL)
+        assert arcs.sunk == [5, 0] and arcs.charge == [0, 4]
+        assert Fraction(rate[0], scale) == 1
 
 
 class TestMinCostFlow:
     def test_hand_checked_relaxation(self):
         inst = two_period()
         store, stripped = setup_problem(inst)
-        res = min_cost_flow(build_network(stripped, store, FlowMode.FULL))
-        assert res.total_cost == Fraction(62, 5)
-        assert res.integer_lower_bound == 13
+        arcs, rate, hold, scale = scaled_network(stripped, store, FlowMode.FULL)
+        spent, _, _ = path_greedy(arcs.cap, rate, hold, arcs.inv_cap, stripped.d)
+        assert Fraction(spent[-1], scale) == Fraction(62, 5)
+        assert min_cost_flow(stripped, arcs, FlowMode.FULL) == 13
 
     def test_zero_demand(self):
         inst = make_instance(d=[0, 0], p=[1, 1], h=[1, 1], s=[1, 1], alpha_hi=[5, 5], beta_hi=[5, 5])
         store, stripped = setup_problem(inst)
-        res = min_cost_flow(build_network(stripped, store, FlowMode.FULL))
-        assert res.total_cost == 0 and res.prod_flow == (0, 0)
+        arcs, rate, hold, _ = scaled_network(stripped, store, FlowMode.FULL)
+        assert min_cost_flow(stripped, arcs, FlowMode.FULL) == 0
+        assert path_greedy(arcs.cap, rate, hold, arcs.inv_cap, stripped.d)[1] == [0, 0]
 
     def test_capacity_cut_infeasible(self):
         inst = make_instance(d=[10], p=[1], h=[1], s=[1], alpha_hi=[5], beta_hi=[5])
         store, stripped = setup_problem(inst)
-        res = min_cost_flow(build_network(stripped, store, FlowMode.FULL))
-        assert res.status == "INFEASIBLE"
+        assert min_cost_flow(stripped, read_arcs(stripped, store), FlowMode.FULL) is None
 
     def test_flow_conservation_and_integrality(self):
         rng = random.Random(5)
         for _ in range(60):
             inst = rand_normalized(rng, max_T=5, with_lower_bounds=False)
             store, stripped = setup_problem(inst)
-            res = min_cost_flow(build_network(stripped, store, FlowMode.FULL))
-            if res.status != "OPTIMAL":
+            arcs, rate, hold, _ = scaled_network(stripped, store, FlowMode.FULL)
+            spent, prod_flow, _ = path_greedy(arcs.cap, rate, hold, arcs.inv_cap, stripped.d)
+            if len(spent) < inst.T:
+                assert min_cost_flow(stripped, arcs, FlowMode.FULL) is None
                 continue
             inv = 0
             for t in range(inst.T):
-                inv = inv + res.prod_flow[t] - stripped.d[t]
-                assert inv == (res.inv_flow[t] if t < inst.T - 1 else 0)
-                assert isinstance(res.prod_flow[t], int)
+                inv = inv + prod_flow[t] - stripped.d[t]
+                assert 0 <= inv <= (arcs.inv_cap[t] if t < inst.T - 1 else 0)
+                assert isinstance(prod_flow[t], int) and prod_flow[t] <= arcs.cap[t]
 
     def test_bounds_dominated_by_true_costs(self):
         rng = random.Random(6)
         for _ in range(80):
             inst = rand_normalized(rng, max_T=5, max_d=4, max_cap=6, with_lower_bounds=False)
             store, stripped = setup_problem(inst)
-            full = min_cost_flow(build_network(stripped, store, FlowMode.FULL))
-            cp = min_cost_flow(build_network(stripped, store, FlowMode.CP_ONLY))
-            ch = min_cost_flow(build_network(stripped, store, FlowMode.CH_ONLY))
+            arcs = read_arcs(stripped, store)
+            full = min_cost_flow(stripped, arcs, FlowMode.FULL)
+            cp = min_cost_flow(stripped, arcs, FlowMode.CP_ONLY)
+            ch = min_cost_flow(stripped, arcs, FlowMode.CH_ONLY)
             plans = [
                 plan_costs(inst, x, i, y) for x, i, y in store_plans(inst, store)
             ]
             if not plans:
-                assert full.status == "INFEASIBLE"
+                assert full is None
                 continue
             best_c = min(c for _, _, _, c in plans)
-            assert full.integer_lower_bound <= best_c
-            assert cp.integer_lower_bound <= min(v for v, _, _, _ in plans)
-            assert ch.integer_lower_bound <= min(v for _, v, _, _ in plans)
+            assert full <= best_c
+            assert cp <= min(v for v, _, _, _ in plans)
+            assert ch <= min(v for _, v, _, _ in plans)
 
 
 class TestAgainstGenericSolver:
     def test_matches_dijkstra_reference(self):
         """The specialized path solver must agree with a generic min-cost
-        max-flow run on the same network (exact costs, scaled integral)."""
+        max-flow run on the reference network with exact rational costs:
+        every integer rate over the scale is the reference cost, and the
+        bound is the reference optimum rounded up."""
         rng = random.Random(17)
         for _ in range(120):
             store, stripped = setup_problem(
                 rand_normalized(rng, max_T=6, max_d=5, max_cap=7, with_lower_bounds=False)
             )
-            net = build_network(
-                stripped,
-                store,
-                rng.choice([FlowMode.FULL, FlowMode.CP_ONLY, FlowMode.CH_ONLY, FlowMode.CS_ONLY]),
-            )
-            got = min_cost_flow(net)
+            mode = rng.choice([FlowMode.FULL, FlowMode.CP_ONLY, FlowMode.CH_ONLY, FlowMode.CS_ONLY])
+            net = reference_network(stripped, store, mode)
+            arcs, rate, hold, scale = scaled_network(stripped, store, mode)
+            assert [Fraction(r, scale) for r in rate] == net.prod_cost
+            assert [Fraction(h, scale) for h in hold[: net.n - 1]] == net.inv_cost
+            got = min_cost_flow(stripped, arcs, mode)
             want_status, want_cost = _reference_solve(net)
-            assert got.status == want_status
-            if want_status == "OPTIMAL":
-                assert got.total_cost == want_cost
-                inv = 0
-                for t in range(net.n):
-                    inv = inv + got.prod_flow[t] - net.demand[t]
-                    assert inv >= 0
-                    if t < net.n - 1:
-                        assert inv <= net.inv_cap[t]
-                assert inv == 0 or sum(net.demand) == 0
+            if want_status == "INFEASIBLE":
+                assert got is None
+                continue
+            assert got == math.ceil(want_cost)
+            spent, prod_flow, _ = path_greedy(arcs.cap, rate, hold, arcs.inv_cap, stripped.d)
+            assert Fraction(spent[-1], scale) + net.const == want_cost
+            inv = 0
+            for t in range(net.n):
+                inv = inv + prod_flow[t] - net.demand[t]
+                assert inv >= 0
+                if t < net.n - 1:
+                    assert inv <= net.inv_cap[t]
+            assert inv == 0 or sum(net.demand) == 0
 
 
 class MinCostFlowGraph:
@@ -408,10 +426,24 @@ def _fuzz_states(rng: random.Random, count: int):
         yield store, stripped
 
 
+@dataclasses.dataclass
+class FlowNetwork:
+    """A relaxation network with exact rational arc costs."""
+
+    n: int
+    prod_cap: list
+    prod_cost: list
+    inv_cap: list
+    inv_cost: list
+    demand: list
+    const: int
+
+
 def reference_network(stripped, store, mode, window=None) -> FlowNetwork:
-    """Each mode's network built on its own, period by period: the per-mode
-    builder that one FULL build plus ``derive_network`` replaced, kept as
-    the reference the derivation must reproduce exactly. With a ``window``
+    """Each mode's network built on its own, period by period, with
+    ``Fraction`` costs: the reference that the integer arcs of
+    ``flow.read_arcs`` and ``flow.relaxation`` must reproduce exactly,
+    rate over scale for every period. With a ``window``
     (u, v), demands and setup costs outside u..v are zeroed and periods past
     v dropped: the network whose optimum the window flow bounds must reach."""
     u, v = (0, stripped.T - 1) if window is None else window
@@ -451,16 +483,24 @@ def reference_network(stripped, store, mode, window=None) -> FlowNetwork:
 
 
 class TestDerivedNetworks:
-    """``build_network`` builds the FULL network and derives every mode from
-    it; ``dp.table_fits`` sizes the whole-horizon table from the strip alone.
-    Both must match what they replace exactly."""
+    """Every mode's network is derived from one reading of the arcs
+    (``flow.read_arcs``); ``dp.table_fits`` sizes the whole-horizon table
+    from the strip alone. Both must match their references exactly."""
 
     def _check(self, store, stripped):
-        full = build_network(stripped, store, FlowMode.FULL)
+        arcs = read_arcs(stripped, store)
+        T = stripped.T
         for mode in FlowMode:
             ref = reference_network(stripped, store, mode)
-            assert build_network(stripped, store, mode) == ref, mode
-            assert derive_network(full, stripped, mode) == ref, mode
+            rate, hold, scale = relaxation(stripped, arcs, mode)
+            assert arcs.cap == ref.prod_cap and arcs.inv_cap[: T - 1] == ref.inv_cap, mode
+            assert [Fraction(r, scale) for r in rate] == ref.prod_cost, mode
+            assert [Fraction(h, scale) for h in hold[: T - 1]] == ref.inv_cost, mode
+            # the least common scale: the lcm of the reference denominators
+            assert scale == math.lcm(*(Fraction(c).denominator for c in ref.prod_cost)), mode
+            sunk = sum(arcs.sunk) if mode in (FlowMode.FULL, FlowMode.CS_ONLY) else 0
+            assert sunk == ref.const, mode
+            assert list(stripped.d) == ref.demand
 
     def test_registry_roots(self, monkeypatch):
         roots = 0
@@ -471,7 +511,7 @@ class TestDerivedNetworks:
                     continue
                 store, stripped = root
                 self._check(store, stripped)
-                states = sum(make_cost_view(stripped, store, None).row_cap) + stripped.T + 1
+                states = sum(make_cost_view(stripped, store, read_arcs(stripped, store)).row_cap) + stripped.T + 1
                 monkeypatch.setattr(dp_mod, "_TABLE_CAP", states)
                 assert dp_mod.table_fits(stripped)
                 monkeypatch.setattr(dp_mod, "_TABLE_CAP", states - 1)
@@ -485,8 +525,8 @@ class TestDerivedNetworks:
         for store, stripped in _fuzz_states(rng, 600):
             T = stripped.T
             self._check(store, stripped)
-            view = make_cost_view(stripped, store, None)
+            view = make_cost_view(stripped, store, read_arcs(stripped, store))
             monkeypatch.setattr(dp_mod, "_TABLE_CAP", rng.randint(T, 4 * T + sum(view.row_cap)))
             assert dp_mod.table_fits(stripped) == (sum(view.row_cap) + len(view.row_cap) <= dp_mod._TABLE_CAP)
-            sunk += build_network(stripped, store, FlowMode.CS_ONLY).const > 0
+            sunk += sum(read_arcs(stripped, store).sunk) > 0
         assert sunk >= 50

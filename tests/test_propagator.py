@@ -38,7 +38,7 @@ from lotsizing.search import _propagate_all, build_model
 import lotsizing.dp as dp_mod
 import lotsizing.propagator as propagator_mod
 from lotsizing.dp import window_tables
-from lotsizing.flow import FlowMode, build_network, min_cost_flow
+from lotsizing.flow import FlowMode, min_cost_flow, read_arcs
 from lotsizing.propagator import _strip
 from conftest import plan_costs, rand_normalized, store_plans
 from test_acceptance import suite_instance_small
@@ -193,9 +193,9 @@ class TestPropagate:
                 continue
             stripped = strip_lower_bounds(inst)
             base = DomainStore.for_instance(inst)
-            full = min_cost_flow(build_network(stripped, base, FlowMode.FULL))
-            if full.status == "OPTIMAL":
-                assert store.min(("C", 0)) >= full.integer_lower_bound
+            full = min_cost_flow(stripped, read_arcs(stripped, base), FlowMode.FULL)
+            if full is not None:
+                assert store.min(("C", 0)) >= full
 
     def test_soundness_under_all_four_caps(self):
         rng = random.Random(97)
@@ -735,7 +735,7 @@ class TestStageSkip:
         four."""
         calls = []
         original = propagator_mod.min_cost_flow
-        monkeypatch.setattr(propagator_mod, "min_cost_flow", lambda net: calls.append(net) or original(net))
+        monkeypatch.setattr(propagator_mod, "min_cost_flow", lambda *args: calls.append(args) or original(*args))
         inst, side = registry_instance(name)
         store, ls, _, _ = build_model(inst, side, SearchConfig())
         ls.offer = lambda plan: True

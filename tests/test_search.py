@@ -1,10 +1,15 @@
 """Branch-and-bound search, oracle cross-checks, verifier."""
 
+import dataclasses
+import json
 import random
+from pathlib import Path
 
 import pytest
 
+import lotsizing.dp as dp_mod
 from lotsizing import (
+    INSTANCE_CLASSES,
     DisjunctiveSpec,
     PropagateResult,
     QRSpec,
@@ -14,6 +19,7 @@ from lotsizing import (
     Status,
     brute_force_oracle,
     enumerate_plans,
+    generate,
     make_instance,
     solve,
     validate_and_normalize,
@@ -139,6 +145,52 @@ class TestSolve:
         assert brute_force_oracle(inst, side) is None
         sol, stats = solve(inst, side)
         assert sol is None and stats.status == "INFEASIBLE"
+
+
+class TestProductionFallback:
+    def test_split_by_halves_on_a_wide_domain(self, monkeypatch):
+        """With the DP off (no table fits) the flow plan X_0 = 2000 lands in
+        the hole 1991..2009 and every setup is fixed, so the search splits
+        X_0. One value per level would recurse once per value of its 4,000;
+        halves recurse once per bit."""
+        inst = validate_and_normalize(make_instance(
+            d=[0, 2000, 1000], p=[1, 100, 2], h=[1, 1, 1], s=[0, 0, 0],
+            alpha_lo=[1, 0, 1], alpha_hi=[4000] * 3, beta_hi=[4000] * 3,
+        ))
+        side = SideSpecs(disjunction=DisjunctiveSpec({0: ((1, 1990), (2010, 4000))}))
+        want, _ = solve(inst, side)
+        monkeypatch.setattr(dp_mod, "_TABLE_CAP", 0)
+        sol, stats = solve(inst, side)
+        assert stats.status == "OPT" and sol.c == want.c == 6010
+        assert sol.x == want.x == (2010, 0, 990)
+        assert verify(inst, side, sol)[0]
+
+
+_REFERENCES = Path(__file__).resolve().parents[1] / "perfbench" / "references.json"
+
+
+class TestReferenceOptima:
+    @pytest.mark.parametrize("cls", sorted(json.loads(_REFERENCES.read_text(encoding="ascii"))["optima"]))
+    def test_seed_2_matches_the_stored_optimum(self, cls):
+        """Seed 2 of every class with a stored HiGHS optimum. LS, Disj and QR
+        discover it with lex branching; Peaks is handed it and branches on
+        peaks first, the paper's protocol for those classes."""
+        ref = json.loads(_REFERENCES.read_text(encoding="ascii"))["optima"][cls]["2"]
+        template = INSTANCE_CLASSES[cls]
+        params = dataclasses.replace(template.params, seed=2)
+        inst = validate_and_normalize(generate(params))
+        side = None
+        if template.disjunction or template.qr:
+            side = SideSpecs(
+                disjunction=DisjunctiveSpec.uniform(params.T, template.disjunction) if template.disjunction else None,
+                qr=QRSpec(*template.qr) if template.qr else None,
+            )
+        peaks = bool(params.peak_periods)
+        config = SearchConfig(ub=ref, branching="peak") if peaks else SearchConfig()
+        sol, stats = solve(inst, side, config)
+        assert stats.status == "OPT" and stats.best_cost == sol.c == ref
+        assert verify(inst, side, sol)[0]
+        assert stats.root_lb <= ref
 
 
 def fuzz_instance(rng):

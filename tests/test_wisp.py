@@ -9,22 +9,20 @@ import pytest
 from lotsizing import (
     INSTANCE_CLASSES,
     DomainStore,
-    FlowMode,
     Status,
     SubProblem,
     bc_feasibility,
-    build_network,
     compute_decomposition,
     dpwisp,
     filter_with_dp,
     generate,
-    min_cost_flow,
     validate_and_normalize,
     window_tables,
     wisp_support_filter,
 )
 from lotsizing import wisp as wisp_mod
 from lotsizing.domains import iv_values
+from lotsizing.flow import FlowMode, min_cost_flow, read_arcs
 from lotsizing.propagator import _strip
 from test_dp import setup_problem, two_period
 from conftest import plan_costs, rand_normalized, state_budget, store_plans
@@ -134,7 +132,7 @@ class TestSweepEquivalence:
             if stripped is None:
                 continue
             for cs in (False, True):
-                flow_pass = window_flow_bounds(stripped, store, cs)
+                flow_pass = window_flow_bounds(stripped, read_arcs(stripped, store), cs)
                 for budget in (None, 0, rng.choice([20, 60, 200, 800])):
                     monkeypatch.setattr(wisp_mod, "_WINDOW_BUDGET", math.inf if budget is None else budget)
                     decomp = compute_decomposition(stripped, store, cs)
@@ -142,9 +140,9 @@ class TestSweepEquivalence:
                     # starts whose windows go partly exact, partly flow
                     checked["split"] += sum((u, "FLOW_RELAX") in kinds for u, k in kinds if k == "DP_EXACT")
                     for sub in decomp.subproblems:
-                        view = make_cost_view(stripped, store, (sub.u, sub.v), cs_mode=cs)
+                        view = make_cost_view(stripped, store, read_arcs(stripped, store), (sub.u, sub.v), cs_mode=cs)
                         if budget is None or state_budget(view) <= budget:
-                            prestock = pre_stock(stripped, store, cs)(sub.u, view.cap(sub.u))
+                            prestock = pre_stock(stripped, read_arcs(stripped, store), cs)(sub.u, view.cap(sub.u))
                             opt = _build_forward(view, prestock).optimum()
                             want = (math.inf if math.isinf(opt) else opt + view.sunk, "DP_EXACT")
                         else:
@@ -170,7 +168,7 @@ class TestWindowThreshold:
         decomp = compute_decomposition(stripped, store)
         kinds = [s.bound_kind for s in decomp.subproblems]
         assert (kinds.count("DP_EXACT"), len(kinds)) == (exact, 780)
-        flow = min_cost_flow(build_network(stripped, store, FlowMode.FULL)).integer_lower_bound
+        flow = min_cost_flow(stripped, read_arcs(stripped, store), FlowMode.FULL)
         assert decomp.value + stripped.c_min == flow + stripped.c_min == flow_bound
 
 
@@ -191,7 +189,7 @@ class TestWindowFlowBound:
                 if rng.random() < 0.25:
                     store.tighten(("Y", t), "assign", rng.randint(0, 1))
             for cs in (False, True):
-                flow_pass = window_flow_bounds(stripped, store, cs)
+                flow_pass = window_flow_bounds(stripped, read_arcs(stripped, store), cs)
                 passes = [flow_pass(u) for u in range(inst.T)]
                 for u, v in _windows(inst.T):
                     got = passes[u][v]
@@ -338,9 +336,9 @@ class TestSupportFilter:
                 continue
             budget = rng.choice([0, 10, 100, 300, 1_000, 3_000, 10**9])
             monkeypatch.setattr(wisp_mod, "_WINDOW_BUDGET", budget)
-            last = wisp_mod._last_exact_ends(stripped, store)
+            last = wisp_mod._last_exact_ends(stripped, read_arcs(stripped, store))
             for u, v in _windows(inst.T):
-                view = make_cost_view(stripped, store, (u, v))
+                view = make_cost_view(stripped, store, read_arcs(stripped, store), (u, v))
                 fits = state_budget(view) <= budget
                 assert (v <= last[u]) == fits, (u, v, budget)
                 agree[fits] += 1
