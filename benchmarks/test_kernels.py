@@ -28,6 +28,7 @@ from lotsizing import (
     filter_with_dp,
     generate,
     post_qr,
+    strip_lower_bounds,
     validate_and_normalize,
     verify,
     window_tables,
@@ -40,8 +41,7 @@ from lotsizing.dp import (
     _window_min,
     make_cost_view,
 )
-from lotsizing.flow import pre_stock, read_arcs, window_flow_bounds
-from lotsizing.propagator import _strip
+from lotsizing.flow import pre_stock, window_flow_bounds
 from lotsizing.wisp import compute_decomposition
 
 REFERENCES = Path(__file__).resolve().parents[1] / "perfbench" / "references.json"
@@ -63,7 +63,7 @@ def _root(cls: str, seed: int = 1):
     """Root of a class instance after bound consistency."""
     inst, store = _fresh(cls, seed)
     bc_feasibility(store, inst)
-    return inst, store, _strip(inst, store)
+    return inst, store, strip_lower_bounds(inst, store)
 
 
 def _row(n: int, seed: int) -> np.ndarray:
@@ -90,8 +90,8 @@ def test_window_min(benchmark, size, width):
 def test_forward_step(benchmark, cls):
     """The widest step of the whole-horizon forward table; C1Disj steps over
     three production runs, the others over one."""
-    _, store, stripped = _root(cls)
-    view = make_cost_view(stripped, store, read_arcs(stripped, store))
+    _, _, stripped = _root(cls)
+    view = make_cost_view(stripped)
     fwd = _build_forward(view, np.zeros(1))
     t = max(range(view.u, view.v + 1), key=lambda b: len(fwd.row(b)) + len(fwd.row(b + 1)))
     prev = fwd.row(t)
@@ -103,8 +103,8 @@ def test_forward_step(benchmark, cls):
 def test_build_forward(benchmark, cls):
     """The whole-horizon C table of a root, every row: what a closing node
     builds before it traces its plan."""
-    _, store, stripped = _root(cls)
-    view = make_cost_view(stripped, store, read_arcs(stripped, store))
+    _, _, stripped = _root(cls)
+    view = make_cost_view(stripped)
     fwd = benchmark(_build_forward, view, np.zeros(1))
     assert len(fwd.rows) == stripped.T + 1
 
@@ -112,8 +112,8 @@ def test_build_forward(benchmark, cls):
 @pytest.mark.parametrize("cls", ["C1LS", "C1Disj"])
 def test_backward_step(benchmark, cls):
     """The widest step of the whole-horizon backward table."""
-    _, store, stripped = _root(cls)
-    view = make_cost_view(stripped, store, read_arcs(stripped, store))
+    _, _, stripped = _root(cls)
+    view = make_cost_view(stripped)
     rows = _backward_rows(view)
     t = max(range(view.u, view.v + 1), key=lambda b: len(rows[b]) + len(rows[b + 1]))
     row = benchmark(_backward_step, view, t, rows[t + 1])
@@ -124,19 +124,19 @@ def test_backward_step(benchmark, cls):
 def test_greedy_prestock(benchmark, cls):
     """Pre-stock row entering the middle period, sized by its state cap:
     one zero-demand ``path_greedy`` run over the periods before it, on the
-    arcs that ``pre_stock`` reads once for all starts."""
-    _, store, stripped = _root(cls)
+    strip's arcs."""
+    _, _, stripped = _root(cls)
     u = stripped.T // 2
-    view = make_cost_view(stripped, store, read_arcs(stripped, store), (u, stripped.T - 2))
-    init = benchmark(pre_stock(stripped, read_arcs(stripped, store), cs_mode=False), u, view.cap(u))
+    view = make_cost_view(stripped, (u, stripped.T - 2))
+    init = benchmark(pre_stock(stripped, cs_mode=False), u, view.cap(u))
     assert len(init) == view.cap(u) + 1
 
 
 @pytest.mark.parametrize("cls", ["C3LS", "C1Peaks"])
 def test_path_greedy(benchmark, cls):
     """One window-flow pass (``path_greedy`` on the network of start 1)."""
-    _, store, stripped = _root(cls)
-    bounds = window_flow_bounds(stripped, read_arcs(stripped, store), cs_mode=False)
+    _, _, stripped = _root(cls)
+    bounds = window_flow_bounds(stripped, cs_mode=False)
     out = benchmark(bounds, 1)
     assert len(out) == stripped.T
 
@@ -145,8 +145,8 @@ def test_path_greedy(benchmark, cls):
 def test_compute_decomposition(benchmark, cls):
     """One root decomposition: every window bound (exact DP or flow pass)
     and the scheduling recurrence, what each WISP pass starts with."""
-    _, store, stripped = _root(cls)
-    decomp = benchmark(compute_decomposition, stripped, store)
+    _, _, stripped = _root(cls)
+    decomp = benchmark(compute_decomposition, stripped)
     assert len(decomp.subproblems) == stripped.T * (stripped.T - 1) // 2
 
 
@@ -160,7 +160,7 @@ def test_filter_with_dp(benchmark, cls, bound):
     against the optimum plus 0.5 % (near). On C1LS the near bound sends 35
     of the 40 periods, each over 2^14 survivor pairs, to ``dp._support``."""
     _, store, stripped = _root(cls)
-    fwd, bwd = window_tables(stripped, store, None, cs_mode=False)
+    fwd, bwd = window_tables(stripped, None, cs_mode=False)
     opt = json.loads(REFERENCES.read_text())["optima"][cls]["1"]
     if bound == "given":
         ub = opt - stripped.c_min
@@ -181,7 +181,7 @@ def test_trace_plan(benchmark, cls):
     """Argmin-plan extraction from the root's whole-horizon cost table, the
     plan the search is offered as its incumbent."""
     inst, store, stripped = _root(cls)
-    fwd, _ = window_tables(stripped, store, None, cs_mode=False)
+    fwd, _ = window_tables(stripped, None, cs_mode=False)
     ls = LotSizingConstraint(inst, store)
     plan = benchmark(ls._trace_plan, fwd, stripped)
     assert plan.c == int(fwd.optimum()) + fwd.sunk + stripped.c_min
@@ -221,6 +221,14 @@ def test_closing_root_propagate(benchmark, cls):
     assert res is PropagateResult.CLOSED
 
 
+@pytest.mark.parametrize("cls", ["C3QR", "C1Peaks"])
+def test_strip(benchmark, cls):
+    """The snapshot of a root's domains that every stage of a pass reads:
+    the stripped instance with its arc data, Y bounds and X/I intervals."""
+    inst, store, stripped = _root(cls)
+    assert benchmark(strip_lower_bounds, inst, store) == stripped
+
+
 @pytest.mark.parametrize("cls", ["C3LS", "C1Peaks"])
 def test_bc_feasibility(benchmark, cls):
     """Bound consistency on a fresh store: the array sweep and its write-back."""
@@ -233,8 +241,8 @@ def test_bc_feasibility(benchmark, cls):
 
 @pytest.mark.parametrize("cls", ["C3LS", "C1Peaks"])
 def test_flow_bounds(benchmark, cls):
-    """The four flow relaxations of a root: one reading of the arcs, four
-    greedy passes."""
+    """The four flow relaxations of a root: four greedy passes over the
+    strip's arcs."""
     inst, store, stripped = _root(cls)
     ls = LotSizingConstraint(inst, store)
     st = benchmark(ls._flow_bounds, stripped)

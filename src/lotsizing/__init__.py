@@ -7,10 +7,8 @@ from .dp import (
     window_tables,
 )
 from .flow import (
-    Arcs,
     FlowMode,
     min_cost_flow,
-    read_arcs,
 )
 from .instance import (
     INSTANCE_CLASSES,
@@ -63,11 +61,9 @@ __all__ = [
     "DpTable",
     "filter_with_dp",
     "window_tables",
-    "Arcs",
     "FlowMode",
     "complete_when_setups_fixed",
     "min_cost_flow",
-    "read_arcs",
     "INSTANCE_CLASSES",
     "GeneratorParams",
     "Instance",

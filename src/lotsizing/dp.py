@@ -3,8 +3,12 @@
 The forward table f(b, i) holds the cheapest way to serve the demands of
 periods u..b-1 and end boundary b (= end of period b-1) with i units in
 stock; the backward table mirrors it from the other side. Both honor the
-current search domains. Setting unit and holding costs to zero gives the
-knapsack-style variant that lower-bounds the setup cost alone.
+domains the stripped instance was read from, the one reading of the store
+per propagation pass (``instance.strip_lower_bounds``): its capacities,
+setup charges and sunk setups, and its X and I intervals for holes. The
+filter reads the same snapshot and only writes the store. Setting unit and
+holding costs to zero gives the knapsack-style variant that lower-bounds
+the setup cost alone.
 
 Tables drive three filtering rules against a cost upper bound: inventory
 bounds move past the values whose through-path exceeds the bound (inventory
@@ -61,7 +65,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .domains import DomainStore, Status, iv_from_mask, iv_intersect, iv_mask, iv_normalize, iv_shift, merge
-from .flow import Arcs, pre_stock, read_arcs
+from .flow import pre_stock
 from .instance import StrippedInstance
 
 INF = math.inf
@@ -126,15 +130,13 @@ class CostView:
 
 def make_cost_view(
     stripped: StrippedInstance,
-    store: DomainStore,
-    arcs: Arcs,
     window: tuple[int, int] | None = None,
     cs_mode: bool = False,
 ) -> CostView:
-    """The cost view of ``window`` (the whole horizon when None). Capacities,
-    setup charges and sunk setups come from ``arcs``, the current domains'
-    (``flow.read_arcs``); a suffix window also reads the production and
-    inventory domains for their holes."""
+    """The cost view of ``window`` (the whole horizon when None), read from
+    the stripped instance's capacities, setup charges and sunk setups; a
+    suffix window also reads its production and inventory domains for their
+    holes."""
     u, v = (0, stripped.T - 1) if window is None else window
     if not (0 <= u <= v <= stripped.T - 1):
         raise ValueError(f"bad window ({u}, {v}) for horizon {stripped.T}")
@@ -151,9 +153,9 @@ def make_cost_view(
 
     x_piece = []
     for t in range(u, v + 1):
-        cap = arcs.cap[t]
+        cap = stripped.x_cap[t]
         if full_domains:
-            ivs = iv_shift(store.intervals(("X", t)), -stripped.x_off[t])
+            ivs = stripped.x_ivs[t]
             x0 = any(lo <= 0 <= hi for lo, hi in ivs)
             runs = [(max(lo, 1), min(hi, cap)) for lo, hi in ivs if min(hi, cap) >= max(lo, 1)]
         else:
@@ -167,11 +169,11 @@ def make_cost_view(
             row_cap.append(0)
             i_masks.append(None)
             continue
-        cap = min(arcs.inv_cap[b - 1], tail[b])
+        cap = min(stripped.i_cap[b - 1], tail[b])
         row_cap.append(cap)
         mask = None
         if full_domains:
-            ivs = iv_shift(store.intervals(("I", b - 1)), -stripped.i_off[b - 1])
+            ivs = stripped.i_ivs[b - 1]
             if len(ivs) > 1 or ivs[0][0] > 0:
                 mask = iv_mask(ivs, 0, cap)
         i_masks.append(mask)
@@ -183,9 +185,9 @@ def make_cost_view(
         d=d,
         p=p,
         h=h,
-        s_charge=tuple(arcs.charge[u : v + 1]),
-        sunk=sum(arcs.sunk[u : v + 1]),
-        x_cap=tuple(arcs.cap[u : v + 1]),
+        s_charge=stripped.charge[u : v + 1],
+        sunk=sum(stripped.sunk[u : v + 1]),
+        x_cap=stripped.x_cap[u : v + 1],
         x_piece=x_piece,
         row_cap=tuple(row_cap),
         i_masks=i_masks,
@@ -432,17 +434,15 @@ def _backward_rows(view: CostView) -> list[np.ndarray]:
 
 def window_tables(
     stripped: StrippedInstance,
-    store: DomainStore,
     window: tuple[int, int] | None,
     cs_mode: bool,
 ) -> tuple[DpTable, DpTable]:
-    """Matched forward/backward tables sharing one cost view and one reading
-    of the arcs. The backward table is built on its first read, so callers
-    that stop at the forward table never pay for it."""
-    arcs = read_arcs(stripped, store)
-    view = make_cost_view(stripped, store, arcs, window, cs_mode)
+    """Matched forward/backward tables sharing one cost view. The backward
+    table is built on its first read, so callers that stop at the forward
+    table never pay for it."""
+    view = make_cost_view(stripped, window, cs_mode)
     u = view.u
-    prestock = pre_stock(stripped, arcs, cs_mode)(u, view.cap(u)) if u else np.zeros(1)
+    prestock = pre_stock(stripped, cs_mode)(u, view.cap(u)) if u else np.zeros(1)
     fwd = _build_forward(view, prestock)
     bwd = DpTable(forward=False, view=view, build=lambda: _backward_rows(view))
     return fwd, bwd
@@ -675,6 +675,8 @@ def filter_with_dp(
 ) -> Status:
     """Remove inventory/production/setup values not supported under the bound.
 
+    The tables and ``stripped`` describe the domains to filter; ``store``
+    is only written, each domain cut to the values that keep a support.
     ``cost_ub`` caps the stripped cost of the window's plan: on the whole
     horizon the variable's upper bound minus the mandatory baseline, on a
     window that less what the rest of the plan costs at least. The window's
@@ -712,7 +714,7 @@ def filter_with_dp(
     for k in range(1, view.v - view.u + 2):
         t = view.u + k - 1
         i_off = stripped.i_off[t]
-        width = max(store.max(("I", t)) - i_off, view.row_cap[k]) + 1
+        width = stripped.i_cap[t] + 1
         lo, hi = (surv.first[k], surv.last[k]) if surv.count[k] else (width, -1)
         if windowed and view.tail[k] < width:
             lo, hi = min(lo, view.tail[k]), width - 1
@@ -732,20 +734,20 @@ def filter_with_dp(
         k = t - view.u
         d, sc = view.d[k], view.s_charge[k]
         x_off = stripped.x_off[t]
-        dom = store.intervals(("X", t))
+        dom = stripped.x_ivs[t]
         xcap = view.x_cap[k]
-        width = max(dom[-1][1] - x_off, xcap) + 1
+        width = dom[-1][1] + 1
         thr = view.tail[k + 1] if windowed else width
         fit = fits[k]
         if fit is not None:
             x0, runs = view.x_runs(t)
-            allowed = iv_intersect(iv_shift(dom, -x_off), (((0, 0),) if x0 else ()) + tuple(runs))
+            allowed = iv_intersect(dom, (((0, 0),) if x0 else ()) + tuple(runs))
             sup_ivs = iv_intersect(allowed, ((max(fit[0], 0), min(fit[1], xcap, thr - 1)),))
             if not sup_ivs and thr >= width:
                 return Status.FAILED
             keep = iv_normalize(sup_ivs + ((thr, width - 1),))
         else:
-            cand = view.x_allow_mask(t) & iv_mask(iv_shift(dom, -x_off), 0, xcap)
+            cand = view.x_allow_mask(t) & iv_mask(dom, 0, xcap)
             cand[thr:] = False
             if k in pairs:
                 sup = pairs[k][0] & cand
@@ -761,7 +763,7 @@ def filter_with_dp(
             if not supported.any():
                 return Status.FAILED
             keep = iv_from_mask(supported, 0)
-        st = store.set_intervals(("X", t), iv_intersect(dom, iv_shift(keep, x_off)))
+        st = store.set_intervals(("X", t), iv_intersect(store.intervals(("X", t)), iv_shift(keep, x_off)))
         if st is Status.FAILED:
             return Status.FAILED
         status = merge(status, st)
@@ -769,8 +771,9 @@ def filter_with_dp(
         # Setup-value rule: if even the cheapest completion that keeps
         # Y_t = 1 (producing, or paying the setup idle) busts the bound,
         # Y_t must be 0. Only stated on suffix windows, where the table
-        # is exact for the in-window plan.
-        if not windowed and sc > 0 and store.min(("Y", t)) == 0 and store.max(("Y", t)) == 1:
+        # is exact for the in-window plan. A setup charge is payable only
+        # while Y_t is free.
+        if not windowed and sc > 0:
             if fit is not None:
                 producing = bool(sup_ivs) and sup_ivs[-1][1] >= 1
                 idle = x0 and fit[0] <= 0 <= fit[1]

@@ -2,16 +2,16 @@
 
 The linear relaxation of the problem is a min-cost flow on a path-shaped
 network: a source feeds per-period production arcs, inventory arcs chain the
-periods, and each period ships its demand to the sink. ``read_arcs`` is the
-one place where the domains become arc data: per period the production
-capacity (0 when Y = 0), the setup charge still payable, the setup sunk once
-Y = 1, and the inventory capacity. Production arcs amortize the payable
-setup over the capacity (``p_t + s_t / cap_t``), which is what makes the
-relaxation valid; the amortized setups are integer rates over one common
-scale, the lcm of the cap_t / gcd(s_t, cap_t). Restricting the cost vector
-gives dedicated lower bounds for the production-cost, holding-cost and
-setup-cost variables (``relaxation``): four cost vectors over one reading
-of the arcs.
+periods, and each period ships its demand to the sink. The arc data come
+from the stripped instance, the one reading of the domains per pass: per
+period the production capacity (0 when Y = 0), the setup charge still
+payable, the setup sunk once Y = 1, and the inventory capacity. Production
+arcs amortize the payable setup over the capacity (``p_t + s_t / cap_t``),
+which is what makes the relaxation valid; the amortized setups are integer
+rates over one common scale, the lcm of the cap_t / gcd(s_t, cap_t).
+Restricting the cost vector gives dedicated lower bounds for the
+production-cost, holding-cost and setup-cost variables (``relaxation``):
+four cost vectors over the same arcs.
 
 One integer greedy, ``path_greedy``, solves every instance of this network:
 the whole-horizon relaxations (``min_cost_flow``), the flow bounds of all
@@ -27,12 +27,9 @@ from __future__ import annotations
 import enum
 import heapq
 import math
-from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .domains import DomainStore
 from .instance import StrippedInstance
 
 
@@ -43,44 +40,7 @@ class FlowMode(enum.Enum):
     CS_ONLY = "cs_only"
 
 
-@dataclass
-class Arcs:
-    """Arc data of the path network under one set of domains, per period t:
-    the production capacity ``cap`` (the strip's cap cut by max X, 0 when
-    Y = 0), the setup ``charge`` still payable (0 once Y is fixed), the
-    setup ``sunk`` when Y = 1, and the capacity ``inv_cap`` of I_t."""
-
-    cap: list[int]
-    charge: list[int]
-    sunk: list[int]
-    inv_cap: list[int]
-
-    @cached_property
-    def scale(self) -> int:
-        """The least scale that makes every amortized setup an integer."""
-        return math.lcm(*(c // math.gcd(s, c) for c, s in zip(self.cap, self.charge) if c and s))
-
-    @cached_property
-    def amort(self) -> list[int]:
-        """charge / cap (0 without capacity) times ``scale``, per period."""
-        scale = self.scale
-        return [s * scale // c if c else 0 for c, s in zip(self.cap, self.charge)]
-
-
-def read_arcs(stripped: StrippedInstance, store: DomainStore) -> Arcs:
-    """The arc data of ``stripped`` under the current domains."""
-    cap, charge, sunk, inv_cap = [], [], [], []
-    for t in range(stripped.T):
-        y_lo, y_hi = store.min(("Y", t)), store.max(("Y", t))
-        s = stripped.s[t]
-        cap.append(max(min(stripped.x_cap[t], store.max(("X", t)) - stripped.x_off[t]), 0) if y_hi else 0)
-        charge.append(s if y_lo < y_hi else 0)
-        sunk.append(s if y_lo else 0)
-        inv_cap.append(max(min(stripped.i_cap[t], store.max(("I", t)) - stripped.i_off[t]), 0))
-    return Arcs(cap, charge, sunk, inv_cap)
-
-
-def relaxation(stripped: StrippedInstance, arcs: Arcs, mode: FlowMode) -> tuple[list[int], list[int], int]:
+def relaxation(stripped: StrippedInstance, mode: FlowMode) -> tuple[list[int], list[int], int]:
     """``(rate, hold, scale)``: the integer production rates and holding
     costs of the ``mode`` network and the scale they are over. CP_ONLY keeps
     the unit costs p and CH_ONLY the holding costs, over scale 1; CS_ONLY
@@ -91,9 +51,9 @@ def relaxation(stripped: StrippedInstance, arcs: Arcs, mode: FlowMode) -> tuple[
     if mode is FlowMode.CH_ONLY:
         return zeros, list(stripped.h), 1
     if mode is FlowMode.CS_ONLY:
-        return arcs.amort, zeros, arcs.scale
-    scale = arcs.scale
-    return [p * scale + a for p, a in zip(stripped.p, arcs.amort)], [h * scale for h in stripped.h], scale
+        return stripped.amort, zeros, stripped.scale
+    scale = stripped.scale
+    return [p * scale + a for p, a in zip(stripped.p, stripped.amort)], [h * scale for h in stripped.h], scale
 
 
 def path_greedy(cap, rate, hold, inv_cap, demand) -> tuple[list[int], list[int], list[tuple[int, int]]]:
@@ -164,19 +124,19 @@ def path_greedy(cap, rate, hold, inv_cap, demand) -> tuple[list[int], list[int],
     return spent, prod_flow, stock
 
 
-def min_cost_flow(stripped: StrippedInstance, arcs: Arcs, mode: FlowMode) -> int | None:
+def min_cost_flow(stripped: StrippedInstance, mode: FlowMode) -> int | None:
     """The optimum of the ``mode`` relaxation rounded up, plus the sunk
     setups under FULL and CS_ONLY: a lower bound on the stripped cost that
     the mode restricts to. None when the demands cannot be met."""
-    rate, hold, scale = relaxation(stripped, arcs, mode)
-    spent, _, _ = path_greedy(arcs.cap, rate, hold, arcs.inv_cap, stripped.d)
+    rate, hold, scale = relaxation(stripped, mode)
+    spent, _, _ = path_greedy(stripped.x_cap, rate, hold, stripped.i_cap, stripped.d)
     if len(spent) < stripped.T:
         return None
-    sunk = sum(arcs.sunk) if mode in (FlowMode.FULL, FlowMode.CS_ONLY) else 0
+    sunk = sum(stripped.sunk) if mode in (FlowMode.FULL, FlowMode.CS_ONLY) else 0
     return -(-spent[-1] // scale) + sunk
 
 
-def window_flow_bounds(stripped: StrippedInstance, arcs: Arcs, cs_mode: bool):
+def window_flow_bounds(stripped: StrippedInstance, cs_mode: bool):
     """Flow bounds of the windows (u, v), one greedy pass per start u.
 
     The pass for start u runs on the network of window (u, T-1): demands
@@ -187,24 +147,24 @@ def window_flow_bounds(stripped: StrippedInstance, arcs: Arcs, cs_mode: bool):
     once a demand cannot be met); entries before u are unused.
     """
     T = stripped.T
-    rate_in, hold, scale = relaxation(stripped, arcs, FlowMode.CS_ONLY if cs_mode else FlowMode.FULL)
+    rate_in, hold, scale = relaxation(stripped, FlowMode.CS_ONLY if cs_mode else FlowMode.FULL)
     rate_out = [0 if cs_mode else p * scale for p in stripped.p]
 
     def bounds(u: int) -> list[float]:
         rate = rate_out[:u] + rate_in[u:]
         demand = [0] * u + list(stripped.d[u:])
-        spent, _, _ = path_greedy(arcs.cap, rate, hold, arcs.inv_cap, demand)
+        spent, _, _ = path_greedy(stripped.x_cap, rate, hold, stripped.i_cap, demand)
         out = [math.inf] * T
         paid = 0
         for v in range(u, len(spent)):
-            paid += arcs.sunk[v]
+            paid += stripped.sunk[v]
             out[v] = float(-(-spent[v] // scale) + paid)
         return out
 
     return bounds
 
 
-def pre_stock(stripped: StrippedInstance, arcs: Arcs, cs_mode: bool):
+def pre_stock(stripped: StrippedInstance, cs_mode: bool):
     """Cheapest ways to enter a window with stock, one greedy pass per start.
 
     Returns ``row(u, q_max)``, whose entry q = 0..q_max is the cheapest way
@@ -212,7 +172,7 @@ def pre_stock(stripped: StrippedInstance, arcs: Arcs, cs_mode: bool):
     DP's state convention of paying h_{u-1} on them. Before its window a
     sub-problem has no demand and no setups, so the stock is what
     ``path_greedy`` holds after a zero-demand run over periods 0..u-1 of
-    the arcs' capacities at unit costs p and h (0 in ``cs_mode``):
+    the stripped capacities at unit costs p and h (0 in ``cs_mode``):
     eviction at each inventory arc keeps the cheapest units that fit, so
     its cheapest q units are the cheapest q that can reach u.
     """
@@ -222,7 +182,7 @@ def pre_stock(stripped: StrippedInstance, arcs: Arcs, cs_mode: bool):
     def row(u: int, q_max: int) -> np.ndarray:
         out = np.full(q_max + 1, math.inf)
         out[0] = 0.0
-        _, _, stock = path_greedy(arcs.cap[:u], rate, hold, arcs.inv_cap, zeros)
+        _, _, stock = path_greedy(stripped.x_cap[:u], rate, hold, stripped.i_cap, zeros)
         costs, amts = [], []
         got = 0
         for cost, units in sorted(stock):

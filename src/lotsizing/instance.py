@@ -17,10 +17,13 @@ This module owns:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
+from .domains import DomainStore, Ivs, iv_shift
 from .rng import SplitMix64
 
 
@@ -151,12 +154,20 @@ def validate_and_normalize(inst: Instance) -> Instance:
 
 @dataclass(frozen=True)
 class StrippedInstance:
-    """Equivalent problem with all production/inventory lower bounds at zero.
+    """Equivalent problem with all production/inventory lower bounds at zero,
+    read from one set of domains: the snapshot a propagation pass reads.
 
     ``x_off[t]`` / ``i_off[t]`` are the per-period amounts subtracted from
     X_t / I_t; adding them back maps a solution of the stripped problem onto
     the original. The baseline tuple (cp_min, ch_min, cs_min, c_min) is the
     cost of those mandatory quantities.
+
+    Per period it carries the arc data of the path network: the production
+    and inventory capacities ``x_cap`` (0 when Y = 0) and ``i_cap``, the
+    setup ``charge`` still payable (0 once Y is fixed) and the setup
+    ``sunk`` when Y = 1. It also keeps the Y bounds and the X and I domains
+    shifted by the offsets (``x_ivs``, ``i_ivs``), whose holes the DP
+    honors.
     """
 
     T: int
@@ -172,29 +183,49 @@ class StrippedInstance:
     ch_min: int
     cs_min: int
     c_min: int
+    charge: tuple[int, ...]
+    sunk: tuple[int, ...]
+    y_lo: tuple[int, ...]
+    y_hi: tuple[int, ...]
+    x_ivs: tuple[Ivs, ...]
+    i_ivs: tuple[Ivs, ...]
+
+    @cached_property
+    def scale(self) -> int:
+        """The least scale that makes every amortized setup
+        charge / x_cap an integer."""
+        return math.lcm(*(c // math.gcd(s, c) for c, s in zip(self.x_cap, self.charge) if c and s))
+
+    @cached_property
+    def amort(self) -> list[int]:
+        """charge / x_cap (0 without capacity) times ``scale``, per period."""
+        scale = self.scale
+        return [s * scale // c if c else 0 for c, s in zip(self.x_cap, self.charge)]
 
 
-def strip_lower_bounds(
-    inst: Instance,
-    x_min: Sequence[int] | None = None,
-    i_min: Sequence[int] | None = None,
-    x_max: Sequence[int] | None = None,
-    i_max: Sequence[int] | None = None,
-) -> StrippedInstance:
+def strip_lower_bounds(inst: Instance, store: DomainStore | None = None) -> StrippedInstance:
     """Remove lower bounds by treating them as mandatory quantities.
 
-    By default the instance's own alpha_lo/beta_lo are stripped; a propagator
-    passes the current (tighter) domain bounds instead. Demands become
-    ``d'[t] = d[t] + i_min[t] - x_min[t] - i_min[t-1]``; a negative adjusted
-    demand means the caller did not establish bound consistency first and is
-    reported as an error.
+    The domains are those of ``store`` (the instance's own bounds when
+    None); a propagator strips its store at the bound consistency fixpoint.
+    Demands become ``d'[t] = d[t] + i_min[t] - x_min[t] - i_min[t-1]``; a
+    negative adjusted demand means the caller did not establish bound
+    consistency first and is reported as an error.
     """
-    xm = list(inst.alpha_lo) if x_min is None else [int(v) for v in x_min]
-    im = list(inst.beta_lo) if i_min is None else [int(v) for v in i_min]
-    xM = list(inst.alpha_hi) if x_max is None else [int(v) for v in x_max]
-    iM = list(inst.beta_hi) if i_max is None else [int(v) for v in i_max]
     T = inst.T
-    d2, s2, xcap, icap = [], [], [], []
+    if store is None:
+        x_doms = [((lo, hi),) for lo, hi in zip(inst.alpha_lo, inst.alpha_hi)]
+        i_doms = [((lo, hi),) for lo, hi in zip(inst.beta_lo, inst.beta_hi)]
+        y_doms = [((0, 1),)] * T
+    else:
+        x_doms = [store.intervals(("X", t)) for t in range(T)]
+        i_doms = [store.intervals(("I", t)) for t in range(T)]
+        y_doms = [store.intervals(("Y", t)) for t in range(T)]
+    xm = [ivs[0][0] for ivs in x_doms]
+    im = [ivs[0][0] for ivs in i_doms]
+    y_lo = tuple(ivs[0][0] for ivs in y_doms)
+    y_hi = tuple(ivs[-1][1] for ivs in y_doms)
+    d2, s2 = [], []
     for t in range(T):
         prev_im = im[t - 1] if t > 0 else 0
         dt = inst.d[t] + im[t] - xm[t] - prev_im
@@ -205,8 +236,6 @@ def strip_lower_bounds(
             )
         d2.append(dt)
         s2.append(0 if xm[t] > 0 else inst.s[t])
-        xcap.append(xM[t] - xm[t])
-        icap.append(iM[t] - im[t])
     cp_min = sum(inst.p[t] * xm[t] for t in range(T))
     ch_min = sum(inst.h[t] * im[t] for t in range(T))
     cs_min = sum(inst.s[t] for t in range(T) if xm[t] > 0)
@@ -216,14 +245,20 @@ def strip_lower_bounds(
         p=inst.p,
         h=inst.h,
         s=tuple(s2),
-        x_cap=tuple(xcap),
-        i_cap=tuple(icap),
+        x_cap=tuple(ivs[-1][1] - lo if hi else 0 for ivs, lo, hi in zip(x_doms, xm, y_hi)),
+        i_cap=tuple(ivs[-1][1] - lo for ivs, lo in zip(i_doms, im)),
         x_off=tuple(xm),
         i_off=tuple(im),
         cp_min=cp_min,
         ch_min=ch_min,
         cs_min=cs_min,
         c_min=cp_min + ch_min + cs_min,
+        charge=tuple(s if lo < hi else 0 for s, lo, hi in zip(s2, y_lo, y_hi)),
+        sunk=tuple(s if lo else 0 for s, lo in zip(s2, y_lo)),
+        y_lo=y_lo,
+        y_hi=y_hi,
+        x_ivs=tuple(iv_shift(ivs, -lo) if lo else ivs for ivs, lo in zip(x_doms, xm)),
+        i_ivs=tuple(iv_shift(ivs, -lo) if lo else ivs for ivs, lo in zip(i_doms, im)),
     )
 
 
@@ -269,8 +304,6 @@ class GeneratorParams:
 
 
 def _round_half_up(x: float) -> int:
-    import math
-
     return int(math.floor(x + 0.5))
 
 

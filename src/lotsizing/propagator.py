@@ -11,17 +11,14 @@ sweeps).
 fixpoint: when every setup variable is fixed the plan is completed by the
 exact path-network flow; otherwise, and when the flow plan lands in a
 production hole or busts a component cap, lower bounds are pulled from the
-four cost-restricted flow relaxations and the whole-horizon DP. Every stage
-reads the domains' arc data (capacities, payable and sunk setups) through
-``flow.read_arcs``: the four relaxations share one reading, and so do the
-windows of one decomposition. Under ``filter_mode="auto"`` the DP runs when
-one of its tables holds at most 2**20 states (``dp.table_fits``); above
-that, the node keeps the flow bounds alone. A node with every setup fixed
-takes the DP whenever its table fits, under either mode, so a plan in a
-hole is closed by the DP plan's offer. The paper's interval-decomposition
-bound and windowed filtering run only under ``filter_mode="wisp"``, where
-the fixed threshold ``wisp._WINDOW_BUDGET`` decides which of their windows
-are exact. Inventory domains are filtered to bounds, the paper's contract;
+four cost-restricted flow relaxations and the whole-horizon DP. Under
+``filter_mode="auto"`` the DP runs when one of its tables holds at most
+2**20 states (``dp.table_fits``); above that, the node keeps the flow
+bounds alone. A node with every setup fixed takes the DP whenever its table
+fits, under either mode, so a plan in a hole is closed by the DP plan's
+offer. The paper's interval-decomposition bound and windowed filtering run
+only under ``filter_mode="wisp"``, where the fixed threshold
+``wisp._WINDOW_BUDGET`` decides which of their windows are exact. Inventory domains are filtered to bounds, the paper's contract;
 production domains keep the holes the DP's support test punches.
 
 The argmin plan of the DP's cost table is offered to the search, which
@@ -32,23 +29,34 @@ cheaper: propagation stops there and reports the node ``CLOSED``.
 One pass runs: BC and the strip; the completion of fully set plans; then,
 on a node the whole-horizon DP serves, the C table and its plan offer (the
 closing test), the four flow relaxations only if the node stays open, the C
-filter, and the Cs table; elsewhere the flow relaxations, then the WISP
-stage under ``wisp`` (nothing more above the cap under ``auto``); last the
-cost identity C = Cp + Ch + Cs. Closing first changes no answer: the DP
-optimum dominates the FULL flow bound, and the offer's cap check reads only
-cost maxima, which the flows never lower. The flows run before the C filter
-so that they read the strip of the epoch at which BC last ran. The Cs table
-only raises min Cs (the setup-only bound): its filter would keep every plan
-that the C filter keeps (see ``_dp_stage``).
+filter, and the Cs table only if that filter moved no X/I/Y domain;
+elsewhere the flow relaxations, then the WISP stage under ``wisp`` (nothing
+more above the cap under ``auto``); last the cost identity C = Cp + Ch + Cs.
+Closing first changes no answer: the DP optimum dominates the FULL flow
+bound, and the offer's cap check reads only cost maxima, which the flows
+never lower. The Cs table only raises min Cs (the setup-only bound): its
+filter would keep every plan that the C filter keeps (see ``_dp_stage``).
+
+The strip (``instance.strip_lower_bounds``) is the one reading of the
+domains per pass: built once per plan epoch at which BC ran, it carries the
+arc data (capacities, payable and sunk setups), the Y bounds and the X/I
+intervals, and every stage reads it in place of the store. It describes
+the store as it stands until a filter writes X/I/Y: the C filter runs after
+every other whole-horizon reader, and a Cs table that would follow a moving
+C filter waits for the next pass and its fresh strip. The WISP stage reads
+the strip it starts with for both decompositions and every support window;
+the store its support filter narrows is only written, so later windows
+filter on wider domains, which stays sound.
 
 A stage reruns only when what it reads has changed. ``propagate`` iterates
 until a pass leaves ``mod_count`` alone, but across passes, calls and
 backtracks the constraint keeps, per stage, the store reading at which it
 last ran (``_keys``), keyed on the store's ``plan_epoch`` (X/I/Y changes
 and restoring pops). BC and the strip, the flow relaxations and the Cs
-table rerun when the epoch has moved: with the plan variables unchanged BC
-is at its fixpoint, the strip is the same, and the cost minima the flows
-and the table raised can only have risen since. The C table, its offer and
+table rerun when the epoch has moved (the Cs table on a pass at the strip's
+epoch): with the plan variables unchanged BC is at its fixpoint, the strip
+is the same, and the cost minima the flows and the table raised can only
+have risen since. The C table, its offer and
 the C filter rerun when the epoch or max C has moved; the offer's closing
 test also reads min C, but the table has just raised it to the plan's cost.
 The WISP stage reruns when the epoch, max Cs or max C has moved since the
@@ -78,7 +86,7 @@ from .domains import (
     write_back,
 )
 from .dp import DpTable, filter_with_dp, table_fits, window_tables
-from .flow import FlowMode, min_cost_flow, path_greedy, read_arcs
+from .flow import FlowMode, min_cost_flow, path_greedy
 from .instance import Instance, StrippedInstance, strip_lower_bounds
 from .solution import Solution
 
@@ -177,38 +185,23 @@ def bc_feasibility(store: DomainStore, inst: Instance) -> tuple[Status, dict]:
     return write_back(store, bounds, start, wipeout), wakes
 
 
-def _strip(inst: Instance, store: DomainStore) -> StrippedInstance:
-    """The instance with the current domain bounds stripped (needs BC)."""
-    T = inst.T
-    return strip_lower_bounds(
-        inst,
-        x_min=[store.min(("X", t)) for t in range(T)],
-        i_min=[store.min(("I", t)) for t in range(T)],
-        x_max=[store.max(("X", t)) for t in range(T)],
-        i_max=[store.max(("I", t)) for t in range(T)],
-    )
-
-
-def complete_when_setups_fixed(inst: Instance, store: DomainStore) -> Solution | None:
+def complete_when_setups_fixed(inst: Instance, stripped: StrippedInstance) -> Solution | None:
     """Cheapest plan consistent with fully fixed setup decisions, or None.
 
     With every setup fixed, the rest is the path network with unit costs p
-    and h and the sunk setups as a constant. The store must be at its bound
-    consistency fixpoint (``propagate`` guarantees it), which makes the
-    current lower bounds strippable; the greedy then ships the stripped
+    and h and the sunk setups as a constant. ``stripped`` must be read at
+    the bound consistency fixpoint (``propagate`` guarantees it), where its
+    capacities are those of the arcs; the greedy then ships the stripped
     demands exactly. The costs are integers, so the optimum is integral.
     The plan solves the interval hull of the domains: production holes are
     ignored, so None proves the domains infeasible and the plan's cost is a
     lower bound, but the plan itself may land in a hole.
     """
-    stripped = _strip(inst, store)
-    arcs = read_arcs(stripped, store)
-    spent, prod_flow, _ = path_greedy(arcs.cap, stripped.p, stripped.h, arcs.inv_cap, stripped.d)
+    spent, prod_flow, _ = path_greedy(stripped.x_cap, stripped.p, stripped.h, stripped.i_cap, stripped.d)
     if len(spent) < inst.T:
         return None
     x = [stripped.x_off[t] + prod_flow[t] for t in range(inst.T)]
-    y = [store.value(("Y", t)) for t in range(inst.T)]
-    return Solution.from_plan(inst, x, y)
+    return Solution.from_plan(inst, x, list(stripped.y_lo))
 
 
 FILTER_MODES = ("auto", "wisp")
@@ -227,8 +220,8 @@ class LotSizingConstraint:
         if self.filter_mode not in FILTER_MODES:
             raise ValueError(f"unknown filter_mode {self.filter_mode!r}; known: {', '.join(FILTER_MODES)}")
         # Per stage, the store reading at which it last ran (see the module
-        # docstring); BC's entry also dates the cached strip and whether its
-        # whole-horizon table fits.
+        # docstring); BC's entry also dates the strip, the snapshot of the
+        # domains every stage reads, and whether its whole-horizon table fits.
         self._keys: dict[str, object] = {}
         self._stripped: StrippedInstance | None = None
         self._fits = False
@@ -237,9 +230,6 @@ class LotSizingConstraint:
         self._trivial_caps = self.instance.max_cost_bounds()
 
     # -- helpers ------------------------------------------------------------
-
-    def _all_y_fixed(self) -> bool:
-        return all(self.store.is_fixed(("Y", t)) for t in range(self.instance.T))
 
     def _check_cost_caps(self, sol: Solution) -> bool:
         s = self.store
@@ -302,7 +292,7 @@ class LotSizingConstraint:
                 j = top
             x[t] = top - j + stripped.x_off[t]
             i_state = j
-        y = [1 if x[t] > 0 or self.store.min(("Y", t)) == 1 else 0 for t in range(T)]
+        y = [1 if x[t] > 0 or stripped.y_lo[t] == 1 else 0 for t in range(T)]
         return Solution.from_plan(self.instance, x, y)
 
     # -- main entry -----------------------------------------------------------
@@ -318,14 +308,14 @@ class LotSizingConstraint:
             if store.plan_epoch != self._keys.get("bc"):
                 if bc_feasibility(store, self.instance)[0] is Status.FAILED:
                     return PropagateResult.FAILED, None
-                self._stripped = _strip(self.instance, store)
+                self._stripped = strip_lower_bounds(self.instance, store)
                 self._fits = table_fits(self._stripped)
                 self._keys["bc"] = store.plan_epoch
             stripped = self._stripped
 
-            all_y_fixed = self._all_y_fixed()
+            all_y_fixed = stripped.y_lo == stripped.y_hi
             if all_y_fixed:
-                res = self._try_complete()
+                res = self._try_complete(stripped)
                 if res is not None:
                     return res
 
@@ -361,7 +351,7 @@ class LotSizingConstraint:
             for t in range(self.instance.T)
         )
 
-    def _try_complete(self) -> tuple[PropagateResult, Solution | None] | None:
+    def _try_complete(self, stripped: StrippedInstance) -> tuple[PropagateResult, Solution | None] | None:
         """All Y fixed: instantiate the rest by the exact flow completion, or
         report failure.
 
@@ -374,9 +364,8 @@ class LotSizingConstraint:
         to the flow relaxations. With every X fixed, a plan that busts a
         component cap fails there.
         """
-        store = self.store
-        sol = complete_when_setups_fixed(self.instance, store)
-        if sol is None or sol.c > store.max(("C", 0)):
+        sol = complete_when_setups_fixed(self.instance, stripped)
+        if sol is None or sol.c > self.store.max(("C", 0)):
             return PropagateResult.FAILED, None
         if self._check_cost_caps(sol) and self._in_domains(sol):
             if self._assign_solution(sol) is Status.FAILED:
@@ -394,18 +383,17 @@ class LotSizingConstraint:
         return status
 
     def _flow_bounds(self, stripped: StrippedInstance) -> Status:
-        """Raise the cost minima from the four flow relaxations: one reading
-        of the arcs, four cost vectors."""
+        """Raise the cost minima from the four flow relaxations: four cost
+        vectors over the strip's arcs."""
         store = self.store
         status = Status.UNCHANGED
-        arcs = read_arcs(stripped, store)
         for mode, var, base in (
             (FlowMode.CP_ONLY, "Cp", stripped.cp_min),
             (FlowMode.CH_ONLY, "Ch", stripped.ch_min),
             (FlowMode.CS_ONLY, "Cs", stripped.cs_min),
             (FlowMode.FULL, "C", stripped.c_min),
         ):
-            bound = min_cost_flow(stripped, arcs, mode)
+            bound = min_cost_flow(stripped, mode)
             if bound is None:
                 return Status.FAILED
             status = merge(status, store.set_min((var, 0), bound + base))
@@ -419,21 +407,21 @@ class LotSizingConstraint:
         The C table, its plan offer and the C filter rerun when the plan
         epoch or max C has moved. The table raises min C and its argmin plan
         is offered; if the plan closes the node, nothing else runs.
-        Otherwise the flow bounds run, on the strip of the epoch at which BC
-        last ran, before the filter narrows X/I/Y against max C. The Cs
-        (setup-only) table reruns when the plan epoch has moved and only
-        raises min Cs, the paper's knapsack bound: it reads no cost maximum,
-        and a filter against max Cs would remove nothing. A plan the C
-        filter keeps costs at most max C, so its Cs is at most max C less
-        the other components' minima, and no rule on this route lowers max
-        Cs below that."""
+        Otherwise the flow bounds run, before the filter narrows X/I/Y
+        against max C. The Cs (setup-only) table reruns when the plan epoch
+        has moved, on a pass that leaves the epoch at the strip's (the C
+        filter moved nothing or did not run), and only raises min Cs, the
+        paper's knapsack bound: it reads no cost maximum, and a filter
+        against max Cs would remove nothing. A plan the C filter keeps costs
+        at most max C, so its Cs is at most max C less the other components'
+        minima, and no rule on this route lowers max Cs below that."""
         store = self.store
         status = Status.UNCHANGED
         c_max = store.max(("C", 0))
         c_key = (store.plan_epoch, c_max)
         rerun = self._keys.get("C") != c_key
         if rerun:
-            fwd, bwd = window_tables(stripped, store, None, cs_mode=False)
+            fwd, bwd = window_tables(stripped, None, cs_mode=False)
             status = self._raise_to_optimum(fwd, "C", stripped.c_min)
             if status is Status.FAILED or self._offer_plan(fwd, stripped):
                 return status
@@ -445,8 +433,8 @@ class LotSizingConstraint:
             if status is Status.FAILED:
                 return status
             self._keys["C"] = c_key
-        if self._keys.get("Cs") != store.plan_epoch:
-            fwd, _ = window_tables(stripped, store, None, cs_mode=True)
+        if store.plan_epoch == self._keys["bc"] and self._keys.get("Cs") != store.plan_epoch:
+            fwd, _ = window_tables(stripped, None, cs_mode=True)
             status = merge(status, self._raise_to_optimum(fwd, "Cs", stripped.cs_min))
             if status is Status.FAILED:
                 return status
@@ -488,7 +476,7 @@ class LotSizingConstraint:
             (False, "C", stripped.c_min, self._trivial_caps[3]),
             (True, "Cs", stripped.cs_min, self._trivial_caps[2]),
         ):
-            decomp = wisp_mod.compute_decomposition(stripped, store, cs_mode=cs_mode)
+            decomp = wisp_mod.compute_decomposition(stripped, cs_mode=cs_mode)
             if any(math.isinf(s.w) for s in decomp.subproblems):
                 return Status.FAILED
             # Setups already sunk outside every support window are paid on
@@ -496,7 +484,7 @@ class LotSizingConstraint:
             covered = set()
             for u, v in decomp.support:
                 covered.update(range(u, v + 1))
-            extra = sum(s for t, s in enumerate(read_arcs(stripped, store).sunk) if t not in covered)
+            extra = sum(s for t, s in enumerate(stripped.sunk) if t not in covered)
             status = merge(status, store.set_min((var, 0), int(decomp.value) + extra + base))
             if status is Status.FAILED:
                 return status

@@ -220,7 +220,8 @@ def write_side_specs(specs: SideSpecs, path: str | Path) -> None:
     lines = []
     if specs.disjunction is not None:
         for t in sorted(specs.disjunction.intervals):
-            for lo, hi in specs.disjunction.intervals[t]:
+            # An empty tuple allows only X = 0, which `disj t 0 0` reads back as.
+            for lo, hi in specs.disjunction.intervals[t] or ((0, 0),):
                 lines.append(f"disj {t + 1} {lo} {hi}")
     if specs.qr is not None:
         lines.append(f"qr {specs.qr.Q} {specs.qr.R}")
@@ -240,6 +241,10 @@ def read_side_specs(path: str | Path) -> SideSpecs:
                 t, lo, hi = int(parts[1]) - 1, int(parts[2]), int(parts[3])
                 if t < 0:
                     raise ValueError("periods start at 1")
+                if lo < 0:
+                    raise ValueError("production values start at 0")
+                if lo > hi:
+                    raise ValueError("empty interval")
                 disj.setdefault(t, []).append((lo, hi))
             elif parts[0] == "qr" and len(parts) == 3:
                 qr = QRSpec(int(parts[1]), int(parts[2]))

@@ -15,6 +15,9 @@ pass per start period u: one forward table gives the exact bounds of all
 windows (u, v) that fit (``_window_bounder``), and one greedy pass over the
 path network (``flow.window_flow_bounds``) gives the flow bounds of the rest.
 Bounds are recomputed on every call; nothing is memoized across calls.
+Every window of a decomposition, and every support window its filter
+visits, reads one stripped instance: the snapshot of the domains that a
+propagation pass takes once (``instance.strip_lower_bounds``).
 The same recurrence run from either end bounds the cost spent strictly
 before or after a window; these offsets let the windowed DP tables filter
 domains against the global cost bound.
@@ -29,7 +32,7 @@ import numpy as np
 
 from .domains import DomainStore, Status, merge
 from .dp import _build_forward, filter_with_dp, make_cost_view, window_tables
-from .flow import Arcs, pre_stock, read_arcs, window_flow_bounds
+from .flow import pre_stock, window_flow_bounds
 from .instance import StrippedInstance
 
 DP_EXACT = "DP_EXACT"
@@ -55,7 +58,7 @@ class SubProblem:
 INF_BOUND = math.inf
 
 
-def _last_exact_ends(stripped: StrippedInstance, arcs: Arcs) -> list[int]:
+def _last_exact_ends(stripped: StrippedInstance) -> list[int]:
     """Per start u, the last end v whose window (u, v) gets the exact DP.
 
     The state proxy of a window is (v - u + 1) * (top + 1)^2, with top the
@@ -66,7 +69,7 @@ def _last_exact_ends(stripped: StrippedInstance, arcs: Arcs) -> list[int]:
     T = stripped.T
     dprefix = np.concatenate(([0], np.cumsum(stripped.d, dtype=np.int64)))
     total = int(dprefix[-1])
-    icap = np.minimum(np.array(arcs.inv_cap, dtype=np.int64), total)
+    icap = np.minimum(np.array(stripped.i_cap, dtype=np.int64), total)
     # caps[v, b - 1]: cap of boundary b = 1..T in windows ending at v. Caps of
     # boundaries past v + 1 are <= 0 and never raise the maximum.
     caps = np.minimum(icap[None, :], dprefix[1:, None] - dprefix[None, 1:])
@@ -78,8 +81,9 @@ def _last_exact_ends(stripped: StrippedInstance, arcs: Arcs) -> list[int]:
     return (starts - 1 + fits.sum(axis=1)).tolist()
 
 
-def _window_bounder(stripped: StrippedInstance, store: DomainStore, cs_mode: bool, arcs: Arcs):
-    """``bounds(u) -> [(w, kind) for v = u+1..T-1]`` under current domains.
+def _window_bounder(stripped: StrippedInstance, cs_mode: bool):
+    """``bounds(u) -> [(w, kind) for v = u+1..T-1]`` under the domains of
+    ``stripped``.
 
     Windows whose state proxy fits ``_WINDOW_BUDGET`` get the exact windowed DP
     (pre-stock seeded, zero end inventory): one forward table per start u on
@@ -91,26 +95,25 @@ def _window_bounder(stripped: StrippedInstance, store: DomainStore, cs_mode: boo
     windows take the flow relaxation, read from the greedy pass of start u.
     Each bound includes the setups already sunk inside its window; it is inf
     when even the relaxation is infeasible, which means the whole problem is.
-    Every part reads the same ``arcs`` of the current domains.
     """
     T = stripped.T
-    last_exact = _last_exact_ends(stripped, arcs)
-    flow_pass = window_flow_bounds(stripped, arcs, cs_mode)
-    prestock = pre_stock(stripped, arcs, cs_mode)
+    last_exact = _last_exact_ends(stripped)
+    flow_pass = window_flow_bounds(stripped, cs_mode)
+    prestock = pre_stock(stripped, cs_mode)
 
     def bounds(u: int) -> list[tuple[float, str]]:
         out = []
         end = last_exact[u]
         sweep_end = min(end, T - 2)
-        sweep = make_cost_view(stripped, store, arcs, (u, sweep_end), cs_mode) if sweep_end > u else None
-        suffix = make_cost_view(stripped, store, arcs, (u, T - 1), cs_mode) if end == T - 1 else None
+        sweep = make_cost_view(stripped, (u, sweep_end), cs_mode) if sweep_end > u else None
+        suffix = make_cost_view(stripped, (u, T - 1), cs_mode) if end == T - 1 else None
         caps = [view.cap(u) for view in (sweep, suffix) if view is not None]
         row = prestock(u, max(caps)) if caps else None
         if sweep is not None:
             rows = _build_forward(sweep, row).rows
-            paid = arcs.sunk[u]
+            paid = stripped.sunk[u]
             for v in range(u + 1, sweep_end + 1):
-                paid += arcs.sunk[v]
+                paid += stripped.sunk[v]
                 opt = float(rows[v + 1 - u][0])
                 out.append((INF_BOUND if math.isinf(opt) else opt + paid, DP_EXACT))
         if suffix is not None:
@@ -187,15 +190,10 @@ def dpwisp(subproblems: list[SubProblem], T: int) -> WispDecomposition:
     return WispDecomposition(T=T, subproblems=subproblems, best=best.tolist(), rbest=rbest.tolist(), support=support)
 
 
-def compute_decomposition(
-    stripped: StrippedInstance,
-    store: DomainStore,
-    cs_mode: bool = False,
-) -> WispDecomposition:
-    """Bound every window, one start period at a time, and schedule them.
-    The windows share one reading of the arcs."""
+def compute_decomposition(stripped: StrippedInstance, cs_mode: bool = False) -> WispDecomposition:
+    """Bound every window, one start period at a time, and schedule them."""
     T = stripped.T
-    bounds = _window_bounder(stripped, store, cs_mode, read_arcs(stripped, store))
+    bounds = _window_bounder(stripped, cs_mode)
     subs = [
         SubProblem(u, v, w, kind)
         for u in range(T - 1)
@@ -212,8 +210,12 @@ def wisp_support_filter(
     cs_mode: bool = False,
 ) -> Status:
     """Windowed DP filtering on every support window whose DP fits
-    ``_WINDOW_BUDGET`` under the current domains (``_last_exact_ends``;
-    the arcs are re-read per window since earlier windows narrow the store).
+    ``_WINDOW_BUDGET`` (``_last_exact_ends``).
+
+    Every window reads the domains of ``stripped``, those the decomposition
+    was built on, and writes ``store``. An earlier window may have narrowed
+    the store since; tables on the wider domains keep a superset of the
+    supported values, so each write stays sound.
 
     The cost spent outside the window is lower-bounded by the best disjoint
     combinations strictly before and after it, taken from the scheduling
@@ -221,10 +223,11 @@ def wisp_support_filter(
     cost_ub - before - after.
     """
     status = Status.UNCHANGED
+    last_exact = _last_exact_ends(stripped)
     for u, v in decomp.support:
-        if v > _last_exact_ends(stripped, read_arcs(stripped, store))[u]:
+        if v > last_exact[u]:
             continue
-        fwd, bwd = window_tables(stripped, store, (u, v), cs_mode=cs_mode)
+        fwd, bwd = window_tables(stripped, (u, v), cs_mode=cs_mode)
         before = int(decomp.lb_before(u))
         after = int(decomp.lb_after(v + 1))
         st = filter_with_dp(fwd, bwd, store, stripped, cost_ub - before - after)

@@ -29,7 +29,7 @@ from lotsizing import (
 )
 from lotsizing.domains import iv_values
 from lotsizing.dp import make_cost_view, window_tables
-from lotsizing.flow import FlowMode, min_cost_flow, read_arcs
+from lotsizing.flow import FlowMode, min_cost_flow
 from lotsizing import wisp as wisp_mod
 from lotsizing.instance import PEAK_PERIODS_1BASED
 from lotsizing.wisp import compute_decomposition
@@ -49,13 +49,7 @@ def bc_strip(inst, store=None, side=None):
     st, _ = bc_feasibility(store, inst)
     if st is Status.FAILED:
         return store, None
-    stripped = strip_lower_bounds(
-        inst,
-        x_min=[store.min(("X", t)) for t in range(inst.T)],
-        i_min=[store.min(("I", t)) for t in range(inst.T)],
-        x_max=[store.max(("X", t)) for t in range(inst.T)],
-        i_max=[store.max(("I", t)) for t in range(inst.T)],
-    )
+    stripped = strip_lower_bounds(inst, store)
     return store, stripped
 
 
@@ -113,7 +107,7 @@ class TestCriterion2:
                 assert want is None
                 n += 1
                 continue
-            fwd, bwd = window_tables(stripped, store, None, cs_mode=False)
+            fwd, bwd = window_tables(stripped, None, cs_mode=False)
             assert fwd.optimum() == bwd.optimum()
             if want is None:
                 assert math.isinf(fwd.optimum())
@@ -138,9 +132,9 @@ class TestCriterion3:
             want = brute_force_oracle(inst)
             if want is None:
                 continue
-            full = min_cost_flow(stripped, read_arcs(stripped, store), FlowMode.FULL)
+            full = min_cost_flow(stripped, FlowMode.FULL)
             assert full + stripped.c_min <= want.c
-            decomp = compute_decomposition(stripped, store)
+            decomp = compute_decomposition(stripped)
             assert decomp.value + stripped.c_min <= want.c
             subs = decomp.subproblems
 
@@ -191,7 +185,7 @@ def dp_optimum(inst, side=None):
     store, stripped = bc_strip(inst, side=side)
     if stripped is None:
         return None
-    fwd, _ = window_tables(stripped, store, None, cs_mode=False)
+    fwd, _ = window_tables(stripped, None, cs_mode=False)
     if math.isinf(fwd.optimum()):
         return None
     return int(fwd.optimum()) + fwd.sunk + stripped.c_min
@@ -244,10 +238,10 @@ class TestCriterion7:
                                      peak_value=5000, peak_periods=peaks)
             inst = validate_and_normalize(generate(params))
             store, stripped = bc_strip(inst)
-            assert state_budget(make_cost_view(stripped, store, read_arcs(stripped, store))) > 20_000_000
+            assert state_budget(make_cost_view(stripped)) > 20_000_000
             opt = dp_optimum(inst)
             flow_lb = (
-                min_cost_flow(stripped, read_arcs(stripped, store), FlowMode.FULL)
+                min_cost_flow(stripped, FlowMode.FULL)
                 + stripped.c_min
             )
             t0 = time.perf_counter()
@@ -268,10 +262,10 @@ class TestCriterion7:
                                      peak_value=5000, peak_periods=peaks)
             inst = validate_and_normalize(generate(params))
             store, stripped = bc_strip(inst)
-            assert state_budget(make_cost_view(stripped, store, read_arcs(stripped, store))) > 20_000_000
+            assert state_budget(make_cost_view(stripped)) > 20_000_000
             opt = dp_optimum(inst)
             flow_lb = (
-                min_cost_flow(stripped, read_arcs(stripped, store), FlowMode.FULL)
+                min_cost_flow(stripped, FlowMode.FULL)
                 + stripped.c_min
             )
             t0 = time.perf_counter()

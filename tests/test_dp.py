@@ -26,7 +26,7 @@ from lotsizing import (
 from lotsizing import dp as dp_mod
 from lotsizing.domains import iv_from_mask, iv_intersect, iv_mask, iv_shift, iv_values, merge
 from lotsizing.dp import _backward_step, _forward_step, _runs_min, _window_min, make_cost_view
-from lotsizing.flow import pre_stock, read_arcs
+from lotsizing.flow import pre_stock
 from conftest import plan_costs, rand_normalized, store_plans
 from test_bc import reference_setup
 
@@ -49,20 +49,14 @@ def setup_problem(inst, store=None, bc=True):
         st, _ = bc_feasibility(store, inst)
         if st is Status.FAILED:
             return store, None
-    stripped = strip_lower_bounds(
-        inst,
-        x_min=[store.min(("X", t)) for t in range(inst.T)],
-        i_min=[store.min(("I", t)) for t in range(inst.T)],
-        x_max=[store.max(("X", t)) for t in range(inst.T)],
-        i_max=[store.max(("I", t)) for t in range(inst.T)],
-    )
+    stripped = strip_lower_bounds(inst, store)
     return store, stripped
 
 
 class TestTables:
     def test_forward_values_hand_checked(self):
         store, stripped = setup_problem(two_period(), bc=False)
-        fwd, _ = window_tables(stripped, store, None, cs_mode=False)
+        fwd, _ = window_tables(stripped, None, cs_mode=False)
         assert fwd.row(1)[0] == 7  # produce just d1: setup 5 + 2 units at 1
         assert fwd.row(1)[3] == 13  # produce 5: 5 + 5 + holding 3
         assert fwd.row(2)[0] == 13
@@ -70,7 +64,7 @@ class TestTables:
 
     def test_backward_values_hand_checked(self):
         store, stripped = setup_problem(two_period(), bc=False)
-        _, bwd = window_tables(stripped, store, None, cs_mode=False)
+        _, bwd = window_tables(stripped, None, cs_mode=False)
         assert bwd.row(1)[0] == 10  # serve d2 from scratch: setup 4 + 3 units at 2
         assert bwd.row(1)[3] == 0
         assert bwd.row(0)[0] == 13
@@ -79,7 +73,7 @@ class TestTables:
         inst = make_instance(d=[0, 0, 0], p=[1, 1, 1], h=[1, 1, 1], s=[3, 3, 3],
                              alpha_hi=[4, 4, 4], beta_hi=[4, 4, 4])
         store, stripped = setup_problem(inst, bc=False)
-        fwd, _ = window_tables(stripped, store, None, cs_mode=False)
+        fwd, _ = window_tables(stripped, None, cs_mode=False)
         assert all(fwd.row(b)[0] == 0 for b in range(4))
 
     def test_y_zero_makes_window_infeasible(self):
@@ -88,7 +82,7 @@ class TestTables:
         store.assign(("Y", 0), 0)
         reference_setup(store, 0)
         store, stripped = setup_problem(inst, store, bc=False)
-        fwd, _ = window_tables(stripped, store, None, cs_mode=False)
+        fwd, _ = window_tables(stripped, None, cs_mode=False)
         assert math.isinf(fwd.optimum())
 
     def test_forward_equals_backward_and_oracle(self):
@@ -100,7 +94,7 @@ class TestTables:
             if plans_none:
                 assert not list(store_plans(inst, DomainStore.for_instance(inst)))
                 continue
-            fwd, bwd = window_tables(stripped, store, None, cs_mode=False)
+            fwd, bwd = window_tables(stripped, None, cs_mode=False)
             assert fwd.optimum() == bwd.optimum()
             plans = [plan_costs(inst, x, i, y)[3] for x, i, y in store_plans(inst, store)]
             want = min(plans) if plans else INF
@@ -114,7 +108,7 @@ class TestTables:
             store, stripped = setup_problem(inst)
             if stripped is None:
                 continue
-            fwd, bwd = window_tables(stripped, store, None, cs_mode=False)
+            fwd, bwd = window_tables(stripped, None, cs_mode=False)
             if math.isinf(fwd.optimum()):
                 continue
             for b in range(inst.T + 1):
@@ -137,7 +131,7 @@ class TestTables:
             if stripped is None:
                 assert not list(store_plans(inst, store))
                 continue
-            fwd, _ = window_tables(stripped, store, None, cs_mode=False)
+            fwd, _ = window_tables(stripped, None, cs_mode=False)
             plans = [plan_costs(inst, x, i, y)[3] for x, i, y in store_plans(inst, store)]
             want = min(plans) if plans else INF
             got = fwd.optimum() + fwd.sunk + stripped.c_min if not math.isinf(fwd.optimum()) else INF
@@ -147,19 +141,19 @@ class TestTables:
 class TestKnap:
     def test_setup_only_optimum(self):
         store, stripped = setup_problem(two_period(), bc=False)
-        knap, _ = window_tables(stripped, store, None, cs_mode=True)
+        knap, _ = window_tables(stripped, None, cs_mode=True)
         assert knap.optimum() == 5  # produce everything in period 1
 
     def test_zero_setups(self):
         inst = make_instance(d=[2, 2], p=[3, 3], h=[2, 2], s=[0, 0], alpha_hi=[4, 4], beta_hi=[4, 4])
         store, stripped = setup_problem(inst, bc=False)
-        knap, _ = window_tables(stripped, store, None, cs_mode=True)
+        knap, _ = window_tables(stripped, None, cs_mode=True)
         assert knap.optimum() == 0
 
     def test_tight_inventory_forces_both_setups(self):
         inst = make_instance(d=[2, 3], p=[1, 2], h=[1, 1], s=[5, 4], alpha_hi=[5, 5], beta_hi=[0, 0])
         store, stripped = setup_problem(inst, bc=False)
-        knap, _ = window_tables(stripped, store, None, cs_mode=True)
+        knap, _ = window_tables(stripped, None, cs_mode=True)
         assert knap.optimum() == 9
 
     def test_lower_bounds_every_plan(self):
@@ -169,7 +163,7 @@ class TestKnap:
             store, stripped = setup_problem(inst)
             if stripped is None:
                 continue
-            knap, _ = window_tables(stripped, store, None, cs_mode=True)
+            knap, _ = window_tables(stripped, None, cs_mode=True)
             plans = [plan_costs(inst, x, i, y)[2] for x, i, y in store_plans(inst, store)]
             if plans:
                 assert knap.optimum() <= min(plans)
@@ -179,12 +173,12 @@ class TestPrestock:
     def test_single_source(self):
         inst = make_instance(d=[0, 5], p=[1, 9], h=[1, 1], s=[0, 0], alpha_hi=[5, 5], beta_hi=[9, 9])
         store, stripped = setup_problem(inst, bc=False)
-        init = pre_stock(stripped, read_arcs(stripped, store), False)(1, 5)
+        init = pre_stock(stripped, False)(1, 5)
         assert list(init) == [0, 2, 4, 6, 8, 10]
 
     def test_start_of_horizon(self):
         store, stripped = setup_problem(two_period(), bc=False)
-        row = pre_stock(stripped, read_arcs(stripped, store), False)
+        row = pre_stock(stripped, False)
         assert list(row(0, 0)) == [0.0]
         assert list(row(0, 4)) == [0.0] + [INF] * 4  # the initial stock is 0
 
@@ -192,7 +186,7 @@ class TestPrestock:
         inst = make_instance(d=[0, 0, 9], p=[1, 4, 9], h=[1, 1, 1], s=[0, 0, 0],
                              alpha_hi=[2, 2, 9], beta_hi=[9, 9, 9])
         store, stripped = setup_problem(inst, bc=False)
-        init = pre_stock(stripped, read_arcs(stripped, store), False)(2, 4)
+        init = pre_stock(stripped, False)(2, 4)
         # unit from t0 costs 1+1 (+1 at the boundary), from t1 costs 4 (+1)
         assert init[3] == (1 + 1 + 1) * 2 + (4 + 1) * 1
         assert init[4] == (1 + 1 + 1) * 2 + (4 + 1) * 2
@@ -200,7 +194,7 @@ class TestPrestock:
     def test_unreachable_is_inf(self):
         inst = make_instance(d=[0, 3], p=[1, 1], h=[0, 0], s=[0, 0], alpha_hi=[2, 3], beta_hi=[5, 5])
         store, stripped = setup_problem(inst, bc=False)
-        init = pre_stock(stripped, read_arcs(stripped, store), False)(1, 3)
+        init = pre_stock(stripped, False)(1, 3)
         assert math.isinf(init[3])
 
     def test_matches_windowed_brute_force(self):
@@ -214,7 +208,7 @@ class TestPrestock:
             if u == 0:
                 continue
             q_max = min(stripped.i_cap[u - 1], sum(stripped.d[u:]))
-            init = pre_stock(stripped, read_arcs(stripped, store), False)(u, q_max)
+            init = pre_stock(stripped, False)(u, q_max)
             for q in range(q_max + 1):
                 best = INF
                 for pre in _prefix_plans(stripped, u, q):
@@ -268,7 +262,7 @@ class TestPrestockReference:
                 alpha_hi=[rng.randint(0, 6) for _ in range(T)],
                 beta_hi=[rng.randint(0, 8) for _ in range(T)],
             )
-            store, stripped = setup_problem(inst, bc=False)
+            store = DomainStore.for_instance(inst)
             for t in range(T):
                 roll = rng.random()
                 if roll < 0.15:
@@ -277,10 +271,11 @@ class TestPrestockReference:
                     store.set_max(("X", t), rng.randint(0, inst.alpha_hi[t]))
                 if rng.random() < 0.3:
                     store.set_max(("I", t), rng.randint(0, inst.beta_hi[t]))
+            store, stripped = setup_problem(inst, store, bc=False)
             u = rng.randint(1, min(T - 1, 6))
             q_max = rng.randint(0, 14)
             for zero_costs in (False, True):
-                got = list(pre_stock(stripped, read_arcs(stripped, store), zero_costs)(u, q_max))
+                got = list(pre_stock(stripped, zero_costs)(u, q_max))
                 assert got == self._reference(stripped, store, u, q_max, zero_costs)
                 checked += 1
         assert checked == 800
@@ -441,9 +436,8 @@ class TestStepReference:
                     apply_disjunctions(store, DisjunctiveSpec.uniform(params.T, template.disjunction))
                 store, stripped = setup_problem(inst, store)
                 assert stripped is not None, (cls, seed)
-                arcs = read_arcs(stripped, store)
                 for cs_mode in (False,) if "Peaks" in cls else (False, True):
-                    multi += _check_steps(make_cost_view(stripped, store, arcs, cs_mode=cs_mode), np.array([0.0]))
+                    multi += _check_steps(make_cost_view(stripped, cs_mode=cs_mode), np.array([0.0]))
                 roots += 1
         assert roots == 120 and multi >= 4000, (roots, multi)
 
@@ -459,8 +453,8 @@ class TestStepReference:
             inst, store, stripped = root
             u = rng.randint(0, inst.T - 1)
             window = rng.choice([None, (u, inst.T - 1), (u, rng.randint(u, inst.T - 1))])
-            view = make_cost_view(stripped, store, read_arcs(stripped, store), window, cs_mode=rng.random() < 0.3)
-            fwd, _ = window_tables(stripped, store, window, cs_mode=view.cs_mode)
+            view = make_cost_view(stripped, window, cs_mode=rng.random() < 0.3)
+            fwd, _ = window_tables(stripped, window, cs_mode=view.cs_mode)
             multi += _check_steps(view, fwd.row(view.u))
             cases += 1
         assert cases >= 900 and multi >= 1000, (cases, multi)
@@ -489,7 +483,7 @@ class TestFilter:
     def test_hand_checked_filtering_at_optimum(self):
         inst = two_period()
         store, stripped = setup_problem(inst, bc=False)
-        fwd, bwd = window_tables(stripped, store, None, cs_mode=False)
+        fwd, bwd = window_tables(stripped, None, cs_mode=False)
         st = filter_with_dp(fwd, bwd, store, stripped, 13)
         assert st is Status.CHANGED
         assert store.intervals(("I", 0)) == ((3, 3),)
@@ -499,13 +493,13 @@ class TestFilter:
     def test_infinite_bound_unchanged(self):
         inst = two_period()
         store, stripped = setup_problem(inst, bc=False)
-        fwd, bwd = window_tables(stripped, store, None, cs_mode=False)
+        fwd, bwd = window_tables(stripped, None, cs_mode=False)
         assert filter_with_dp(fwd, bwd, store, stripped, math.inf) is Status.UNCHANGED
 
     def test_finite_bound_prunes_unreachable_states(self):
         inst = two_period()
         store, stripped = setup_problem(inst, bc=False)
-        fwd, bwd = window_tables(stripped, store, None, cs_mode=False)
+        fwd, bwd = window_tables(stripped, None, cs_mode=False)
         # Stock above the remaining demand can never drain to zero; any
         # finite bound exposes that.
         assert filter_with_dp(fwd, bwd, store, stripped, 10**9) is Status.CHANGED
@@ -514,8 +508,50 @@ class TestFilter:
     def test_bound_below_optimum_fails(self):
         inst = two_period()
         store, stripped = setup_problem(inst, bc=False)
-        fwd, bwd = window_tables(stripped, store, None, cs_mode=False)
+        fwd, bwd = window_tables(stripped, None, cs_mode=False)
         assert filter_with_dp(fwd, bwd, store, stripped, 12) is Status.FAILED
+
+    def test_snapshot_older_than_the_store(self):
+        """The filter reads its tables and strip and only writes the store.
+        On a store narrowed after the strip, as a support window finds it
+        after the windows before it, every X/I/Y domain ends as the narrowed
+        one cut by what the filter leaves on the strip's own store, and the
+        filter fails exactly when one of those cuts is empty."""
+        rng = random.Random(47)
+        checked = failed = 0
+        for _ in range(3000):
+            root = _holed_root(rng)
+            if root is None:
+                continue
+            inst, store, stripped = root
+            u = rng.randint(0, inst.T - 1)
+            window = rng.choice([None, (u, rng.randint(u, inst.T - 1))])
+            fwd, bwd = window_tables(stripped, window, cs_mode=rng.random() < 0.3)
+            if math.isinf(fwd.optimum()):
+                continue
+            ub = int(fwd.optimum()) + fwd.sunk + rng.randint(0, 20)
+            fresh = copy.deepcopy(store)
+            if filter_with_dp(fwd, bwd, fresh, stripped, ub) is Status.FAILED:
+                continue
+            narrowed = copy.deepcopy(store)
+            keys = [(var, t) for t in range(inst.T) for var in ("X", "I", "Y")]
+            for key in keys:
+                if rng.random() < 0.2:
+                    narrowed.remove_value(key, rng.randint(narrowed.min(key), narrowed.max(key)))
+                    if narrowed.failed:
+                        break
+            if narrowed.failed:
+                continue
+            want = {key: iv_intersect(narrowed.intervals(key), fresh.intervals(key)) for key in keys}
+            st = filter_with_dp(fwd, bwd, narrowed, stripped, ub)
+            if all(want.values()):
+                assert st is not Status.FAILED
+                assert {key: narrowed.intervals(key) for key in keys} == want
+                checked += 1
+            else:
+                assert st is Status.FAILED
+                failed += 1
+        assert checked >= 300 and failed >= 40, (checked, failed)
 
     def test_sound_and_complete_at_dp_level(self):
         rng = random.Random(41)
@@ -532,7 +568,7 @@ class TestFilter:
             opt = min(costs)
             ub = opt + rng.choice([0, 0, 1, 3])
             fine = [(x, i) for (x, i, y), c in zip(plans, costs) if c <= ub]
-            fwd, bwd = window_tables(stripped, store, None, cs_mode=False)
+            fwd, bwd = window_tables(stripped, None, cs_mode=False)
             st = filter_with_dp(fwd, bwd, store, stripped, ub - stripped.c_min)
             assert st is not Status.FAILED
             for t in range(inst.T):
@@ -776,7 +812,7 @@ class TestSupportEquivalence:
             u = rng.randint(0, T - 1)
             window = rng.choice([None, (u, T - 1), (u, rng.randint(u, T - 1))])
             cs_mode = rng.random() < 0.3
-            fwd, bwd = window_tables(stripped, store, window, cs_mode=cs_mode)
+            fwd, bwd = window_tables(stripped, window, cs_mode=cs_mode)
             opt = fwd.optimum()
             if math.isinf(opt):
                 continue
@@ -820,7 +856,7 @@ class TestSupportEquivalence:
             if root is None:
                 continue
             inst, store, stripped = root
-            fwd, bwd = window_tables(stripped, store, None, cs_mode=False)
+            fwd, bwd = window_tables(stripped, None, cs_mode=False)
             opt = fwd.optimum()
             if math.isinf(opt):
                 continue
@@ -846,7 +882,7 @@ class TestSupportEquivalence:
         params = dataclasses.replace(INSTANCE_CLASSES["C3QR"].params, seed=1)
         inst = validate_and_normalize(generate(params))
         store, stripped = setup_problem(inst)
-        fwd, bwd = window_tables(stripped, store, None, cs_mode=False)
+        fwd, bwd = window_tables(stripped, None, cs_mode=False)
         ub = store.max(("C", 0)) - stripped.c_min
         ref = copy.deepcopy(store)
         want = _reference_filter(fwd, bwd, ref, stripped, ub)
@@ -886,7 +922,7 @@ class TestPairPass:
             T = inst.T
             u = rng.randint(0, T - 1)
             window = rng.choice([None, (u, T - 1), (u, rng.randint(u, T - 1))])
-            fwd, bwd = window_tables(stripped, store, window, cs_mode=rng.random() < 0.3)
+            fwd, bwd = window_tables(stripped, window, cs_mode=rng.random() < 0.3)
             opt = fwd.optimum()
             if math.isinf(opt):
                 continue
@@ -912,7 +948,7 @@ class TestSupportMemory:
         params = dataclasses.replace(INSTANCE_CLASSES["C1LS"].params, seed=1)
         inst = validate_and_normalize(generate(params))
         store, stripped = setup_problem(inst)
-        fwd, bwd = window_tables(stripped, store, None, cs_mode=False)
+        fwd, bwd = window_tables(stripped, None, cs_mode=False)
         assert max(len(row) for row in fwd.rows) > 3000
         ub = store.max(("C", 0)) - stripped.c_min
         tracemalloc.start()
@@ -932,7 +968,7 @@ class TestSupportMemory:
         params = dataclasses.replace(INSTANCE_CLASSES["C1Peaks"].params, seed=1)
         inst = validate_and_normalize(generate(params))
         store, stripped = setup_problem(inst)
-        fwd, bwd = window_tables(stripped, store, None, cs_mode=False)
+        fwd, bwd = window_tables(stripped, None, cs_mode=False)
         bwd.optimum()
         assert sum(len(row) for row in fwd.rows) > 10 * dp_mod._BLOCK
         ub = store.max(("C", 0)) - stripped.c_min

@@ -24,8 +24,7 @@ from lotsizing import (
     verify,
 )
 from lotsizing.dp import make_cost_view, window_tables
-from lotsizing.flow import path_greedy, read_arcs, relaxation
-from lotsizing.propagator import _strip
+from lotsizing.flow import path_greedy, relaxation
 from conftest import plan_costs, rand_normalized, store_plans
 from test_dp import setup_problem as dp_setup_problem
 
@@ -36,7 +35,7 @@ def two_period():
 
 def setup_problem(inst):
     store = DomainStore.for_instance(inst)
-    return store, strip_lower_bounds(inst)
+    return store, strip_lower_bounds(inst, store)
 
 
 def complete_at_bc(inst, store):
@@ -46,50 +45,44 @@ def complete_at_bc(inst, store):
     try:
         if bc_feasibility(store, inst)[0] is Status.FAILED:
             return None
-        return complete_when_setups_fixed(inst, store)
+        return complete_when_setups_fixed(inst, strip_lower_bounds(inst, store))
     finally:
         store.pop_level()
 
 
-def scaled_network(stripped, store, mode):
-    """The integer ``mode`` network over the domains' arcs:
-    (arcs, rate, hold, scale)."""
-    arcs = read_arcs(stripped, store)
-    return (arcs, *relaxation(stripped, arcs, mode))
-
-
 class TestBuildNetwork:
-    """The integer network of one mode: the arcs ``read_arcs`` gives and the
+    """The integer network of one mode: the arcs the strip carries and the
     rates ``relaxation`` puts on them."""
 
     def test_full_costs_amortize_setups(self):
         inst = two_period()
         store, stripped = setup_problem(inst)
-        arcs, rate, hold, scale = scaled_network(stripped, store, FlowMode.FULL)
+        rate, hold, scale = relaxation(stripped, FlowMode.FULL)
         assert [Fraction(r, scale) for r in rate] == [1 + Fraction(5, 5), 2 + Fraction(4, 5)]
         assert scale == 5 and rate == [10, 14]
-        assert arcs.cap == [5, 5]
+        assert stripped.x_cap == (5, 5)
         assert Fraction(hold[0], scale) == 1
 
     def test_y_zero_kills_arc(self):
         inst = two_period()
-        store, stripped = setup_problem(inst)
+        store = DomainStore.for_instance(inst)
         store.assign(("Y", 0), 0)
-        arcs = read_arcs(stripped, store)
-        assert arcs.cap[0] == 0 and arcs.charge[0] == 0 and arcs.sunk[0] == 0
+        stripped = strip_lower_bounds(inst, store)
+        assert stripped.x_cap[0] == 0 and stripped.charge[0] == 0 and stripped.sunk[0] == 0
 
     def test_cp_only_strips_other_costs(self):
         inst = two_period()
         store, stripped = setup_problem(inst)
-        _, rate, hold, scale = scaled_network(stripped, store, FlowMode.CP_ONLY)
+        rate, hold, scale = relaxation(stripped, FlowMode.CP_ONLY)
         assert (rate, hold[:1], scale) == ([1, 2], [0], 1)
 
     def test_sunk_setup_moves_to_constant(self):
         inst = two_period()
-        store, stripped = setup_problem(inst)
+        store = DomainStore.for_instance(inst)
         store.assign(("Y", 0), 1)
-        arcs, rate, _, scale = scaled_network(stripped, store, FlowMode.FULL)
-        assert arcs.sunk == [5, 0] and arcs.charge == [0, 4]
+        stripped = strip_lower_bounds(inst, store)
+        rate, _, scale = relaxation(stripped, FlowMode.FULL)
+        assert stripped.sunk == (5, 0) and stripped.charge == (0, 4)
         assert Fraction(rate[0], scale) == 1
 
 
@@ -97,48 +90,47 @@ class TestMinCostFlow:
     def test_hand_checked_relaxation(self):
         inst = two_period()
         store, stripped = setup_problem(inst)
-        arcs, rate, hold, scale = scaled_network(stripped, store, FlowMode.FULL)
-        spent, _, _ = path_greedy(arcs.cap, rate, hold, arcs.inv_cap, stripped.d)
+        rate, hold, scale = relaxation(stripped, FlowMode.FULL)
+        spent, _, _ = path_greedy(stripped.x_cap, rate, hold, stripped.i_cap, stripped.d)
         assert Fraction(spent[-1], scale) == Fraction(62, 5)
-        assert min_cost_flow(stripped, arcs, FlowMode.FULL) == 13
+        assert min_cost_flow(stripped, FlowMode.FULL) == 13
 
     def test_zero_demand(self):
         inst = make_instance(d=[0, 0], p=[1, 1], h=[1, 1], s=[1, 1], alpha_hi=[5, 5], beta_hi=[5, 5])
         store, stripped = setup_problem(inst)
-        arcs, rate, hold, _ = scaled_network(stripped, store, FlowMode.FULL)
-        assert min_cost_flow(stripped, arcs, FlowMode.FULL) == 0
-        assert path_greedy(arcs.cap, rate, hold, arcs.inv_cap, stripped.d)[1] == [0, 0]
+        rate, hold, _ = relaxation(stripped, FlowMode.FULL)
+        assert min_cost_flow(stripped, FlowMode.FULL) == 0
+        assert path_greedy(stripped.x_cap, rate, hold, stripped.i_cap, stripped.d)[1] == [0, 0]
 
     def test_capacity_cut_infeasible(self):
         inst = make_instance(d=[10], p=[1], h=[1], s=[1], alpha_hi=[5], beta_hi=[5])
         store, stripped = setup_problem(inst)
-        assert min_cost_flow(stripped, read_arcs(stripped, store), FlowMode.FULL) is None
+        assert min_cost_flow(stripped, FlowMode.FULL) is None
 
     def test_flow_conservation_and_integrality(self):
         rng = random.Random(5)
         for _ in range(60):
             inst = rand_normalized(rng, max_T=5, with_lower_bounds=False)
             store, stripped = setup_problem(inst)
-            arcs, rate, hold, _ = scaled_network(stripped, store, FlowMode.FULL)
-            spent, prod_flow, _ = path_greedy(arcs.cap, rate, hold, arcs.inv_cap, stripped.d)
+            rate, hold, _ = relaxation(stripped, FlowMode.FULL)
+            spent, prod_flow, _ = path_greedy(stripped.x_cap, rate, hold, stripped.i_cap, stripped.d)
             if len(spent) < inst.T:
-                assert min_cost_flow(stripped, arcs, FlowMode.FULL) is None
+                assert min_cost_flow(stripped, FlowMode.FULL) is None
                 continue
             inv = 0
             for t in range(inst.T):
                 inv = inv + prod_flow[t] - stripped.d[t]
-                assert 0 <= inv <= (arcs.inv_cap[t] if t < inst.T - 1 else 0)
-                assert isinstance(prod_flow[t], int) and prod_flow[t] <= arcs.cap[t]
+                assert 0 <= inv <= (stripped.i_cap[t] if t < inst.T - 1 else 0)
+                assert isinstance(prod_flow[t], int) and prod_flow[t] <= stripped.x_cap[t]
 
     def test_bounds_dominated_by_true_costs(self):
         rng = random.Random(6)
         for _ in range(80):
             inst = rand_normalized(rng, max_T=5, max_d=4, max_cap=6, with_lower_bounds=False)
             store, stripped = setup_problem(inst)
-            arcs = read_arcs(stripped, store)
-            full = min_cost_flow(stripped, arcs, FlowMode.FULL)
-            cp = min_cost_flow(stripped, arcs, FlowMode.CP_ONLY)
-            ch = min_cost_flow(stripped, arcs, FlowMode.CH_ONLY)
+            full = min_cost_flow(stripped, FlowMode.FULL)
+            cp = min_cost_flow(stripped, FlowMode.CP_ONLY)
+            ch = min_cost_flow(stripped, FlowMode.CH_ONLY)
             plans = [
                 plan_costs(inst, x, i, y) for x, i, y in store_plans(inst, store)
             ]
@@ -164,16 +156,16 @@ class TestAgainstGenericSolver:
             )
             mode = rng.choice([FlowMode.FULL, FlowMode.CP_ONLY, FlowMode.CH_ONLY, FlowMode.CS_ONLY])
             net = reference_network(stripped, store, mode)
-            arcs, rate, hold, scale = scaled_network(stripped, store, mode)
+            rate, hold, scale = relaxation(stripped, mode)
             assert [Fraction(r, scale) for r in rate] == net.prod_cost
             assert [Fraction(h, scale) for h in hold[: net.n - 1]] == net.inv_cost
-            got = min_cost_flow(stripped, arcs, mode)
+            got = min_cost_flow(stripped, mode)
             want_status, want_cost = _reference_solve(net)
             if want_status == "INFEASIBLE":
                 assert got is None
                 continue
             assert got == math.ceil(want_cost)
-            spent, prod_flow, _ = path_greedy(arcs.cap, rate, hold, arcs.inv_cap, stripped.d)
+            spent, prod_flow, _ = path_greedy(stripped.x_cap, rate, hold, stripped.i_cap, stripped.d)
             assert Fraction(spent[-1], scale) + net.const == want_cost
             inv = 0
             for t in range(net.n):
@@ -373,7 +365,7 @@ class TestCompletionAgainstDp:
                 assert sol is None
                 infeasible += 1
                 continue
-            fwd, _ = window_tables(stripped, store, None, cs_mode=False)
+            fwd, _ = window_tables(stripped, None, cs_mode=False)
             if math.isinf(fwd.optimum()):
                 assert sol is None
                 infeasible += 1
@@ -401,7 +393,7 @@ def _registry_root(cls: str, seed: int):
         apply_disjunctions(store, DisjunctiveSpec.uniform(params.T, template.disjunction))
     if store.failed or bc_feasibility(store, inst)[0] is Status.FAILED:
         return None
-    return store, _strip(inst, store)
+    return store, strip_lower_bounds(inst, store)
 
 
 def _fuzz_states(rng: random.Random, count: int):
@@ -419,7 +411,7 @@ def _fuzz_states(rng: random.Random, count: int):
         if store.failed or (rng.random() < 0.7 and bc_feasibility(store, inst)[0] is Status.FAILED):
             continue
         try:
-            stripped = _strip(inst, store)
+            stripped = strip_lower_bounds(inst, store)
         except ValueError:  # a negative adjusted demand without bound consistency
             continue
         count -= 1
@@ -441,8 +433,8 @@ class FlowNetwork:
 
 def reference_network(stripped, store, mode, window=None) -> FlowNetwork:
     """Each mode's network built on its own, period by period, with
-    ``Fraction`` costs: the reference that the integer arcs of
-    ``flow.read_arcs`` and ``flow.relaxation`` must reproduce exactly,
+    ``Fraction`` costs: the reference that the integer arcs of the strip
+    and ``flow.relaxation`` must reproduce exactly,
     rate over scale for every period. With a ``window``
     (u, v), demands and setup costs outside u..v are zeroed and periods past
     v dropped: the network whose optimum the window flow bounds must reach."""
@@ -483,22 +475,21 @@ def reference_network(stripped, store, mode, window=None) -> FlowNetwork:
 
 
 class TestDerivedNetworks:
-    """Every mode's network is derived from one reading of the arcs
-    (``flow.read_arcs``); ``dp.table_fits`` sizes the whole-horizon table
-    from the strip alone. Both must match their references exactly."""
+    """Every mode's network is derived from the arcs the strip carries;
+    ``dp.table_fits`` sizes the whole-horizon table from the strip alone.
+    Both must match their references exactly."""
 
     def _check(self, store, stripped):
-        arcs = read_arcs(stripped, store)
         T = stripped.T
         for mode in FlowMode:
             ref = reference_network(stripped, store, mode)
-            rate, hold, scale = relaxation(stripped, arcs, mode)
-            assert arcs.cap == ref.prod_cap and arcs.inv_cap[: T - 1] == ref.inv_cap, mode
+            rate, hold, scale = relaxation(stripped, mode)
+            assert list(stripped.x_cap) == ref.prod_cap and list(stripped.i_cap[: T - 1]) == ref.inv_cap, mode
             assert [Fraction(r, scale) for r in rate] == ref.prod_cost, mode
             assert [Fraction(h, scale) for h in hold[: T - 1]] == ref.inv_cost, mode
             # the least common scale: the lcm of the reference denominators
             assert scale == math.lcm(*(Fraction(c).denominator for c in ref.prod_cost)), mode
-            sunk = sum(arcs.sunk) if mode in (FlowMode.FULL, FlowMode.CS_ONLY) else 0
+            sunk = sum(stripped.sunk) if mode in (FlowMode.FULL, FlowMode.CS_ONLY) else 0
             assert sunk == ref.const, mode
             assert list(stripped.d) == ref.demand
 
@@ -511,7 +502,7 @@ class TestDerivedNetworks:
                     continue
                 store, stripped = root
                 self._check(store, stripped)
-                states = sum(make_cost_view(stripped, store, read_arcs(stripped, store)).row_cap) + stripped.T + 1
+                states = sum(make_cost_view(stripped).row_cap) + stripped.T + 1
                 monkeypatch.setattr(dp_mod, "_TABLE_CAP", states)
                 assert dp_mod.table_fits(stripped)
                 monkeypatch.setattr(dp_mod, "_TABLE_CAP", states - 1)
@@ -525,8 +516,8 @@ class TestDerivedNetworks:
         for store, stripped in _fuzz_states(rng, 600):
             T = stripped.T
             self._check(store, stripped)
-            view = make_cost_view(stripped, store, read_arcs(stripped, store))
+            view = make_cost_view(stripped)
             monkeypatch.setattr(dp_mod, "_TABLE_CAP", rng.randint(T, 4 * T + sum(view.row_cap)))
             assert dp_mod.table_fits(stripped) == (sum(view.row_cap) + len(view.row_cap) <= dp_mod._TABLE_CAP)
-            sunk += sum(read_arcs(stripped, store).sunk) > 0
+            sunk += sum(stripped.sunk) > 0
         assert sunk >= 50

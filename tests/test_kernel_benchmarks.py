@@ -1,8 +1,10 @@
 """The kernel micro-benchmarks in ``benchmarks/`` still import and run.
 
-They reach private names (``_build_forward``, ``_strip``,
-``window_flow_bounds``) and the constraint's constructor, so a signature
-change there would otherwise break them without failing any test here. One
+They reach private names (``_build_forward``, ``_backward_rows``,
+``_window_min``, ``LotSizingConstraint._trace_plan`` and ``_flow_bounds``),
+the snapshot builder ``strip_lower_bounds`` and the constraint's
+constructor, so a signature change there would otherwise break them without
+failing any test here. One
 pass of each case, with timing off, takes a few seconds.
 """
 

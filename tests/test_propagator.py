@@ -38,8 +38,7 @@ from lotsizing.search import _propagate_all, build_model
 import lotsizing.dp as dp_mod
 import lotsizing.propagator as propagator_mod
 from lotsizing.dp import window_tables
-from lotsizing.flow import FlowMode, min_cost_flow, read_arcs
-from lotsizing.propagator import _strip
+from lotsizing.flow import FlowMode, min_cost_flow
 from conftest import plan_costs, rand_normalized, store_plans
 from test_acceptance import suite_instance_small
 from test_dp import _holed_root, two_period
@@ -191,9 +190,8 @@ class TestPropagate:
             store, _, res, _ = propagate_once(inst)
             if res is PropagateResult.FAILED:
                 continue
-            stripped = strip_lower_bounds(inst)
-            base = DomainStore.for_instance(inst)
-            full = min_cost_flow(stripped, read_arcs(stripped, base), FlowMode.FULL)
+            stripped = strip_lower_bounds(inst, DomainStore.for_instance(inst))
+            full = min_cost_flow(stripped, FlowMode.FULL)
             if full is not None:
                 assert store.min(("C", 0)) >= full
 
@@ -304,7 +302,7 @@ class TestPropagate:
 def _scan_complete(stripped, store):
     """Production plan read off the forward table by a scan over j from 0:
     the predecessor search ``LotSizingConstraint._trace_plan`` vectorizes."""
-    fwd, _ = window_tables(stripped, store, None, cs_mode=False)
+    fwd, _ = window_tables(stripped, None, cs_mode=False)
     if math.isinf(fwd.optimum()):
         return None
     view = fwd.view
@@ -368,9 +366,9 @@ class TestDpComplete:
                     store.remove_value(("X", t), rng.randint(0, inst.alpha_hi[t]))
             if store.failed or bc_feasibility(store, inst)[0] is Status.FAILED:
                 continue
-            stripped = _strip(inst, store)
+            stripped = strip_lower_bounds(inst, store)
             ls = LotSizingConstraint(inst, store)
-            fwd, _ = window_tables(stripped, store, None, cs_mode=False)
+            fwd, _ = window_tables(stripped, None, cs_mode=False)
             sol = None if math.isinf(fwd.optimum()) else ls._trace_plan(fwd, stripped)
             want = _scan_complete(stripped, store)
             assert (sol and sol.x) == want
@@ -399,7 +397,7 @@ class TestDpComplete:
             if root is None:
                 continue
             inst, store, stripped = root
-            fwd, _ = window_tables(stripped, store, None, cs_mode=False)
+            fwd, _ = window_tables(stripped, None, cs_mode=False)
             if math.isinf(fwd.optimum()):
                 continue
             check(LotSizingConstraint(inst, store), fwd, stripped)
@@ -413,8 +411,8 @@ class TestDpComplete:
             qr = QRSpec(*template.qr) if template.qr else None
             store, ls, _, _ = build_model(inst, SideSpecs(disjunction=disj, qr=qr), SearchConfig())
             bc_feasibility(store, inst)
-            stripped = _strip(ls.instance, store)
-            fwd, _ = window_tables(stripped, store, None, cs_mode=False)
+            stripped = strip_lower_bounds(ls.instance, store)
+            fwd, _ = window_tables(stripped, None, cs_mode=False)
             check(ls, fwd, stripped)
         assert multi >= 800 and idle >= 2000, (multi, idle)
 
@@ -523,8 +521,8 @@ class TestCompletionOrder:
         assert by_flow >= 600 and by_dp >= 30 and failed >= 600
 
 
-def registry_instance(name: str):
-    """Seed 1 of a registry class with its side constraints, or seed k of
+def registry_instance(name: str, seed: int = 1):
+    """A seed of a registry class with its side constraints, or seed k of
     the Criterion 7 peak analogs for ``"C7/k"``."""
     if name.startswith("C7/"):
         params = GeneratorParams(d_avg=100, delta=50, theta_lo=0.8, theta_hi=1.0, lam=4, T=40,
@@ -532,7 +530,7 @@ def registry_instance(name: str):
                                  peak_periods=tuple(t - 1 for t in PEAK_PERIODS_1BASED))
         return validate_and_normalize(generate(params)), None
     template = INSTANCE_CLASSES[name]
-    params = dataclasses.replace(template.params, seed=1)
+    params = dataclasses.replace(template.params, seed=seed)
     side = None
     if template.disjunction or template.qr:
         side = SideSpecs(
@@ -701,9 +699,9 @@ class TestStageSkip:
                 assert original(fresh) == (PropagateResult.FIXPOINT, None)
                 assert self.store.mod_count == before
                 checked.append(self.store.level)
-                stripped = _strip(self.instance, self.store)
+                stripped = strip_lower_bounds(self.instance, self.store)
                 if dp_mod.table_fits(stripped):
-                    fwd, bwd = window_tables(stripped, self.store, None, cs_mode=True)
+                    fwd, bwd = window_tables(stripped, None, cs_mode=True)
                     probe = copy.deepcopy(self.store)
                     ub = probe.max(("Cs", 0)) - stripped.cs_min
                     assert filter_with_dp(fwd, bwd, probe, stripped, ub) is Status.UNCHANGED
@@ -784,6 +782,62 @@ class TestStageSkip:
         assert ls.propagate()[0] is PropagateResult.FIXPOINT
         assert built == []
         assert _plan_and_cost_domains(store, inst.T) == want
+
+    def test_cs_table_reads_the_fixpoint_snapshot(self, monkeypatch):
+        """A DP-routed search: the snapshot is built once per plan epoch at
+        which BC ran, and the Cs table is built only on a pass whose C
+        filter moved nothing (or did not run), so it reads the snapshot of
+        the store as it stands; Cs builds never outnumber C builds."""
+        inst, side = registry_instance("C3QR", seed=2)
+        events = []
+        bc, strip = propagator_mod.bc_feasibility, propagator_mod.strip_lower_bounds
+        tables, dp_filter = propagator_mod.window_tables, propagator_mod.filter_with_dp
+
+        def traced_bc(store, inst):
+            st, wakes = bc(store, inst)
+            if st is not Status.FAILED:
+                events.append(("bc", store.plan_epoch))
+            return st, wakes
+
+        def traced_strip(inst, store):
+            stripped = strip(inst, store)
+            events.append(("strip", store.plan_epoch, store, stripped))
+            return stripped
+
+        def traced_tables(stripped, window, cs_mode):
+            if cs_mode:
+                _, epoch, store, snapshot = next(e for e in reversed(events) if e[0] == "strip")
+                assert store.plan_epoch == epoch
+                assert stripped is snapshot
+            events.append(("Cs" if cs_mode else "C",))
+            return tables(stripped, window, cs_mode=cs_mode)
+
+        def traced_filter(*args):
+            st = dp_filter(*args)
+            events.append(("filter", st))
+            return st
+
+        monkeypatch.setattr(propagator_mod, "bc_feasibility", traced_bc)
+        monkeypatch.setattr(propagator_mod, "strip_lower_bounds", traced_strip)
+        monkeypatch.setattr(propagator_mod, "window_tables", traced_tables)
+        monkeypatch.setattr(propagator_mod, "filter_with_dp", traced_filter)
+        _, stats = solve(inst, side, SearchConfig(node_limit=20))
+        assert stats.nodes > 1
+
+        bc_epochs = [e[1] for e in events if e[0] == "bc"]
+        strip_epochs = [e[1] for e in events if e[0] == "strip"]
+        assert strip_epochs == bc_epochs and len(set(strip_epochs)) == len(strip_epochs)
+        kinds = [e[0] for e in events]
+        assert 0 < kinds.count("Cs") <= kinds.count("C")
+        last_filter = None
+        moved = 0
+        for e in events:
+            if e[0] == "filter":
+                last_filter = e[1]
+                moved += e[1] is Status.CHANGED
+            elif e[0] == "Cs":
+                assert last_filter in (None, Status.UNCHANGED)
+        assert moved > 0
 
 
 _REFERENCES = Path(__file__).resolve().parents[1] / "perfbench" / "references.json"

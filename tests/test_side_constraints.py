@@ -275,6 +275,28 @@ class TestSideSpecFiles:
         except ValueError as exc:
             assert "bad.side:1" in str(exc)
 
+    def test_empty_interval_round_trips_as_zero(self, tmp_path):
+        """A period whose interval tuple is empty allows X = 0 only; it is
+        written as ``disj t 0 0``, which reads back as the same domain."""
+        spec = SideSpecs(disjunction=DisjunctiveSpec(intervals={0: ((5, 9),), 1: ()}))
+        path = tmp_path / "x.side"
+        write_side_specs(spec, path)
+        back = read_side_specs(path).disjunction
+        assert back.intervals == {0: ((5, 9),), 1: ((0, 0),)}
+        for ivs in (spec.disjunction, back):
+            store = DomainStore()
+            for t in range(2):
+                store.add_var(("X", t), 0, 20)
+            apply_disjunctions(store, ivs)
+            assert [store.intervals(("X", t)) for t in range(2)] == [((0, 0), (5, 9)), ((0, 0),)]
+
+    @pytest.mark.parametrize("line, why", [("disj 2 50 10", "empty interval"), ("disj 2 -5 10", "start at 0")])
+    def test_bad_interval_rejected(self, tmp_path, line, why):
+        path = tmp_path / "bad.side"
+        path.write_text(f"disj 1 5 9\n{line}\n")
+        with pytest.raises(ValueError, match=f"bad.side:2: .*{why}"):
+            read_side_specs(path)
+
     @pytest.mark.parametrize("t", ["0", "-3"])
     def test_period_below_one_rejected(self, tmp_path, t):
         path = tmp_path / "bad.side"

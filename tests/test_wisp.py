@@ -16,14 +16,14 @@ from lotsizing import (
     dpwisp,
     filter_with_dp,
     generate,
+    strip_lower_bounds,
     validate_and_normalize,
     window_tables,
     wisp_support_filter,
 )
 from lotsizing import wisp as wisp_mod
 from lotsizing.domains import iv_values
-from lotsizing.flow import FlowMode, min_cost_flow, read_arcs
-from lotsizing.propagator import _strip
+from lotsizing.flow import FlowMode, min_cost_flow
 from test_dp import setup_problem, two_period
 from conftest import plan_costs, rand_normalized, state_budget, store_plans
 from test_flow import _reference_solve, reference_network
@@ -37,11 +37,11 @@ def _windows(T):
 class TestBounds:
     def test_whole_horizon_window_is_the_problem_itself(self):
         store, stripped = setup_problem(two_period(), bc=False)
-        (sub,) = compute_decomposition(stripped, store).subproblems
+        (sub,) = compute_decomposition(stripped).subproblems
         w, kind = sub.w, sub.bound_kind
         assert (sub.u, sub.v) == (0, 1)
         assert kind == "DP_EXACT"
-        assert w == window_tables(stripped, store, None, cs_mode=False)[0].optimum() == 13
+        assert w == window_tables(stripped, None, cs_mode=False)[0].optimum() == 13
 
     def test_cs_bound_never_above_c_bound(self):
         rng = random.Random(51)
@@ -50,8 +50,8 @@ class TestBounds:
             store, stripped = setup_problem(inst)
             if stripped is None:
                 continue
-            subs_c = compute_decomposition(stripped, store, cs_mode=False).subproblems
-            subs_cs = compute_decomposition(stripped, store, cs_mode=True).subproblems
+            subs_c = compute_decomposition(stripped, cs_mode=False).subproblems
+            subs_cs = compute_decomposition(stripped, cs_mode=True).subproblems
             for sub_c, sub_cs in zip(subs_c, subs_cs, strict=True):
                 assert (sub_c.u, sub_c.v) == (sub_cs.u, sub_cs.v)
                 assert sub_cs.w <= sub_c.w
@@ -64,9 +64,9 @@ class TestBounds:
             if stripped is None:
                 continue
             monkeypatch.setattr(wisp_mod, "_WINDOW_BUDGET", math.inf)
-            exact = compute_decomposition(stripped, store).subproblems
+            exact = compute_decomposition(stripped).subproblems
             monkeypatch.setattr(wisp_mod, "_WINDOW_BUDGET", 0)
-            relaxed = compute_decomposition(stripped, store).subproblems
+            relaxed = compute_decomposition(stripped).subproblems
             for sub_dp, sub_fl in zip(exact, relaxed, strict=True):
                 (w_dp, k1), (w_fl, k2) = (sub_dp.w, sub_dp.bound_kind), (sub_fl.w, sub_fl.bound_kind)
                 assert (sub_dp.u, sub_dp.v) == (sub_fl.u, sub_fl.v)
@@ -87,7 +87,7 @@ class TestBounds:
             if not plans:
                 continue
             opt = min(plans)
-            subs = compute_decomposition(stripped, store).subproblems
+            subs = compute_decomposition(stripped).subproblems
 
             def disjoint_subsets(idx, chosen):
                 if idx == len(subs):
@@ -132,17 +132,17 @@ class TestSweepEquivalence:
             if stripped is None:
                 continue
             for cs in (False, True):
-                flow_pass = window_flow_bounds(stripped, read_arcs(stripped, store), cs)
+                flow_pass = window_flow_bounds(stripped, cs)
                 for budget in (None, 0, rng.choice([20, 60, 200, 800])):
                     monkeypatch.setattr(wisp_mod, "_WINDOW_BUDGET", math.inf if budget is None else budget)
-                    decomp = compute_decomposition(stripped, store, cs)
+                    decomp = compute_decomposition(stripped, cs)
                     kinds = {(s.u, s.bound_kind) for s in decomp.subproblems}
                     # starts whose windows go partly exact, partly flow
                     checked["split"] += sum((u, "FLOW_RELAX") in kinds for u, k in kinds if k == "DP_EXACT")
                     for sub in decomp.subproblems:
-                        view = make_cost_view(stripped, store, read_arcs(stripped, store), (sub.u, sub.v), cs_mode=cs)
+                        view = make_cost_view(stripped, (sub.u, sub.v), cs_mode=cs)
                         if budget is None or state_budget(view) <= budget:
-                            prestock = pre_stock(stripped, read_arcs(stripped, store), cs)(sub.u, view.cap(sub.u))
+                            prestock = pre_stock(stripped, cs)(sub.u, view.cap(sub.u))
                             opt = _build_forward(view, prestock).optimum()
                             want = (math.inf if math.isinf(opt) else opt + view.sunk, "DP_EXACT")
                         else:
@@ -164,11 +164,11 @@ class TestWindowThreshold:
         inst = validate_and_normalize(generate(params))
         store = DomainStore.for_instance(inst)
         bc_feasibility(store, inst)
-        stripped = _strip(inst, store)
-        decomp = compute_decomposition(stripped, store)
+        stripped = strip_lower_bounds(inst, store)
+        decomp = compute_decomposition(stripped)
         kinds = [s.bound_kind for s in decomp.subproblems]
         assert (kinds.count("DP_EXACT"), len(kinds)) == (exact, 780)
-        flow = min_cost_flow(stripped, read_arcs(stripped, store), FlowMode.FULL)
+        flow = min_cost_flow(stripped, FlowMode.FULL)
         assert decomp.value + stripped.c_min == flow + stripped.c_min == flow_bound
 
 
@@ -188,8 +188,9 @@ class TestWindowFlowBound:
             for t in range(inst.T):
                 if rng.random() < 0.25:
                     store.tighten(("Y", t), "assign", rng.randint(0, 1))
+            stripped = strip_lower_bounds(inst, store)
             for cs in (False, True):
-                flow_pass = window_flow_bounds(stripped, read_arcs(stripped, store), cs)
+                flow_pass = window_flow_bounds(stripped, cs)
                 passes = [flow_pass(u) for u in range(inst.T)]
                 for u, v in _windows(inst.T):
                     got = passes[u][v]
@@ -299,20 +300,20 @@ class TestSupportFilter:
     def test_degenerate_whole_horizon_support(self):
         inst = two_period()
         store_a, stripped = setup_problem(inst, bc=False)
-        decomp = compute_decomposition(stripped, store_a)
+        decomp = compute_decomposition(stripped)
         assert decomp.support == [(0, 1)]
         st = wisp_support_filter(decomp, stripped, store_a, 13)
         assert st is Status.CHANGED
 
         store_b, stripped_b = setup_problem(inst, bc=False)
-        fwd, bwd = window_tables(stripped_b, store_b, None, cs_mode=False)
+        fwd, bwd = window_tables(stripped_b, None, cs_mode=False)
         filter_with_dp(fwd, bwd, store_b, stripped_b, 13)
         assert store_a.snapshot() == store_b.snapshot()
 
     def test_infinite_bound_unchanged(self):
         inst = two_period()
         store, stripped = setup_problem(inst, bc=False)
-        decomp = compute_decomposition(stripped, store)
+        decomp = compute_decomposition(stripped)
         assert wisp_support_filter(decomp, stripped, store, math.inf) is Status.UNCHANGED
 
     def test_window_size_test_matches_state_budget(self, monkeypatch):
@@ -336,9 +337,9 @@ class TestSupportFilter:
                 continue
             budget = rng.choice([0, 10, 100, 300, 1_000, 3_000, 10**9])
             monkeypatch.setattr(wisp_mod, "_WINDOW_BUDGET", budget)
-            last = wisp_mod._last_exact_ends(stripped, read_arcs(stripped, store))
+            last = wisp_mod._last_exact_ends(stripped)
             for u, v in _windows(inst.T):
-                view = make_cost_view(stripped, store, read_arcs(stripped, store), (u, v))
+                view = make_cost_view(stripped, (u, v))
                 fits = state_budget(view) <= budget
                 assert (v <= last[u]) == fits, (u, v, budget)
                 agree[fits] += 1
@@ -360,7 +361,7 @@ class TestSupportFilter:
             costs = [plan_costs(inst, x, i, y)[3] for x, i, y in plans]
             opt = min(costs)
             ub = opt + rng.choice([0, 1, 2])
-            decomp = compute_decomposition(stripped, store)
+            decomp = compute_decomposition(stripped)
             if any(math.isinf(s.w) for s in decomp.subproblems):
                 continue
             before = {t: set(iv_values(store.intervals(("X", t)))) for t in range(inst.T)}
