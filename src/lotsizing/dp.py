@@ -30,7 +30,8 @@ to ``_support``, which reads pairs of surviving states only, cheapest
 first, by rows or along the diagonal of each undecided value, and stops
 once the domain is decided: its cost follows the pairs it must read, at
 most |J| x |I|, and its temporaries are capped at a fixed size. There the
-setup rule reuses the production verdicts plus one O(S) diagonal.
+setup rule reuses the production verdicts plus one O(S) diagonal. A period
+with more than ``_PAIR_CAP`` pairs keeps its X and Y: that removes no plan.
 
 Windowed tables (for the interval-decomposition bound) deliberately relax
 production holes and treat end-of-window stock as zero; the complementary
@@ -196,14 +197,16 @@ def make_cost_view(
     )
 
 
-def table_fits(stripped: StrippedInstance) -> bool:
-    """Whether one whole-horizon table of ``stripped`` (stripped at the
-    current domains) holds at most ``_TABLE_CAP`` states. A table holds the
-    sum of its row sizes: the boundary after period t keeps
-    min(i_cap[t], demand of periods t+1..) + 1 states, the initial one 1."""
-    states = stripped.T + 1
+def table_fits(stripped: StrippedInstance, window: tuple[int, int] | None = None) -> bool:
+    """The one sizing rule, for ``auto``'s DP route and WISP's exact
+    windows: whether a table of ``window`` (the whole horizon when None)
+    holds at most ``_TABLE_CAP`` states, the sum of its row sizes. The
+    boundary after period t keeps min(i_cap[t], demand of periods t+1..v)
+    + 1 states, boundary 0 one. The count grows with v and falls with u."""
+    u, v = (0, stripped.T - 1) if window is None else window
+    states = v - u + 2
     tail = 0
-    for t in range(stripped.T - 1, -1, -1):
+    for t in range(v, max(u, 1) - 2, -1):
         states += max(min(stripped.i_cap[t], tail), 0)
         tail += stripped.d[t]
     return states <= _TABLE_CAP
@@ -449,8 +452,9 @@ def window_tables(
 
 
 _BLOCK = 1 << 18  # entries in any temporary array of the support kernel
+_PAIR_CAP = 1 << 24  # survivor pairs of an unsettled period above which its X and Y stay as they are
 _PAIR_CHUNK = 1 << 14  # pairs in any temporary array of the batched survivor-pair pass
-_TABLE_CAP = 1 << 20  # states of one table (8 MiB of float64) up to which `auto` runs the DP
+_TABLE_CAP = 1 << 20  # states of one table (8 MiB of float64): `auto`'s DP route and WISP's exact windows
 
 
 def _mark_rows(A, C, d, sc, rows, cols, ub, sup) -> None:
@@ -700,8 +704,9 @@ def filter_with_dp(
     scanning rows cheapest first or the diagonals of the undecided values,
     whichever reads fewer pairs, and stops once every value is decided. Its
     cost follows the pairs it reads, at most |J| x |I| per step; its memory
-    is fixed. The setup value Y_t = 1 survives if some x > 0 survives or the
-    x = 0 diagonal plus the setup charge stays within the bound.
+    is fixed; a period with more than ``_PAIR_CAP`` pairs keeps its X and
+    Y. The setup value Y_t = 1 survives if some x > 0 survives or the x = 0
+    diagonal plus the setup charge stays within the bound.
     """
     view = fwd.view
     ub_eff = cost_ub - view.sunk
@@ -746,6 +751,8 @@ def filter_with_dp(
             if not sup_ivs and thr >= width:
                 return Status.FAILED
             keep = iv_normalize(sup_ivs + ((thr, width - 1),))
+        elif surv.count[k] * surv.count[k + 1] > _PAIR_CAP:
+            continue  # too many pairs to read: X_t and Y_t keep every value
         else:
             cand = view.x_allow_mask(t) & iv_mask(dom, 0, xcap)
             cand[thr:] = False

@@ -17,9 +17,10 @@ four cost-restricted flow relaxations and the whole-horizon DP. Under
 bounds alone. A node with every setup fixed takes the DP whenever its table
 fits, under either mode, so a plan in a hole is closed by the DP plan's
 offer. The paper's interval-decomposition bound and windowed filtering run
-only under ``filter_mode="wisp"``, where the fixed threshold
-``wisp._WINDOW_BUDGET`` decides which of their windows are exact. Inventory domains are filtered to bounds, the paper's contract;
-production domains keep the holes the DP's support test punches.
+only under ``filter_mode="wisp"``, where the same state count decides
+which of their windows are exact. Inventory domains are filtered to bounds,
+the paper's contract; production domains keep the holes the DP's support
+test punches.
 
 The argmin plan of the DP's cost table is offered to the search, which
 gates it (the DP does not know Q/R) and keeps it as its incumbent. When an
@@ -321,9 +322,9 @@ class LotSizingConstraint:
 
             # A node the whole-horizon DP serves tries its closing test
             # first and runs the flows inside the DP stage, only if open.
-            # Above the table cap, ``auto`` keeps the flow bounds alone: on
-            # the registry's over-cap classes the decomposition bound equals
-            # them. Under ``wisp`` only a node with every setup fixed takes
+            # Above the table cap, ``auto`` keeps the flow bounds alone for
+            # their cost per node (see the README for the measured bounds and
+            # times). Under ``wisp`` only a node with every setup fixed takes
             # the DP: its offer closes a flow plan that lands in a hole.
             if (self.filter_mode == "auto" or all_y_fixed) and self._fits:
                 status = self._dp_stage(stripped)

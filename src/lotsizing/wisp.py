@@ -9,11 +9,12 @@ which over the windows of a path is one recurrence over period boundaries:
 the best combination inside periods 0..b-1 either leaves period b-1 out or
 ends a window there (``dpwisp``), O(T^2) in all.
 
-Per-window bounds come from the windowed DP when the window's state proxy
-fits ``_WINDOW_BUDGET`` and from the flow relaxation otherwise. Both take one
-pass per start period u: one forward table gives the exact bounds of all
-windows (u, v) that fit (``_window_bounder``), and one greedy pass over the
-path network (``flow.window_flow_bounds``) gives the flow bounds of the rest.
+Per-window bounds come from the windowed DP when the window's table fits
+the one sizing rule, ``dp.table_fits``, and from the flow relaxation
+otherwise. Both take one pass per start period u: one forward table gives
+the exact bounds of all windows (u, v) that fit (``_window_bounder``), and
+one greedy pass over the path network (``flow.window_flow_bounds``) gives
+the flow bounds of the rest.
 Bounds are recomputed on every call; nothing is memoized across calls.
 Every window of a decomposition, and every support window its filter
 visits, reads one stripped instance: the snapshot of the domains that a
@@ -31,17 +32,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domains import DomainStore, Status, merge
-from .dp import _build_forward, filter_with_dp, make_cost_view, window_tables
+from .dp import _build_forward, filter_with_dp, make_cost_view, table_fits, window_tables
 from .flow import pre_stock, window_flow_bounds
 from .instance import StrippedInstance
 
 DP_EXACT = "DP_EXACT"
 FLOW_RELAX = "FLOW_RELAX"
-
-# Transition proxy (periods x (max states + 1)^2, ``_last_exact_ends``) up to
-# which a window gets the exact DP. Read at call time: ``math.inf`` makes
-# every window exact, 0 none.
-_WINDOW_BUDGET = 20_000_000
 
 
 @dataclass
@@ -59,34 +55,27 @@ INF_BOUND = math.inf
 
 
 def _last_exact_ends(stripped: StrippedInstance) -> list[int]:
-    """Per start u, the last end v whose window (u, v) gets the exact DP.
-
-    The state proxy of a window is (v - u + 1) * (top + 1)^2, with top the
-    largest state cap min(I cap, in-window demand after the boundary) over
-    its boundaries max(u, 1)..v+1. It grows with v, so the exact windows of
-    a start are u..v*(u); v*(u) = u - 1 when there is none.
-    """
+    """Per start u, the last end v whose window (u, v) gets the exact DP:
+    its table fits (``table_fits``), so the exact windows of a start are
+    u..v*(u); v*(u) = u - 1 when there is none. A window's state count grows
+    with v and falls as u grows, so v*(u) never decreases and one pass of
+    two pointers finds every start's end."""
     T = stripped.T
-    dprefix = np.concatenate(([0], np.cumsum(stripped.d, dtype=np.int64)))
-    total = int(dprefix[-1])
-    icap = np.minimum(np.array(stripped.i_cap, dtype=np.int64), total)
-    # caps[v, b - 1]: cap of boundary b = 1..T in windows ending at v. Caps of
-    # boundaries past v + 1 are <= 0 and never raise the maximum.
-    caps = np.minimum(icap[None, :], dprefix[1:, None] - dprefix[None, 1:])
-    top = np.maximum(np.maximum.accumulate(caps[:, ::-1], axis=1)[:, ::-1], 0)
-    starts = np.arange(T)
-    top_uv = top[:, np.maximum(starts, 1) - 1].T  # [u, v]: boundaries max(u, 1)..
-    span = starts[None, :] - starts[:, None] + 1  # [u, v]: v - u + 1
-    fits = (span >= 1) & (span * (top_uv + 1.0) ** 2 <= _WINDOW_BUDGET)  # float: no overflow
-    return (starts - 1 + fits.sum(axis=1)).tolist()
+    ends, v = [], -1
+    for u in range(T):
+        v = max(v, u - 1)
+        while v + 1 < T and table_fits(stripped, (u, v + 1)):
+            v += 1
+        ends.append(v)
+    return ends
 
 
 def _window_bounder(stripped: StrippedInstance, cs_mode: bool):
     """``bounds(u) -> [(w, kind) for v = u+1..T-1]`` under the domains of
     ``stripped``.
 
-    Windows whose state proxy fits ``_WINDOW_BUDGET`` get the exact windowed DP
-    (pre-stock seeded, zero end inventory): one forward table per start u on
+    Windows whose table fits (``_last_exact_ends``) get the exact windowed
+    DP (pre-stock seeded, zero end inventory): one forward table per start u on
     the relaxed view of (u, min(v*, T-2)) gives them all, since the rows of a
     shorter window are the low states of a longer one's, so f(v+1, 0) is the
     optimum of window (u, v). The suffix window (u, T-1) honors domain holes
@@ -209,8 +198,8 @@ def wisp_support_filter(
     cost_ub: int,
     cs_mode: bool = False,
 ) -> Status:
-    """Windowed DP filtering on every support window whose DP fits
-    ``_WINDOW_BUDGET`` (``_last_exact_ends``).
+    """Windowed DP filtering on every support window whose table fits
+    (``table_fits``), the windows the decomposition bounds exactly.
 
     Every window reads the domains of ``stripped``, those the decomposition
     was built on, and writes ``store``. An earlier window may have narrowed
@@ -223,9 +212,8 @@ def wisp_support_filter(
     cost_ub - before - after.
     """
     status = Status.UNCHANGED
-    last_exact = _last_exact_ends(stripped)
     for u, v in decomp.support:
-        if v > last_exact[u]:
+        if not table_fits(stripped, (u, v)):
             continue
         fwd, bwd = window_tables(stripped, (u, v), cs_mode=cs_mode)
         before = int(decomp.lb_before(u))

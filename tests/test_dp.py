@@ -553,32 +553,54 @@ class TestFilter:
                 failed += 1
         assert checked >= 300 and failed >= 40, (checked, failed)
 
-    def test_sound_and_complete_at_dp_level(self):
+    def test_sound_and_complete_at_dp_level(self, monkeypatch):
+        """Every plan within the bound keeps its values, and the production
+        domains are exactly its values, the inventory domains its bounds.
+        Each case also runs at a pair cap of 1: the X and Y domains of every
+        period that the all-pairs-fit shortcut does not settle and that holds
+        more than one survivor pair stay as they were, and the other periods
+        are filtered as at the default cap."""
         rng = random.Random(41)
-        tested = 0
-        for _ in range(250):
+        tested = kept = 0
+        for _ in range(1000):
             inst = rand_normalized(rng, max_T=5, max_d=4, max_cap=6)
-            store, stripped = setup_problem(inst)
+            root, stripped = setup_problem(inst)
             if stripped is None:
                 continue
-            plans = list(store_plans(inst, store))
+            plans = list(store_plans(inst, root))
             if not plans:
                 continue
             costs = [plan_costs(inst, x, i, y)[3] for x, i, y in plans]
             opt = min(costs)
             ub = opt + rng.choice([0, 0, 1, 3])
-            fine = [(x, i) for (x, i, y), c in zip(plans, costs) if c <= ub]
+            fine = [(x, i, y) for (x, i, y), c in zip(plans, costs) if c <= ub]
             fwd, bwd = window_tables(stripped, None, cs_mode=False)
-            st = filter_with_dp(fwd, bwd, store, stripped, ub - stripped.c_min)
-            assert st is not Status.FAILED
-            for t in range(inst.T):
-                # Production values exactly; inventory to bounds.
-                x_vals = set(iv_values(store.intervals(("X", t))))
-                i_vals = {i[t] for _, i in fine}
-                assert x_vals == {x[t] for x, _ in fine}
-                assert (store.min(("I", t)), store.max(("I", t))) == (min(i_vals), max(i_vals))
+            ub_eff = ub - stripped.c_min - fwd.sunk
+            surv = dp_mod._survivors(fwd, bwd, ub_eff)
+            unsettled = [
+                t for t in range(inst.T)
+                if dp_mod._fit_range(surv, t, fwd.view.d[t], fwd.view.s_charge[t], ub_eff) is None
+            ]
+            for pair_cap in (dp_mod._PAIR_CAP, 1):
+                monkeypatch.setattr(dp_mod, "_PAIR_CAP", pair_cap)
+                over = {t for t in unsettled if surv.count[t] * surv.count[t + 1] > pair_cap}
+                store = copy.deepcopy(root)
+                st = filter_with_dp(fwd, bwd, store, stripped, ub - stripped.c_min)
+                assert st is not Status.FAILED
+                for t in range(inst.T):
+                    for x, i, y in fine:
+                        assert store.contains(("X", t), x[t]) and store.contains(("Y", t), y[t])
+                    # Production values exactly; inventory to bounds.
+                    i_vals = {i[t] for _, i, _ in fine}
+                    if t in over:
+                        for var in "XY":
+                            assert store.intervals((var, t)) == root.intervals((var, t))
+                    else:
+                        assert set(iv_values(store.intervals(("X", t)))) == {x[t] for x, _, _ in fine}
+                    assert (store.min(("I", t)), store.max(("I", t))) == (min(i_vals), max(i_vals))
+                kept += len(over)
             tested += 1
-        assert tested >= 100
+        assert tested >= 400 and kept >= 45, (tested, kept)
 
 
 # The S x S pair-matrix filter that ``filter_with_dp`` replaced, kept as the

@@ -32,7 +32,7 @@ from lotsizing import (
     validate_and_normalize,
     verify,
 )
-from lotsizing.domains import iv_values
+from lotsizing.domains import iv_intersect, iv_values
 from lotsizing.instance import PEAK_PERIODS_1BASED
 from lotsizing.search import _propagate_all, build_model
 import lotsizing.dp as dp_mod
@@ -541,6 +541,11 @@ def registry_instance(name: str, seed: int = 1):
 
 
 class TestAutoRouting:
+    """``auto`` routes a node by one state count, ``dp.table_fits``: the
+    whole-horizon DP when its table fits, the flow relaxations alone above
+    the cap. The decomposition would bound those nodes higher at many times
+    the cost per node; ``filter_mode="wisp"`` forces it."""
+
     @pytest.mark.parametrize(
         "name, route",
         [("C1LS", "dp"), ("C3LS", "dp"), ("C1Disj", "dp"), ("C6Disj", "dp"), ("C7/0", "dp"),
@@ -576,9 +581,11 @@ class TestAutoRouting:
 
     @pytest.mark.parametrize("name", ["C1Peaks", "C3Peaks"])
     def test_over_cap_flow_route_matches_forced_wisp(self, name):
-        """Above the table cap, the flow relaxations alone leave the same
-        root domains and cost bounds as the forced decomposition, and the
-        capped searches of both protocols take the same course."""
+        """Above the table cap, the forced decomposition dominates the flow
+        relaxations that ``auto`` keeps there: given the optimum, every root
+        X/I/Y domain under ``wisp`` is a subset of the flow route's, and its
+        min C is at least as high. ``auto`` keeps the flows for their cost
+        per node (under 1 ms against 0.8-1.0 s at these roots)."""
         inst, side = registry_instance(name)
         opt = _reference_optimum(name, 1)
 
@@ -586,17 +593,14 @@ class TestAutoRouting:
             store, ls, _, _ = build_model(inst, side, SearchConfig(filter_mode=mode))
             store.set_max(("C", 0), opt)
             assert ls.propagate()[0] is PropagateResult.FIXPOINT
-            return _plan_and_cost_domains(store, inst.T)
+            return store
 
-        assert root("auto") == root("wisp")
-        for ub in (opt, None):
-            runs = []
-            for mode in ("auto", "wisp"):
-                _, stats = solve(inst, side, SearchConfig(ub=ub, branching="peak", node_limit=10,
-                                                          filter_mode=mode))
-                runs.append((stats.status, stats.nodes, stats.backtracks, stats.prunes,
-                             stats.root_lb, stats.best_cost))
-            assert runs[0] == runs[1]
+        flow, wisp = root("auto"), root("wisp")
+        for kind in "XIY":
+            for t in range(inst.T):
+                narrow = wisp.intervals((kind, t))
+                assert iv_intersect(narrow, flow.intervals((kind, t))) == narrow, (kind, t)
+        assert wisp.min(("C", 0)) >= flow.min(("C", 0))
 
 
 def _plan_and_cost_domains(store, T):

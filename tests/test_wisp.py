@@ -21,11 +21,12 @@ from lotsizing import (
     window_tables,
     wisp_support_filter,
 )
+import lotsizing.dp as dp_mod
 from lotsizing import wisp as wisp_mod
 from lotsizing.domains import iv_values
 from lotsizing.flow import FlowMode, min_cost_flow
 from test_dp import setup_problem, two_period
-from conftest import plan_costs, rand_normalized, state_budget, store_plans
+from conftest import plan_costs, rand_normalized, store_plans
 from test_flow import _reference_solve, reference_network
 
 
@@ -63,9 +64,9 @@ class TestBounds:
             store, stripped = setup_problem(inst)
             if stripped is None:
                 continue
-            monkeypatch.setattr(wisp_mod, "_WINDOW_BUDGET", math.inf)
+            monkeypatch.setattr(dp_mod, "_TABLE_CAP", math.inf)
             exact = compute_decomposition(stripped).subproblems
-            monkeypatch.setattr(wisp_mod, "_WINDOW_BUDGET", 0)
+            monkeypatch.setattr(dp_mod, "_TABLE_CAP", 0)
             relaxed = compute_decomposition(stripped).subproblems
             for sub_dp, sub_fl in zip(exact, relaxed, strict=True):
                 (w_dp, k1), (w_fl, k2) = (sub_dp.w, sub_dp.bound_kind), (sub_fl.w, sub_fl.bound_kind)
@@ -110,7 +111,8 @@ class TestSweepEquivalence:
     def test_matches_per_window_tables(self, monkeypatch):
         """One forward table per start gives, for every window, the bound and
         kind of a table built for that window alone: the exact DP when the
-        window's state proxy fits the budget, else the flow pass."""
+        window's table, the sum of its row sizes, fits the state cap, else
+        the flow pass."""
         from lotsizing.dp import _build_forward, make_cost_view
         from lotsizing.flow import pre_stock, window_flow_bounds
 
@@ -133,33 +135,36 @@ class TestSweepEquivalence:
                 continue
             for cs in (False, True):
                 flow_pass = window_flow_bounds(stripped, cs)
-                for budget in (None, 0, rng.choice([20, 60, 200, 800])):
-                    monkeypatch.setattr(wisp_mod, "_WINDOW_BUDGET", math.inf if budget is None else budget)
+                for cap in (None, 0, rng.choice([8, 15, 30, 60])):
+                    monkeypatch.setattr(dp_mod, "_TABLE_CAP", math.inf if cap is None else cap)
                     decomp = compute_decomposition(stripped, cs)
                     kinds = {(s.u, s.bound_kind) for s in decomp.subproblems}
                     # starts whose windows go partly exact, partly flow
                     checked["split"] += sum((u, "FLOW_RELAX") in kinds for u, k in kinds if k == "DP_EXACT")
                     for sub in decomp.subproblems:
                         view = make_cost_view(stripped, (sub.u, sub.v), cs_mode=cs)
-                        if budget is None or state_budget(view) <= budget:
+                        if cap is None or sum(view.row_cap) + sub.v - sub.u + 2 <= cap:
                             prestock = pre_stock(stripped, cs)(sub.u, view.cap(sub.u))
                             opt = _build_forward(view, prestock).optimum()
                             want = (math.inf if math.isinf(opt) else opt + view.sunk, "DP_EXACT")
                         else:
                             want = (flow_pass(sub.u)[sub.v], "FLOW_RELAX")
-                        assert (sub.w, sub.bound_kind) == want, (sub.u, sub.v, cs, budget)
+                        assert (sub.w, sub.bound_kind) == want, (sub.u, sub.v, cs, cap)
                         checked[want[1]] += 1
         assert checked["DP_EXACT"] >= 2500 and checked["FLOW_RELAX"] >= 1500
         assert checked["split"] >= 50
 
 
 class TestWindowThreshold:
-    @pytest.mark.parametrize("name, exact, flow_bound", [("C1LS", 42, 408_774), ("C1Peaks", 47, 9_026_601)])
-    def test_registry_root_split_and_value(self, name, exact, flow_bound):
-        """At the fixed threshold the seed-1 root of C1LS and C1Peaks gets a
-        few exact windows, and the decomposition bound equals the FULL flow
-        bound: the fact behind ``auto`` keeping the flow bounds over the
-        table cap."""
+    @pytest.mark.parametrize(
+        "name, exact, value, flow_bound",
+        [("C1LS", 780, 456_441, 408_774), ("C1Peaks", 433, 9_415_804, 9_026_601)],
+    )
+    def test_registry_root_split_and_value(self, name, exact, value, flow_bound):
+        """Under the table cap, every window of the seed-1 C1LS root is exact,
+        so the decomposition is the whole-horizon DP bound. On C1Peaks, whose
+        whole-horizon table is over the cap, 433 of the 780 windows are exact
+        and the decomposition beats the FULL flow bound by 4.3 %."""
         params = dataclasses.replace(INSTANCE_CLASSES[name].params, seed=1)
         inst = validate_and_normalize(generate(params))
         store = DomainStore.for_instance(inst)
@@ -168,8 +173,10 @@ class TestWindowThreshold:
         decomp = compute_decomposition(stripped)
         kinds = [s.bound_kind for s in decomp.subproblems]
         assert (kinds.count("DP_EXACT"), len(kinds)) == (exact, 780)
-        flow = min_cost_flow(stripped, FlowMode.FULL)
-        assert decomp.value + stripped.c_min == flow + stripped.c_min == flow_bound
+        assert decomp.value + stripped.c_min == value
+        assert min_cost_flow(stripped, FlowMode.FULL) + stripped.c_min == flow_bound
+        if name == "C1LS":
+            assert value == window_tables(stripped, None, cs_mode=False)[0].optimum() + stripped.c_min
 
 
 class TestWindowFlowBound:
@@ -316,10 +323,12 @@ class TestSupportFilter:
         decomp = compute_decomposition(stripped)
         assert wisp_support_filter(decomp, stripped, store, math.inf) is Status.UNCHANGED
 
-    def test_window_size_test_matches_state_budget(self, monkeypatch):
-        """The support filter's size test, ``v <= _last_exact_ends[u]``,
-        agrees with the per-window proxy on every window of random stores
-        with fixed setups and I caps, at budgets from 0 to 1e9."""
+    def test_last_exact_end_is_the_last_window_that_fits(self, monkeypatch):
+        """One state count sizes every table: ``table_fits`` on a window, and
+        on the whole horizon when given none, compares the sum of its row
+        sizes with ``_TABLE_CAP``, and each start's last exact end
+        (``_last_exact_ends``) is the last end whose window fits. Random
+        stores with fixed setups and I caps, at caps from 0 to 1e9."""
         from lotsizing.dp import make_cost_view
 
         rng = random.Random(61)
@@ -335,14 +344,20 @@ class TestSupportFilter:
             store, stripped = setup_problem(inst, store)
             if stripped is None:
                 continue
-            budget = rng.choice([0, 10, 100, 300, 1_000, 3_000, 10**9])
-            monkeypatch.setattr(wisp_mod, "_WINDOW_BUDGET", budget)
+            cap = rng.choice([0, 10, 100, 300, 1_000, 3_000, 10**9])
+            monkeypatch.setattr(dp_mod, "_TABLE_CAP", cap)
             last = wisp_mod._last_exact_ends(stripped)
-            for u, v in _windows(inst.T):
-                view = make_cost_view(stripped, (u, v))
-                fits = state_budget(view) <= budget
-                assert (v <= last[u]) == fits, (u, v, budget)
-                agree[fits] += 1
+            T = inst.T
+            for u in range(T):
+                fitting = [u - 1]
+                for v in range(u, T):
+                    fits = sum(make_cost_view(stripped, (u, v)).row_cap) + v - u + 2 <= cap
+                    assert dp_mod.table_fits(stripped, (u, v)) == fits, (u, v, cap)
+                    if fits:
+                        fitting.append(v)
+                    agree[fits] += 1
+                assert last[u] == max(fitting), (u, cap)
+            assert dp_mod.table_fits(stripped) == (T - 1 <= last[0])
         assert agree[True] >= 1_200 and agree[False] >= 600
 
     def test_windowed_removals_are_sound(self):
