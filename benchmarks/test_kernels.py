@@ -160,9 +160,11 @@ def test_filter_with_dp(benchmark, cls, bound):
     (the paper's given bound), against the trivial cost cap (no bound),
     against the optimum plus 0.5 % (near) or plus 2 % (open). On C1LS the
     near bound sends 35 of the 40 periods, each over 2^14 survivor pairs, to
-    ``dp._support``. On the C1Peaks table (2.9M states) the open bound leaves
-    33 periods with more than ``dp._PAIR_CAP`` pairs, up to 5.8e9, whose X
-    and Y domains are kept unread."""
+    ``dp._support``, which reads their rows coarse to fine, each read
+    against all columns or along the diagonals of the undecided values, and
+    stops once every value is supported. On the C1Peaks table (2.9M states)
+    the open bound leaves 33 periods with more than ``dp._PAIR_CAP`` pairs,
+    up to 5.8e9, whose X and Y domains are kept unread."""
     _, store, stripped = _root(cls)
     fwd, bwd = window_tables(stripped, None, cs_mode=False)
     opt = json.loads(REFERENCES.read_text())["optima"][cls]["1"]

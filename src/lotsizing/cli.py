@@ -149,6 +149,7 @@ def _print_run(sol: Solution | None, stats: SearchStats, machine: bool) -> None:
         )
         return
     print(f"status    {stats.status}")
+    print(f"stop      {stats.stop_reason}")
     print(f"nodes     {stats.nodes}")
     print(f"cpu_s     {stats.cpu_s:.3f}")
     print(f"root_lb   {stats.root_lb}")

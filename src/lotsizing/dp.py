@@ -26,12 +26,13 @@ Every other period whose |J| x |I| fits one chunk of ``_PAIR_CHUNK`` pairs
 is settled by one batched pass (``_pair_pass``) that reads all pairs of
 those periods at once, laid end to end in chunks, and gives the supported
 production values and the idle-setup test together. A larger period goes
-to ``_support``, which reads pairs of surviving states only, cheapest
-first, by rows or along the diagonal of each undecided value, and stops
-once the domain is decided: its cost follows the pairs it must read, at
-most |J| x |I|, and its temporaries are capped at a fixed size. There the
-setup rule reuses the production verdicts plus one O(S) diagonal. A period
-with more than ``_PAIR_CAP`` pairs keeps its X and Y: that removes no plan.
+to ``_support``, which gives the same two answers from pairs of surviving
+states only: it reads the rows coarse to fine, each read against all
+columns or along the diagonal of each undecided value, whichever are
+fewer, and stops once every candidate is supported, so its cost follows
+the pairs it must read, at most |J| x |I|, and its temporaries are capped
+at a fixed size. A period with more than ``_PAIR_CAP`` pairs keeps its X
+and Y: that removes no plan.
 
 Windowed tables (for the interval-decomposition bound) deliberately relax
 production holes and treat end-of-window stock as zero; the complementary
@@ -457,89 +458,60 @@ _PAIR_CHUNK = 1 << 14  # pairs in any temporary array of the batched survivor-pa
 _TABLE_CAP = 1 << 20  # states of one table (8 MiB of float64): `auto`'s DP route and WISP's exact windows
 
 
-def _mark_rows(A, C, d, sc, rows, cols, ub, sup) -> None:
+def _mark_rows(A, C, d, sc, rows, cols, ub, sup, diagonal=False) -> None:
     """sup[x] = True for every pair of ``rows`` x ``cols`` under the bound,
-    in pieces of at most ``_BLOCK`` pairs."""
+    in pieces of at most ``_BLOCK`` pairs. The columns are states i, or with
+    ``diagonal`` production values x, each read at state i = j + x - d."""
     n = len(sup)
     for c0 in range(0, len(cols), _BLOCK):
         cc = cols[c0 : c0 + _BLOCK]
         step = max(_BLOCK // len(cc), 1)
         for r0 in range(0, len(rows), step):
             rr = rows[r0 : r0 + step, None]
-            x = cc - rr + d
-            x = x[A[rr] + C[cc] + sc * (x > 0) <= ub]
+            i, x = (rr + cc - d, np.broadcast_to(cc, (len(rr), len(cc)))) if diagonal else (cc, cc - rr + d)
+            x = x[A[rr] + C[i] + sc * (x > 0) <= ub]
             sup[x[(x >= 0) & (x < n)]] = True
 
 
-def _mark_diagonals(A, C, d, sc, xs, starts, lens, width, ub, sup) -> None:
-    """sup[x] = True for each x of ``xs`` with a pair under the bound among
-    j = starts..starts + lens - 1, i = j + x - d, where lens <= width. The
-    pieces are laid end to end and read at most ``_BLOCK`` pairs at a time."""
-    step = max(_BLOCK // width, 1)
-    for a in range(0, len(xs), step):
-        n = lens[a : a + step]
-        x = np.repeat(xs[a : a + step], n)
-        j = np.repeat(starts[a : a + step] - np.cumsum(n) + n, n) + np.arange(len(x))
-        sup[x[A[j] + C[j + x - d] + sc * (x > 0) <= ub]] = True
+def _support(A, C, d, sc, cand, ub) -> tuple[np.ndarray, bool]:
+    """The survivor pairs of one period, read until its domain is decided.
 
+    Returns (sup, idle) as ``_pair_pass`` does: sup[x] is True for each
+    candidate x (``cand[x]``) with states j, i, i - j + d = x, such that
+    A[j] + C[i], plus ``sc`` when x > 0, is at most ``ub`` (other supported
+    values may be marked too), and idle says whether an x = 0 pair plus
+    ``sc`` fits. A and C are INF off the surviving states.
 
-def _support(A, C, d, sc, cand, ub) -> tuple[np.ndarray, str]:
-    """Candidate production values that some state pair supports.
-
-    Returns (sup, end): sup[x] is True for each candidate x (``cand[x]``)
-    with states j, i, i - j + d = x, such that A[j] + C[i], plus ``sc`` when
-    x > 0, is at most ``ub``. A and C are INF off the surviving states.
-
-    Only rows j and columns i that the cheapest partner can complete are
-    read; all of their pairs at once when they are no more than the
-    candidates. Otherwise two scans share the work, each step going to the
-    one whose next step reads fewer pairs. The row scan reads rows cheapest
-    A first, in blocks of 1, 2, 4, ... rows, each against the columns that
-    a row of that cost can still use. The diagonal scan reads the next 1,
-    2, 4, ... pairs of the diagonal of every undecided candidate. ``end``
-    says what decided the last candidates: "covered" (all supported),
-    "exhausted" (every row read), "bound" (every row read that the cheapest
-    column can complete, and some could not) or "diagonals" (every diagonal
-    read to its end). No step reads more than the |J| x |I| matrix holds,
-    and no temporary holds more than ``_BLOCK`` pairs.
+    Rows j and columns i that the cheapest partner cannot complete are
+    dropped first. The rows are then read coarse to fine: J[0], then at
+    each read the rows halfway between those read so far, so that early
+    reads spread over J and reach the values at both ends of the range.
+    Each read takes all of I or the diagonal i = j + x - d of each
+    undecided candidate x, whichever are fewer, and drops the candidates it
+    supports: the pass stops once none is left or every row is read. No
+    temporary holds more than ``_BLOCK`` pairs.
     """
+    n = min(len(C), len(A) - d)
+    idle = n > 0 and bool((A[d : d + n] + C[:n] + sc <= ub).any())
     sup = np.zeros(len(cand), dtype=bool)
-    J = np.flatnonzero(A < INF)
-    I = np.flatnonzero(C < INF)
-    if len(J) == 0 or len(I) == 0:
-        return sup, "bound"
-    n_all = len(J)
-    J, I = J[A[J] + C[I].min() <= ub], I[C[I] + A[J].min() <= ub]
+    J, I = np.flatnonzero(A < INF), np.flatnonzero(C < INF)
+    J, I = J[A[J] + C[I].min(initial=INF) <= ub], I[C[I] + A[J].min(initial=INF) <= ub]
     if len(J) == 0:
-        return sup, "bound"
-    rows_end = "exhausted" if len(J) == n_all else "bound"
+        return sup, idle
     lo = max(I[0] - J[-1] + d, 0)
     left = np.flatnonzero(cand[lo : max(I[-1] - J[0] + d + 1, 0)]) + lo
-    if len(J) * len(I) <= len(left):
-        _mark_rows(A, C, d, sc, J, I, ub, sup)
-        return sup & cand, rows_end
-    rows, cols = J[np.argsort(A[J])], I[np.argsort(C[I])]
-    a_sorted, c_sorted = A[rows], C[cols]
-    r, block = 0, 1
-    off, width = 0, 1
+    # A diagonal state lies within J[-1] - J[0] of I: this INF tail holds
+    # those past the end of C and, read from the end, the negative ones.
+    C = np.append(C, np.full(J[-1] - J[0] + 1, INF))
+    rows, step = J[:1], 1 << len(J).bit_length()
     while len(left):
-        if r == len(rows):
-            return sup & cand, rows_end
-        starts = np.maximum(J[0], I[0] - left + d) + off
-        lens = np.minimum(np.minimum(J[-1], I[-1] - left + d) - starts + 1, width)
-        keep = lens > 0
-        if not keep.any():
-            return sup & cand, "diagonals"
-        n_cols = int(np.searchsorted(c_sorted, ub - a_sorted[r], side="right"))
-        step = min(block, len(rows) - r)
-        if lens[keep].sum() <= step * n_cols:
-            _mark_diagonals(A, C, d, sc, left[keep], starts[keep], lens[keep], width, ub, sup)
-            off, width = off + width, min(2 * width, _BLOCK)
-        else:
-            _mark_rows(A, C, d, sc, rows[r : r + step], cols[:n_cols], ub, sup)
-            r, block = r + step, 2 * block
+        diagonal = len(left) < len(I)
+        _mark_rows(A, C, d, sc, rows, left if diagonal else I, ub, sup, diagonal)
         left = left[~sup[left]]
-    return sup & cand, "covered"
+        if step == 1:
+            break
+        rows, step = J[step // 2 :: step], step // 2
+    return sup, idle
 
 
 class _Survivors(NamedTuple):
@@ -700,13 +672,14 @@ def filter_with_dp(
     (``_fit_range``), the supported values are an interval and the period is
     settled by interval arithmetic. The other periods whose J x I fits one
     chunk read all their pairs in one batched pass (``_pair_pass``).
-    Otherwise ``_support`` decides the domain's values from pairs of J x I,
-    scanning rows cheapest first or the diagonals of the undecided values,
-    whichever reads fewer pairs, and stops once every value is decided. Its
-    cost follows the pairs it reads, at most |J| x |I| per step; its memory
-    is fixed; a period with more than ``_PAIR_CAP`` pairs keeps its X and
-    Y. The setup value Y_t = 1 survives if some x > 0 survives or the x = 0
-    diagonal plus the setup charge stays within the bound.
+    Otherwise ``_support`` reads the pairs of J x I in blocks of rows
+    spread over J, each against all of I or along the diagonals of the
+    undecided values, whichever are fewer, and stops once every value is
+    supported. Its cost follows the pairs it reads, at most |J| x |I|; its
+    memory is fixed; a period with more than ``_PAIR_CAP`` pairs keeps its
+    X and Y. Both passes give one (supported values, idle test) result per
+    period. The setup value Y_t = 1 survives if some x > 0 survives or the
+    x = 0 diagonal plus the setup charge stays within the bound.
     """
     view = fwd.view
     ub_eff = cost_ub - view.sunk
@@ -744,32 +717,36 @@ def filter_with_dp(
         width = dom[-1][1] + 1
         thr = view.tail[k + 1] if windowed else width
         fit = fits[k]
+        x0, runs = view.x_runs(t)
         if fit is not None:
-            x0, runs = view.x_runs(t)
             allowed = iv_intersect(dom, (((0, 0),) if x0 else ()) + tuple(runs))
             sup_ivs = iv_intersect(allowed, ((max(fit[0], 0), min(fit[1], xcap, thr - 1)),))
             if not sup_ivs and thr >= width:
                 return Status.FAILED
             keep = iv_normalize(sup_ivs + ((thr, width - 1),))
+            producing = bool(sup_ivs) and sup_ivs[-1][1] >= 1
+            idle = fit[0] <= 0 <= fit[1]
         elif surv.count[k] * surv.count[k + 1] > _PAIR_CAP:
             continue  # too many pairs to read: X_t and Y_t keep every value
         else:
             cand = view.x_allow_mask(t) & iv_mask(dom, 0, xcap)
             cand[thr:] = False
             if k in pairs:
-                sup = pairs[k][0] & cand
+                sup, idle = pairs[k]
             else:
                 p, h = view.p[k], view.h[k]
                 s0, s1, s2 = surv.start[k : k + 3]
                 A = np.where(surv.alive[s0:s1], fwd.row(t) - p * np.arange(s1 - s0), INF)
                 C = np.where(surv.alive[s1:s2], bwd.row(t + 1) + (p + h) * np.arange(s2 - s1) + p * d, INF)
-                sup, _ = _support(A, C, d, sc, cand, ub_eff)
+                sup, idle = _support(A, C, d, sc, cand, ub_eff)
+            sup = sup & cand
             supported = np.zeros(width, dtype=bool)
             supported[: xcap + 1] = sup
             supported[thr:] = True
             if not supported.any():
                 return Status.FAILED
             keep = iv_from_mask(supported, 0)
+            producing = bool(sup[1:].any())
         st = store.set_intervals(("X", t), iv_intersect(store.intervals(("X", t)), iv_shift(keep, x_off)))
         if st is Status.FAILED:
             return Status.FAILED
@@ -780,20 +757,9 @@ def filter_with_dp(
         # Y_t must be 0. Only stated on suffix windows, where the table
         # is exact for the in-window plan. A setup charge is payable only
         # while Y_t is free.
-        if not windowed and sc > 0:
-            if fit is not None:
-                producing = bool(sup_ivs) and sup_ivs[-1][1] >= 1
-                idle = x0 and fit[0] <= 0 <= fit[1]
-            else:
-                producing = bool(sup[1:].any())
-                if k in pairs:
-                    idle = view.x_runs(t)[0] and pairs[k][1]
-                else:
-                    n = min(len(C), len(A) - d)
-                    idle = view.x_runs(t)[0] and n > 0 and bool((A[d : d + n] + C[:n] + sc <= ub_eff).any())
-            if not producing and not idle:
-                st = store.set_max(("Y", t), 0)
-                if st is Status.FAILED:
-                    return Status.FAILED
-                status = merge(status, st)
+        if not windowed and sc > 0 and not producing and not (x0 and idle):
+            st = store.set_max(("Y", t), 0)
+            if st is Status.FAILED:
+                return Status.FAILED
+            status = merge(status, st)
     return status

@@ -291,6 +291,8 @@ class TestCriterion7:
                 alpha_hi=[cap] * T, beta_hi=[cap] * T,
             ))
             summary = _plan_value_summary(inst)
+            if tested < 5:
+                assert summary == _plan_value_sweep(inst)
             if summary is None:
                 continue
             opt, xvals, ivals, y1_cost, y0_cost = summary
@@ -320,8 +322,59 @@ class TestCriterion7:
 
 
 def _plan_value_summary(inst):
-    """Per-variable cheapest plan cost for every value, by exhaustive sweep
-    over production plans (minimal setups; an idle setup at t adds s[t])."""
+    """Per-variable cheapest plan cost for every value, by a forward and a
+    backward DP over (period, stock) from zero initial to zero final stock
+    (minimal setups; an idle setup at t adds s[t]). The cheapest plan that
+    takes production x in period t joins the cheapest way into its stock
+    before t, the period's cost and the cheapest way out of its stock after
+    t. Returns (optimum, X costs, I costs, Y = 1 costs, Y = 0 costs), or
+    None when no plan exists."""
+    T = inst.T
+
+    def moves(t, inv):
+        """(x, stock after period t, cost of period t) of each production
+        value x that the domains allow from ``inv`` units in stock."""
+        for x in range(inst.alpha_lo[t], inst.alpha_hi[t] + 1):
+            nxt = inv + x - inst.d[t]
+            if inst.beta_lo[t] <= nxt <= inst.beta_hi[t] and (t < T - 1 or nxt == 0):
+                yield x, nxt, inst.p[t] * x + inst.h[t] * nxt + (inst.s[t] if x > 0 else 0)
+
+    into = [{0: 0}] + [{} for _ in range(T)]  # into[t][inv]: periods 0..t-1, ending with inv units
+    for t in range(T):
+        for inv, c in into[t].items():
+            for _, nxt, cost in moves(t, inv):
+                into[t + 1][nxt] = min(into[t + 1].get(nxt, math.inf), c + cost)
+    out = [{} for _ in range(T)] + [{0: 0}]  # out[t][inv]: periods t..T-1, starting with inv units
+    for t in range(T - 1, -1, -1):
+        for inv in into[t]:
+            costs = [cost + out[t + 1][nxt] for _, nxt, cost in moves(t, inv) if nxt in out[t + 1]]
+            if costs:
+                out[t][inv] = min(costs)
+    if 0 not in out[0]:
+        return None
+    xvals = [{} for _ in range(T)]
+    ivals = [{} for _ in range(T)]
+    y1 = [math.inf] * T
+    y0 = [math.inf] * T
+    for t in range(T):
+        for inv, c in into[t].items():
+            for x, nxt, cost in moves(t, inv):
+                if nxt not in out[t + 1]:
+                    continue
+                total = c + cost + out[t + 1][nxt]
+                xvals[t][x] = min(xvals[t].get(x, math.inf), total)
+                ivals[t][nxt] = min(ivals[t].get(nxt, math.inf), total)
+                if x > 0:
+                    y1[t] = min(y1[t], total)
+                else:
+                    y0[t] = min(y0[t], total)
+                    y1[t] = min(y1[t], total + inst.s[t])
+    return out[0][0], xvals, ivals, y1, y0
+
+
+def _plan_value_sweep(inst):
+    """``_plan_value_summary`` by exhaustive sweep over production plans,
+    its cross-check."""
     T = inst.T
     INF2 = math.inf
     xvals = [dict() for _ in range(T)]

@@ -81,6 +81,20 @@ class TestSolve:
         record = json.loads(capsys.readouterr().out.strip())
         assert code == 0 and record["best_cost"] == 13
 
+    def test_node_limit_prints_stop_reason(self, tmp_path, capsys):
+        """A node limit reports status TIMEOUT, as a time limit does; the
+        stop line tells the two apart."""
+        out = tmp_path / "c3qr"
+        assert run("generate", "--cls", "C3QR", "--count", "1", "--seed", "2", "--out", str(out)) == 0
+        capsys.readouterr()
+        code = run(
+            "solve", "--instance", str(out / "C3QR_00.txt"), "--side-spec", str(out / "C3QR.side"),
+            "--node-limit", "1",
+        )
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 1
+        assert "status    TIMEOUT" in lines and "stop      node_limit" in lines
+
     def test_solution_round_trip_verifies(self, tmp_path, capsys):
         inst = write_two_period(tmp_path)
         sol_path = tmp_path / "sol.txt"

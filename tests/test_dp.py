@@ -2,9 +2,11 @@
 
 import copy
 import dataclasses
+import json
 import math
 import random
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +33,7 @@ from conftest import plan_costs, rand_normalized, store_plans
 from test_bc import reference_setup
 
 INF = math.inf
+_REFERENCES = Path(__file__).resolve().parents[1] / "perfbench" / "references.json"
 
 
 def two_period():
@@ -770,27 +773,45 @@ def _scan_inputs(fwd, bwd, store, stripped, ub_eff, t):
 
 
 class _ScanRecorder:
-    """Wraps ``_support`` and ``_fit_range``. Every general scan records how
-    it ended. Every ``_fit_range`` call first checks the survivor facts of
+    """Wraps ``_support``, ``_mark_rows`` and ``_fit_range``. Every general
+    pass records how it read its period: whether some read took columns and
+    some took diagonals (never a column read after a diagonal one), and
+    whether it stopped with rows left that the cheapest-partner cut keeps. Every ``_fit_range`` call first checks the survivor facts of
     both boundaries against the survivors read off the rows one at a time.
     Where the all-pairs-fit shortcut answers, the recorder runs the general
-    scan on the same period, asserts that it supports exactly the
-    candidates in the shortcut's range, and records its end too, so the scan
-    endings are counted over every period as before."""
+    pass on the same period, asserts that it supports exactly the
+    candidates in the shortcut's range and agrees on the idle test, and
+    records that pass too, so the reads are counted over every period."""
 
     def __init__(self, monkeypatch):
-        self.ends = []
+        self.columns = self.diagonals = self.early = 0
         self.shortcuts = self.scans = 0
         self.case = None  # (fwd, bwd, store, stripped) of the filter call under test
-        self._kernel, self._fit = dp_mod._support, dp_mod._fit_range
+        self._reads = []  # (diagonal, rows) of each read of the pass under way
+        self._kernel, self._fit, self._mark = dp_mod._support, dp_mod._fit_range, dp_mod._mark_rows
         monkeypatch.setattr(dp_mod, "_support", self.support)
         monkeypatch.setattr(dp_mod, "_fit_range", self.fit_range)
+        monkeypatch.setattr(dp_mod, "_mark_rows", self.mark_rows)
+
+    def mark_rows(self, A, C, d, sc, rows, cols, ub, sup, diagonal=False):
+        self._reads.append((diagonal, len(rows)))
+        self._mark(A, C, d, sc, rows, cols, ub, sup, diagonal)
+
+    def run(self, A, C, d, sc, cand, ub):
+        self._reads = []
+        sup, idle = self._kernel(A, C, d, sc, cand, ub)
+        modes = [diagonal for diagonal, _ in self._reads]
+        assert modes == sorted(modes), modes
+        self.columns += False in modes
+        self.diagonals += True in modes
+        live = C < INF
+        rows = np.count_nonzero(A + C[live].min() <= ub) if live.any() else 0
+        self.early += 0 < sum(n for _, n in self._reads) < rows
+        return sup, idle
 
     def support(self, *args):
-        sup, end = self._kernel(*args)
-        self.ends.append(end)
         self.scans += 1
-        return sup, end
+        return self.run(*args)
 
     def fit_range(self, surv, k, d, sc, ub):
         fwd, bwd, store, stripped = self.case
@@ -804,10 +825,10 @@ class _ScanRecorder:
                 assert top[b] == vals[live].max()
         fit = self._fit(surv, k, d, sc, ub)
         if fit is not None:
-            sup, end = self._kernel(A, C, d, sc, cand, ub)
+            sup, idle = self.run(A, C, d, sc, cand, ub)
             x = np.arange(len(cand))
-            assert np.array_equal(sup, cand & (fit[0] <= x) & (x <= fit[1])), (k, fit)
-            self.ends.append(end)
+            assert np.array_equal(sup & cand, cand & (fit[0] <= x) & (x <= fit[1])), (k, fit)
+            assert idle == (fit[0] <= 0 <= fit[1]), (k, fit)
             self.shortcuts += 1
         return fit
 
@@ -816,11 +837,17 @@ class TestSupportEquivalence:
     """``filter_with_dp`` gives the pair-matrix reference's status and
     domains on suffix and windowed views, in both cost modes."""
 
-    # Each test counts the general scan's endings, which the batched pair
+    # Each test counts the general pass's reads, which the batched pair
     # pass would take over: ``_PAIR_CHUNK`` = 0 sends every period the
-    # shortcut leaves to the scan. ``TestPairPass`` covers the batched pass.
+    # shortcut leaves to the general pass. ``TestPairPass`` covers the
+    # batched pass.
 
-    def test_matches_pair_matrix_reference(self, monkeypatch):
+    @pytest.mark.parametrize("block", [None, 16])
+    def test_matches_pair_matrix_reference(self, monkeypatch, block):
+        """A block of 16 pairs splits both reads of the general pass into
+        many pieces, and its survivor pass into runs of rows."""
+        if block is not None:
+            monkeypatch.setattr(dp_mod, "_BLOCK", block)
         monkeypatch.setattr(dp_mod, "_PAIR_CHUNK", 0)
         rec = _ScanRecorder(monkeypatch)
         rng = random.Random(2027)
@@ -854,10 +881,10 @@ class TestSupportEquivalence:
             y_removals += sum(store.max(("Y", t)) == 0 for t in open_y)
             cases += 1
         assert cases >= 900 and failed >= 50 and y_removals >= 300
-        # Each way a period's scan can end: all values supported early, rows
-        # cut by the bound, every row read, every diagonal read.
-        for end, least in (("covered", 450), ("bound", 15), ("exhausted", 1000), ("diagonals", 120)):
-            assert rec.ends.count(end) >= least, (end, rec.ends.count(end))
+        # Both reads of the general pass, and passes that stop once every
+        # candidate is supported, before their last row.
+        assert rec.columns >= 2400 and rec.diagonals >= 800 and rec.early >= 470, (
+            rec.columns, rec.diagonals, rec.early)
         assert rec.shortcuts >= 1000 and rec.scans >= 1000, (rec.shortcuts, rec.scans)
 
     @pytest.mark.parametrize("block", [None, 16])
@@ -980,6 +1007,35 @@ class TestSupportMemory:
         finally:
             tracemalloc.stop()
         assert st is not Status.FAILED
+        assert peak < 16 * 2**20
+
+    def test_near_bound_on_paper_scale_root_stays_small(self, monkeypatch):
+        """The C1LS root against its stored optimum plus 0.5 %: most pairs
+        fit, and 35 of the 40 periods hold more than ``_PAIR_CHUNK`` pairs
+        (up to about 2.6M), so they take the general pass, whose column
+        reads are cut into pieces of at most ``_BLOCK`` pairs."""
+        calls = []
+        original = dp_mod._support
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(dp_mod, "_support", counting)
+        params = dataclasses.replace(INSTANCE_CLASSES["C1LS"].params, seed=1)
+        inst = validate_and_normalize(generate(params))
+        store, stripped = setup_problem(inst)
+        fwd, bwd = window_tables(stripped, None, cs_mode=False)
+        opt = json.loads(_REFERENCES.read_text(encoding="ascii"))["optima"]["C1LS"]["1"]
+        ub = opt + opt // 200 - stripped.c_min
+        tracemalloc.start()
+        try:
+            st = filter_with_dp(fwd, bwd, store, stripped, ub)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert st is not Status.FAILED
+        assert len(calls) == 35, len(calls)
         assert peak < 16 * 2**20
 
     def test_survivor_pass_on_table_over_block_stays_small(self):
